@@ -104,9 +104,15 @@ bench-baselines: build
 # the run-ledger surface: a deliberately budget-starved run (1 ms per
 # pass) must still exit 0 with its netlist equivalence-checking — the
 # watchdog degrades, never crashes — and `smartly report` must render
-# the ledger it left, with the JSON form surviving validate-json.
+# the ledger it left, with the JSON form surviving validate-json.  The
+# bench harness must refuse an unknown section name with exit 2 before
+# running anything: a misspelt section in a bench-check leg would
+# otherwise leave nothing to compare and pass the gate silently.
 ci: build
 	dune runtest
+	dune exec bench/main.exe -- nosuch --no-ledger 2>/dev/null; \
+	  status=$$?; [ "$$status" -eq 2 ] || { \
+	  echo "ci: bench accepted an unknown section (exit $$status)"; exit 1; }
 	dune exec bin/smartly_cli.exe -- lint examples/*.v mux_chain riscv
 	dune exec bin/smartly_cli.exe -- lint examples/*.v mux_chain riscv \
 	  --json > /tmp/smartly_lint.json

@@ -8,7 +8,7 @@
      jobs_per_sec — batch throughput: warm cross-job memo (the serve
                   model) at --jobs 2/4 vs cold per-job state at --jobs 1
      figures    — Figs. 1/2/3/5/6/7 and the Listing-2 assignment claim
-     ablation   — design-choice sweeps (distance k, pruning, rules, ...)
+     ablation   — design-choice sweeps (distance k, rules, sim, SAT, ...)
      timing     — Bechamel micro-benchmarks of the passes
 
    Run with no arguments to regenerate everything the paper reports
@@ -552,7 +552,7 @@ let industrial () =
     "Industrial benchmark (Section IV-B): mux/pmux-rich test points";
   let points =
     (* the first half of the points keeps the default harness run within
-       minutes on one core; `bench industrial-all` runs all eight *)
+       minutes on one core; the other four are not measured here *)
     List.filteri (fun i _ -> i < 4) Workloads.Profiles.industrial_benchmarks
   in
   let results = List.map (run_case ~variants:`Pair) points in
@@ -955,8 +955,6 @@ let ablation () =
         "k=2", { base with Smartly.Config.distance_k = 2 };
         "k=4", { base with Smartly.Config.distance_k = 4 };
         "k=10", { base with Smartly.Config.distance_k = 10 };
-        ( "no Theorem II.1 pruning",
-          { base with Smartly.Config.enable_pruning = false } );
         ( "no inference rules",
           { base with Smartly.Config.enable_inference_rules = false } );
         ( "no simulation (SAT only)",
@@ -971,19 +969,7 @@ let ablation () =
   Report.Table.print
     ~columns:
       [ left "Configuration"; right "AIG"; right "vs Yosys"; right "time" ]
-    ~rows;
-  (* the paper's "~80% of sub-graph gates dismissed" claim *)
-  let c = Circuit.copy c0 in
-  ignore (Rtl_opt.Opt_expr.run c);
-  let r = Smartly.Sat_elim.run_once Smartly.Config.default c in
-  let kept = r.Smartly.Sat_elim.engine.Smartly.Engine.subgraph_kept in
-  let dropped = r.Smartly.Sat_elim.engine.Smartly.Engine.subgraph_dropped in
-  if kept + dropped > 0 then
-    Printf.printf
-      "Theorem II.1 pruning dismissed %d of %d sub-graph gates (%.1f%%)\n\
-       (paper: ~80%%)\n"
-      dropped (kept + dropped)
-      (100.0 *. float_of_int dropped /. float_of_int (kept + dropped))
+    ~rows
 
 (* --- Bechamel timing --- *)
 
@@ -1025,6 +1011,21 @@ let timing () =
     ols
 
 (* --- main --- *)
+
+let section_table =
+  let each =
+    [
+      ("table2", table2);
+      ("table3", table3);
+      ("industrial", industrial);
+      ("mux_chain", mux_chain);
+      ("jobs_per_sec", jobs_per_sec);
+      ("figures", figures);
+      ("ablation", ablation);
+      ("timing", timing);
+    ]
+  in
+  each @ [ ("all", fun () -> List.iter (fun (_, run) -> run ()) each) ]
 
 let usage () =
   prerr_endline
@@ -1117,6 +1118,15 @@ let () =
     | [] -> [ "table2"; "table3"; "industrial"; "figures" ]
     | rest -> rest
   in
+  (* reject a misspelt section before anything runs: under --check it
+     would otherwise leave nothing to compare and switch the gate off *)
+  List.iter
+    (fun s ->
+      if not (List.mem_assoc s section_table) then begin
+        Printf.eprintf "bench: unknown section %s\n" s;
+        usage ()
+      end)
+    sections;
   if Unix.isatty Unix.stdout && Sys.getenv_opt "NO_COLOR" = None then
     Report.Table.set_color true;
   if not !no_ledger then begin
@@ -1139,28 +1149,7 @@ let () =
     (* explicit opt-in: streams pass boundaries live, and therefore
        perturbs the measured timings — never combined with --check *)
     ignore (Obs.Event.attach_progress ());
-  List.iter
-    (fun s ->
-      match s with
-      | "table2" -> table2 ()
-      | "table3" -> table3 ()
-      | "industrial" -> industrial ()
-      | "mux_chain" -> mux_chain ()
-      | "jobs_per_sec" -> jobs_per_sec ()
-      | "figures" -> figures ()
-      | "ablation" -> ablation ()
-      | "timing" -> timing ()
-      | "all" ->
-        table2 ();
-        table3 ();
-        industrial ();
-        mux_chain ();
-        jobs_per_sec ();
-        figures ();
-        ablation ();
-        timing ()
-      | other -> Printf.printf "unknown section %s\n" other)
-    sections;
+  List.iter (fun s -> (List.assoc s section_table) ()) sections;
   let finish_ledger status =
     match !ledger with
     | Some l ->

@@ -512,7 +512,6 @@ let engine_totals (o : outcome) : Smartly.Engine.stats =
         acc.memo_misses <- acc.memo_misses + e.memo_misses;
         acc.forgone <- acc.forgone + e.forgone;
         acc.subgraph_kept <- acc.subgraph_kept + e.subgraph_kept;
-        acc.subgraph_dropped <- acc.subgraph_dropped + e.subgraph_dropped;
         acc.sat_conflicts <- acc.sat_conflicts + e.sat_conflicts;
         acc.sat_decisions <- acc.sat_decisions + e.sat_decisions;
         acc.sat_propagations <- acc.sat_propagations + e.sat_propagations)
@@ -638,7 +637,6 @@ let stats_report_json ~src ~flow ~area0 ~area1 ~dt ~outcome ~sink ~psink :
             "memo_misses", num_of_int e.Smartly.Engine.memo_misses;
             "forgone", num_of_int e.Smartly.Engine.forgone;
             "subgraph_kept", num_of_int e.Smartly.Engine.subgraph_kept;
-            "subgraph_dropped", num_of_int e.Smartly.Engine.subgraph_dropped;
           ] );
       "memo", Smartly.Memo.to_json ();
       "session", session_json ();

@@ -16,7 +16,6 @@ type t = {
       (* abstract-interpretation rung zero (known-bits + intervals):
          answers Forced/Unreachable before the memo/sim/SAT rungs when
          the dataflow fixpoint pins the target; falls through on top *)
-  enable_pruning : bool; (* Theorem II.1 sub-graph pruning *)
   enable_sat : bool; (* the SAT-based redundancy elimination *)
   enable_sat_session : bool;
       (* persistent incremental solver shared by all queries of a run
@@ -56,7 +55,6 @@ let default =
     max_subgraph_cells = 600;
     enable_inference_rules = true;
     enable_analysis = true;
-    enable_pruning = true;
     enable_sat = true;
     enable_sat_session = true;
     enable_sat_memo = true;
@@ -76,10 +74,10 @@ let rebuild_only = { default with enable_sat = false }
    path's output is schedule-invariant by contract, so worker count must
    not split the cache. *)
 let fingerprint (t : t) =
-  Printf.sprintf "k%d;si%d;sa%d;cb%d;mx%d;f%b%b%b%b%b%b%b%b%b;bm%s;ba%s"
+  Printf.sprintf "k%d;si%d;sa%d;cb%d;mx%d;f%b%b%b%b%b%b%b%b;bm%s;ba%s"
     t.distance_k t.sim_input_threshold t.sat_input_threshold
     t.sat_conflict_budget t.max_subgraph_cells t.enable_inference_rules
-    t.enable_analysis t.enable_pruning t.enable_sat t.enable_sat_session
+    t.enable_analysis t.enable_sat t.enable_sat_session
     t.enable_sat_memo t.enable_rebuild t.rebuild_single_ctrl t.portfolio
     (match t.pass_budget_ms with None -> "-" | Some m -> string_of_int m)
     (match t.pass_alloc_budget_mw with

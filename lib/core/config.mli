@@ -14,7 +14,6 @@ type t = {
       (** abstract-interpretation rung zero: the known-bits + interval
           fixpoint answers [Forced]/[Unreachable] before the memo/sim/SAT
           rungs when it pins the target; falls through on top *)
-  enable_pruning : bool;  (** Theorem II.1 sub-graph pruning *)
   enable_sat : bool;  (** the SAT-based redundancy elimination pass *)
   enable_sat_session : bool;
       (** persistent incremental solver ({!Cdcl.Session}) shared by all

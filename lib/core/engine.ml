@@ -22,7 +22,6 @@ type stats = {
   mutable memo_misses : int;
   mutable forgone : int;
   mutable subgraph_kept : int;
-  mutable subgraph_dropped : int;
   mutable sat_conflicts : int;
   mutable sat_decisions : int;
   mutable sat_propagations : int;
@@ -39,7 +38,6 @@ let fresh_stats () =
     memo_misses = 0;
     forgone = 0;
     subgraph_kept = 0;
-    subgraph_dropped = 0;
     sat_conflicts = 0;
     sat_decisions = 0;
     sat_propagations = 0;
@@ -292,7 +290,6 @@ let h_sat_query_seconds = Obs.Metrics.histogram "engine.sat_query_seconds"
 let h_sim_query_seconds = Obs.Metrics.histogram "engine.sim_query_seconds"
 let h_subgraph_size = Obs.Metrics.histogram "engine.subgraph_cells"
 let m_subgraph_kept = Obs.Metrics.counter "subgraph.kept"
-let m_subgraph_dropped = Obs.Metrics.counter "subgraph.dropped"
 
 (* --- exhaustive simulation --- *)
 
@@ -305,20 +302,12 @@ let simulate_exhaustive (circuit : Circuit.t) (view : Subgraph.view)
   let n = List.length free_inputs in
   let lanes = min Rtl_sim.Vector.lanes_max 62 in
   let total = 1 lsl n in
-  (* bits the view actually computes *)
-  let internal = Bits.Bit_tbl.create 64 in
-  List.iter
-    (fun id ->
-      List.iter
-        (fun b -> Bits.Bit_tbl.replace internal b ())
-        (Cell.output_bits (Circuit.cell circuit id)))
-    view.Subgraph.cells;
-  let is_source b = List.exists (Bits.bit_equal b) view.Subgraph.sources in
+  let is_source = Subgraph.is_source view in
   (* only filter on knowns whose value the simulation reproduces *)
   let check_bits =
     Bits.Bit_tbl.fold
       (fun b v acc ->
-        if Bits.Bit_tbl.mem internal b || is_source b then (b, v) :: acc
+        if Subgraph.computes view b || is_source b then (b, v) :: acc
         else acc)
       known []
   in
@@ -572,8 +561,8 @@ let query_sat ?stats ?session ?portfolio circuit view known ~budget ~target :
 
 (* Determine [target] under [known].  A fresh bounded sub-graph is built
    from the distance-k cones of the target and of every known signal (the
-   only gates Theorem II.1 allows to matter), then pruned.  [known] is
-   copied; the caller's map is never polluted by inferred values. *)
+   only gates Theorem II.1 allows to matter).  [known] is copied; the
+   caller's map is never polluted by inferred values. *)
 let determine_how ?session (cfg : Config.t) (stats : stats)
     (circuit : Circuit.t) (index : Index.t) (known : Inference.known)
     ~(target : Bits.bit) : verdict * source =
@@ -588,6 +577,7 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
     Obs.Metrics.incr m_forgone;
     (Unknown, Via_forgone)
   | None ->
+    Obs.Trace.with_span "engine.determine" @@ fun () ->
     let sg = Subgraph.create circuit index in
     let k = cfg.Config.distance_k in
     Subgraph.add_cone sg ~k target;
@@ -599,28 +589,13 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
       (Unknown, Via_forgone)
     end
     else begin
-    let relevant =
-      target :: Bits.Bit_tbl.fold (fun b _ acc -> b :: acc) known []
-    in
-    let view =
-      if cfg.Config.enable_pruning then Subgraph.prune sg ~relevant
-      else Subgraph.full_view sg
-    in
-    stats.subgraph_kept <- stats.subgraph_kept + view.Subgraph.kept;
-    stats.subgraph_dropped <- stats.subgraph_dropped + view.Subgraph.dropped;
-    Obs.Metrics.add m_subgraph_kept view.Subgraph.kept;
-    Obs.Metrics.add m_subgraph_dropped view.Subgraph.dropped;
-    (* target not even in the pruned sub-graph (neither computed by it nor
-       one of its sources): no relation to knowns, nothing to infer from *)
-    let target_inside =
-      List.exists (Bits.bit_equal target) view.Subgraph.sources
-      || List.exists
-           (fun id ->
-             List.exists (Bits.bit_equal target)
-               (Cell.output_bits (Circuit.cell circuit id)))
-           view.Subgraph.cells
-    in
-    if not target_inside then (Unknown, Via_forgone)
+    let view = Subgraph.view sg in
+    stats.subgraph_kept <- stats.subgraph_kept + Subgraph.size sg;
+    Obs.Metrics.add m_subgraph_kept (Subgraph.size sg);
+    (* target not even in the sub-graph (neither computed by it nor one of
+       its sources): no relation to knowns, nothing to infer from *)
+    if not (Subgraph.computes view target || Subgraph.is_source view target)
+    then (Unknown, Via_forgone)
     else begin
       let local = Bits.Bit_tbl.copy known in
       let track = Bits.Bit_tbl.create 16 in
@@ -659,7 +634,7 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
         end
         else begin
           (* rung zero: the abstract-interpretation fixpoint over the
-             pruned view, seeded with every path fact (plus whatever the
+             view, seeded with every path fact (plus whatever the
              rules just inferred into [local]).  Sound by construction —
              it only answers when a definite value or a contradiction is
              proven, and falls through on top — and it sits after the

@@ -5,7 +5,7 @@
     abstract-interpretation rung zero ({!Analysis.Fixpoint}: known-bits +
     intervals, answering before the memo/sim/SAT rungs when the target's
     abstract value is definite), exhaustive bit-parallel simulation when
-    the pruned sub-graph has few free inputs, an incremental SAT query
+    the sub-graph view has few free inputs, an incremental SAT query
     otherwise, and a give-up threshold. *)
 
 open Netlist
@@ -29,8 +29,7 @@ type stats = {
   mutable memo_misses : int;
       (** cache consults that fell through to sim/SAT *)
   mutable forgone : int;
-  mutable subgraph_kept : int;
-  mutable subgraph_dropped : int;
+  mutable subgraph_kept : int;  (** cells over all query views *)
   mutable sat_conflicts : int;
       (** solver conflicts accumulated over all SAT queries *)
   mutable sat_decisions : int;
@@ -191,7 +190,7 @@ val determine :
   target:Bits.bit ->
   verdict
 (** Build the bounded sub-graph from the cones of the target and the known
-    signals, prune it (Theorem II.1), and run the ladder.  The caller's
+    signals, view it in topological order, and run the ladder.  The caller's
     known map is never polluted with inferred values.  When
     [cfg.enable_sat_memo] is set, the sim/SAT rungs are fronted by the
     cross-query cache ({!Memo}); [session] routes SAT queries through the

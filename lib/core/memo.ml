@@ -1,6 +1,6 @@
 (* Cross-query verdict memoization for the decision engine.
 
-   A determine query is fully characterized by (pruned sub-graph, known
+   A determine query is fully characterized by (sub-graph view, known
    assignments, target): the verdict of the sim and SAT rungs is a pure
    function of that triple.  The same triple recurs constantly — sibling
    branches of a muxtree share path prefixes, and the workload generators
@@ -122,40 +122,36 @@ let fresh_st circuit driven_by =
    excluded — they cannot affect any rung's verdict. *)
 let key (circuit : Circuit.t) (view : Subgraph.view)
     (known : bool Bits.Bit_tbl.t) ~(target : Bits.bit) : string =
-  let driven_by = Bits.Bit_tbl.create 64 in
-  List.iter
-    (fun id ->
-      List.iter
-        (fun b -> Bits.Bit_tbl.replace driven_by b id)
-        (Cell.output_bits (Circuit.cell circuit id)))
-    view.Subgraph.cells;
-  let is_source b = List.exists (Bits.bit_equal b) view.Subgraph.sources in
+  Obs.Trace.with_span "memo.key" @@ fun () ->
+  let driven_by = view.Subgraph.driver in
   let relevant_knowns =
     Bits.Bit_tbl.fold
       (fun b v acc ->
-        if Bits.Bit_tbl.mem driven_by b || is_source b then (b, v) :: acc
+        if Subgraph.computes view b || Subgraph.is_source view b then
+          (b, v) :: acc
         else acc)
       known []
   in
   (* order knowns by an independent fingerprint of each cone, so the order
-     is a function of structure, not of wire ids or hash-table layout *)
+     is a function of structure, not of wire ids or hash-table layout; each
+     fingerprint is serialized once and the decorated list sorted (stable,
+     so ties keep the order the comparator alone would give them) *)
   let fingerprint b =
     let st = fresh_st circuit driven_by in
     ser_bit st b;
     Buffer.contents st.buf
   in
   let sorted =
-    List.sort
-      (fun (b1, v1) (b2, v2) ->
-        let c = compare (fingerprint b1) (fingerprint b2) in
-        if c <> 0 then c else compare v1 v2)
-      relevant_knowns
+    List.map (fun (b, v) -> (fingerprint b, v, b)) relevant_knowns
+    |> List.stable_sort (fun (f1, v1, _) (f2, v2, _) ->
+           let c = String.compare f1 f2 in
+           if c <> 0 then c else Bool.compare v1 v2)
   in
   let st = fresh_st circuit driven_by in
   Buffer.add_string st.buf "T:";
   ser_bit st target;
   List.iter
-    (fun (b, v) ->
+    (fun (_, v, b) ->
       Buffer.add_string st.buf (if v then "|K1:" else "|K0:");
       ser_bit st b)
     sorted;

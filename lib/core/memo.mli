@@ -1,7 +1,7 @@
 (** Cross-query verdict memoization for the decision engine.
 
     Sim/SAT verdicts are cached under a canonical structural key of
-    (pruned sub-graph, known assignments, target) — alpha-equivalent over
+    (sub-graph view, known assignments, target) — alpha-equivalent over
     wire ids, so structurally identical queries from different muxtrees
     (or stamped-out copies of the same logic) hit the same entry.  The
     full key is stored, so hash collisions can never return a wrong

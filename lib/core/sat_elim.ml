@@ -8,8 +8,8 @@
 
    Per query, a bounded sub-graph is built from the distance-k fanin cones
    of the visited control ports (the paper's incremental accumulation,
-   restricted to the facts on the current path), pruned with Theorem II.1,
-   and handed to the engine. *)
+   restricted to the facts on the current path) and handed to the
+   engine. *)
 
 open Netlist
 module OM = Rtl_opt.Opt_muxtree
@@ -24,14 +24,13 @@ type report = {
 let pp_report ppf r =
   Fmt.pf ppf
     "bypassed=%d data_folded=%d dead=%d rules=%d analysis=%d sim=%d sat=%d \
-     memo=%d/%d forgone=%d kept=%d dropped=%d conflicts=%d decisions=%d \
-     props=%d"
+     memo=%d/%d forgone=%d kept=%d conflicts=%d decisions=%d props=%d"
     r.muxes_bypassed r.data_bits_folded r.dead_branches
     r.engine.Engine.rule_hits r.engine.Engine.analysis_hits
     r.engine.Engine.sim_queries
     r.engine.Engine.sat_queries r.engine.Engine.memo_hits
     r.engine.Engine.memo_misses r.engine.Engine.forgone
-    r.engine.Engine.subgraph_kept r.engine.Engine.subgraph_dropped
+    r.engine.Engine.subgraph_kept
     r.engine.Engine.sat_conflicts r.engine.Engine.sat_decisions
     r.engine.Engine.sat_propagations
 
@@ -109,6 +108,7 @@ let resolve_select ctx known (s : Bits.bit) :
    whose port is being folded, for provenance. *)
 let fold_data_bits ctx known ~owner (port : Bits.sigspec) :
     Bits.sigspec * bool =
+  Obs.Trace.with_span "sat_elim.fold" @@ fun () ->
   let track = Bits.Bit_tbl.create 16 in
   let local =
     if
@@ -121,18 +121,12 @@ let fold_data_bits ctx known ~owner (port : Bits.sigspec) :
       Array.iter (fun b -> Subgraph.add_cone sg ~k b) port;
       if Subgraph.size sg > ctx.cfg.Config.max_subgraph_cells then known
       else begin
-      let relevant =
-        Array.to_list port
-        @ Bits.Bit_tbl.fold (fun b _ acc -> b :: acc) known []
-      in
-      let view =
-        if ctx.cfg.Config.enable_pruning then Subgraph.prune sg ~relevant
-        else Subgraph.full_view sg
-      in
-      let local = Bits.Bit_tbl.copy known in
-      match Inference.propagate ~track ctx.c local view.Subgraph.cells with
-      | _ -> local
-      | exception Inference.Contradiction -> known
+        let local = Bits.Bit_tbl.copy known in
+        match
+          Inference.propagate ~track ctx.c local (Subgraph.ordered_cells sg)
+        with
+        | _ -> local
+        | exception Inference.Contradiction -> known
       end
     end
     else known
@@ -370,8 +364,6 @@ let add_stats (into : Engine.stats) (s : Engine.stats) =
   into.Engine.forgone <- into.Engine.forgone + s.Engine.forgone;
   into.Engine.subgraph_kept <-
     into.Engine.subgraph_kept + s.Engine.subgraph_kept;
-  into.Engine.subgraph_dropped <-
-    into.Engine.subgraph_dropped + s.Engine.subgraph_dropped;
   into.Engine.sat_conflicts <-
     into.Engine.sat_conflicts + s.Engine.sat_conflicts;
   into.Engine.sat_decisions <-

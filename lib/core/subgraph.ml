@@ -5,11 +5,11 @@
    Sequential cells are excluded so the sub-graph remains a DAG; their
    outputs act as free sources.
 
-   Before a query, the sub-graph is pruned using Theorem II.1: a signal S
-   can affect a signal T only if their fanin cones intersect, i.e. they
-   share a source.  Signals are grouped by union-find over shared sources,
-   and only the gates in groups containing a known signal or the target are
-   kept.  The paper reports this dismisses ~80% of the gates. *)
+   A query's sub-graph is built from the cones of exactly its relevant bits
+   (the target or port bits and the known signals), so it is already the
+   set Theorem II.1 keeps: every cell lies on a fanin path to a relevant
+   bit and shares that bit's sources.  Only a cell whose whole fanin is
+   constant could be grouped apart, and opt_expr folds those first. *)
 
 open Netlist
 
@@ -48,68 +48,10 @@ let add_cone t ~k (bit : Bits.bit) =
   in
   up 0 bit
 
-let cell_ids t = Hashtbl.fold (fun id () acc -> id :: acc) t.cells []
-
 let size t = Hashtbl.length t.cells
 
-(* Sources: bits read inside the sub-graph but not driven inside it. *)
-let sources_of_cells (t : t) (ids : int list) : Bits.bit list =
-  let inside = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace inside id ()) ids;
-  let driven_inside = Bits.Bit_tbl.create 64 in
-  List.iter
-    (fun id ->
-      List.iter
-        (fun b -> Bits.Bit_tbl.replace driven_inside b ())
-        (Cell.output_bits (Circuit.cell t.circuit id)))
-    ids;
-  let srcs = Bits.Bit_tbl.create 64 in
-  List.iter
-    (fun id ->
-      List.iter
-        (fun b ->
-          if (not (Bits.is_const b)) && not (Bits.Bit_tbl.mem driven_inside b)
-          then Bits.Bit_tbl.replace srcs b ())
-        (Cell.input_bits (Circuit.cell t.circuit id)))
-    ids;
-  Bits.Bit_tbl.fold (fun b () acc -> b :: acc) srcs []
-
-(* --- Theorem II.1 pruning --- *)
-
-module Uf = struct
-  (* union-find over bits *)
-  type t = Bits.bit Bits.Bit_tbl.t
-
-  let create () : t = Bits.Bit_tbl.create 64
-
-  let rec find (uf : t) b =
-    match Bits.Bit_tbl.find_opt uf b with
-    | None -> b
-    | Some p ->
-      if Bits.bit_equal p b then b
-      else begin
-        let root = find uf p in
-        Bits.Bit_tbl.replace uf b root;
-        root
-      end
-
-  let union uf a b =
-    let ra = find uf a and rb = find uf b in
-    if not (Bits.bit_equal ra rb) then Bits.Bit_tbl.replace uf ra rb
-end
-
-(* A pruned, self-contained view ready for querying. *)
-type view = {
-  cells : int list; (* topologically ordered *)
-  sources : Bits.bit list;
-  kept : int; (* cells kept after pruning *)
-  dropped : int; (* cells pruned away *)
-}
-
-(* Topologically order sub-graph cells (drivers first). *)
-let topo_order t (ids : int list) : int list =
-  let inside = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace inside id ()) ids;
+(* Topologically order the sub-graph cells (drivers first). *)
+let ordered_cells t : int list =
   let state = Hashtbl.create 64 in
   let order = ref [] in
   let rec visit id =
@@ -120,94 +62,43 @@ let topo_order t (ids : int list) : int list =
       List.iter
         (fun b ->
           match Index.driving_cell t.index b with
-          | Some (did, _) when Hashtbl.mem inside did -> visit did
+          | Some (did, _) when Hashtbl.mem t.cells did -> visit did
           | Some _ | None -> ())
         (Cell.input_bits (Circuit.cell t.circuit id));
       order := id :: !order
   in
-  List.iter visit ids;
+  List.iter visit (Hashtbl.fold (fun id () acc -> id :: acc) t.cells []);
   List.rev !order
 
-let h_prune_ratio = Obs.Metrics.histogram "subgraph.prune_ratio"
+(* A self-contained view ready for querying. *)
+type view = {
+  cells : int list; (* topologically ordered *)
+  sources : Bits.bit list;
+  source_set : unit Bits.Bit_tbl.t; (* [sources], for membership *)
+  driver : int Bits.Bit_tbl.t; (* bit computed inside -> its cell *)
+}
 
-(* Group signals by shared sources, then keep only cells whose output is in
-   a group containing a relevant bit (a known signal or the target). *)
-let prune t ~(relevant : Bits.bit list) : view =
-  (* Naive undirected connectivity would relate signals through common
-     *descendants*, which Theorem II.1 excludes.  Instead we group by shared
-     sources: two signals are related iff their fanin cones intersect, and
-     cones intersect iff they share a source.  Source sets are computed
-     bottom-up; signals sharing a source are unioned. *)
-  let ids = topo_order t (cell_ids t) in
-  let uf = Uf.create () in
-  let inside = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace inside id ()) ids;
-  (* for every source bit, union it with every cell output reachable
-     downstream inside the sub-graph *)
-  let downstream_memo : Bits.Bit_set.t Bits.Bit_tbl.t = Bits.Bit_tbl.create 64 in
-  (* sources of each cell output, bottom-up *)
+let view t : view =
+  let cells = ordered_cells t in
+  let driver = Bits.Bit_tbl.create 64 in
   List.iter
     (fun id ->
-      let cell = Circuit.cell t.circuit id in
-      let in_sources =
-        List.fold_left
-          (fun acc b ->
-            if Bits.is_const b then acc
-            else
-              match Index.driving_cell t.index b with
-              | Some (did, _) when Hashtbl.mem inside did -> (
-                match Bits.Bit_tbl.find_opt downstream_memo b with
-                | Some s -> Bits.Bit_set.union acc s
-                | None -> acc)
-              | Some _ | None -> Bits.Bit_set.add b acc)
-          Bits.Bit_set.empty (Cell.input_bits cell)
-      in
       List.iter
-        (fun o -> Bits.Bit_tbl.replace downstream_memo o in_sources)
-        (Cell.output_bits cell);
-      (* union: output with one representative source; all its sources with
-         each other (they are all in the same group through this output) *)
-      match Bits.Bit_set.choose_opt in_sources with
-      | None -> ()
-      | Some repr ->
-        Bits.Bit_set.iter (fun s -> Uf.union uf repr s) in_sources;
-        List.iter (fun o -> Uf.union uf repr o) (Cell.output_bits cell))
-    ids;
-  let relevant_roots =
-    List.filter_map
-      (fun b -> if Bits.is_const b then None else Some (Uf.find uf b))
-      relevant
-  in
-  let is_relevant b =
-    let r = Uf.find uf b in
-    List.exists (Bits.bit_equal r) relevant_roots
-  in
-  let kept_cells =
-    List.filter
-      (fun id ->
-        let cell = Circuit.cell t.circuit id in
-        match Cell.output_bits cell with
-        | o :: _ -> is_relevant o
-        | [] -> false)
-      ids
-  in
-  let dropped = List.length ids - List.length kept_cells in
-  let total = List.length ids in
-  if total > 0 then
-    Obs.Metrics.observe h_prune_ratio (float_of_int dropped /. float_of_int total);
-  {
-    cells = kept_cells;
-    sources = sources_of_cells t kept_cells;
-    kept = List.length kept_cells;
-    dropped;
-  }
+        (fun b -> Bits.Bit_tbl.replace driver b id)
+        (Cell.output_bits (Circuit.cell t.circuit id)))
+    cells;
+  (* sources: bits read inside the sub-graph but not driven inside it *)
+  let source_set = Bits.Bit_tbl.create 64 in
+  List.iter
+    (fun id ->
+      List.iter
+        (fun b ->
+          if (not (Bits.is_const b)) && not (Bits.Bit_tbl.mem driver b) then
+            Bits.Bit_tbl.replace source_set b ())
+        (Cell.input_bits (Circuit.cell t.circuit id)))
+    cells;
+  let sources = Bits.Bit_tbl.fold (fun b () acc -> b :: acc) source_set [] in
+  { cells; sources; source_set; driver }
 
-(* View without pruning (for the ablation). *)
-let full_view t : view =
-  let ids = topo_order t (cell_ids t) in
-  {
-    cells = ids;
-    sources = sources_of_cells t ids;
-    kept = List.length ids;
-    dropped = 0;
-  }
+let is_source (v : view) b = Bits.Bit_tbl.mem v.source_set b
+let computes (v : view) b = Bits.Bit_tbl.mem v.driver b

@@ -2,10 +2,10 @@
     (paper Section II).
 
     Control ports contribute their distance-k fanin cones; sequential cells
-    are excluded so the sub-graph stays a DAG.  {!prune} applies Theorem
-    II.1: signals can only affect each other when their fanin cones share a
-    source, so gates in groups unrelated to any known signal (or the
-    target) are dismissed. *)
+    are excluded so the sub-graph stays a DAG.  A query's sub-graph holds
+    the cones of exactly its relevant bits, so it is already the gate set
+    Theorem II.1 keeps: every cell shares a source with the relevant bit
+    whose cone added it.  No separate pruning step runs. *)
 
 open Netlist
 
@@ -19,19 +19,21 @@ val add_cone : t -> k:int -> Bits.bit -> unit
 val size : t -> int
 (** Accumulated cell count. *)
 
-val cell_ids : t -> int list
+val ordered_cells : t -> int list
+(** Every accumulated cell, drivers first. *)
 
-(** A pruned, topologically ordered view ready for querying. *)
+(** A topologically ordered view ready for querying. *)
 type view = {
   cells : int list;  (** drivers first *)
   sources : Bits.bit list;  (** bits read but not driven inside *)
-  kept : int;
-  dropped : int;  (** cells dismissed by the Theorem II.1 grouping *)
+  source_set : unit Bits.Bit_tbl.t;  (** [sources] as a table *)
+  driver : int Bits.Bit_tbl.t;  (** each bit computed inside -> its cell *)
 }
 
-val prune : t -> relevant:Bits.bit list -> view
-(** Keep only the gates grouped (by shared fanin sources) with at least one
-    relevant bit. *)
+val view : t -> view
+(** The cells of {!ordered_cells} with their sources and drivers. *)
 
-val full_view : t -> view
-(** No pruning (for the ablation). *)
+val is_source : view -> Bits.bit -> bool
+
+val computes : view -> Bits.bit -> bool
+(** The bit is an output of a view cell. *)

@@ -193,7 +193,7 @@ let subgraph_view c targets knowns =
   let index = Index.build c in
   let sg = Smartly.Subgraph.create c index in
   List.iter (fun t -> Smartly.Subgraph.add_cone sg ~k:6 t) (targets @ knowns);
-  Smartly.Subgraph.prune sg ~relevant:(targets @ knowns)
+  Smartly.Subgraph.view sg
 
 let test_key_alpha_equivalence () =
   (* same structure, disjoint wire ids: identical keys *)
@@ -252,6 +252,52 @@ let test_key_excludes_irrelevant_knowns () =
   Bits.Bit_tbl.replace k_extra zb false;
   let key_extra = Smartly.Memo.key c view k_extra ~target:y in
   check_string "disconnected known excluded from key" key_base key_extra
+
+(* Three knowns on y = (a xor not b) xor d: [a] and [d] are both view
+   sources, so their cone fingerprints are equal and only their values
+   order them; [not b] is computed inside the view. *)
+let three_knowns ?(pad = 0) ?(swap = false) order =
+  let c = Circuit.create "three" in
+  for i = 0 to pad - 1 do
+    ignore (Circuit.add_input c (Printf.sprintf "pad%d" i) ~width:1)
+  done;
+  (* [swap] declares d before a, reversing their wire-id order *)
+  let input name = Circuit.bit_of_wire (Circuit.add_input c name ~width:1) in
+  let first = input (if swap then "d" else "a") in
+  let b = input "b" in
+  let last = input (if swap then "a" else "d") in
+  let a, d = if swap then (last, first) else (first, last) in
+  let nb = Circuit.mk_not c b in
+  let y = Circuit.mk_xor c (Circuit.mk_xor c a nb) d in
+  let facts = [| a, true; d, false; nb, true |] in
+  let known = Bits.Bit_tbl.create 4 in
+  List.iter
+    (fun i ->
+      let bit, v = facts.(i) in
+      Bits.Bit_tbl.replace known bit v)
+    order;
+  Smartly.Memo.key c (subgraph_view c [ y ] [ a; d; nb ]) known ~target:y
+
+let test_key_known_order_invariant () =
+  let base = three_knowns [ 0; 1; 2 ] in
+  let count_knowns key =
+    List.length (String.split_on_char '|' key) - 1
+  in
+  check_int "all three knowns in the key" 3 (count_knowns base);
+  List.iter
+    (fun (pad, swap, order) ->
+      check_string
+        (Printf.sprintf "pad %d, swap %b, insertion order %s" pad swap
+           (String.concat "," (List.map string_of_int order)))
+        base (three_knowns ~pad ~swap order))
+    [
+      (0, false, [ 2; 1; 0 ]);
+      (0, false, [ 1; 2; 0 ]);
+      (0, true, [ 0; 1; 2 ]);
+      (5, false, [ 0; 1; 2 ]);
+      (5, true, [ 2; 0; 1 ]);
+      (13, false, [ 1; 0; 2 ]);
+    ]
 
 let test_memo_store_semantics () =
   Smartly.Memo.reset ();
@@ -395,6 +441,8 @@ let () =
             test_key_distinguishes_target;
           Alcotest.test_case "irrelevant knowns excluded" `Quick
             test_key_excludes_irrelevant_knowns;
+          Alcotest.test_case "known order and wire ids ignored" `Quick
+            test_key_known_order_invariant;
           Alcotest.test_case "store semantics" `Quick test_memo_store_semantics;
         ] );
       ( "replay",

@@ -1,4 +1,4 @@
-(* Tests for the smaRTLy core: sub-graph extraction and pruning, inference
+(* Tests for the smaRTLy core: sub-graph extraction and views, inference
    rules, the sim/SAT engine, SAT-based redundancy elimination, and muxtree
    restructuring.  Every optimized circuit is CEC'd against the original. *)
 
@@ -174,7 +174,7 @@ let test_contradiction () =
     | _ -> false
     | exception Smartly.Inference.Contradiction -> true)
 
-(* --- sub-graph extraction and Theorem II.1 pruning --- *)
+(* --- sub-graph extraction and views --- *)
 
 let test_subgraph_cone_depth () =
   (* chain of 5 nots; distance k=3 catches only 3 of them *)
@@ -190,8 +190,9 @@ let test_subgraph_cone_depth () =
   Smartly.Subgraph.add_cone sg5 ~k:10 top;
   check_int "all 5" 5 (Smartly.Subgraph.size sg5)
 
-let test_subgraph_prune_unrelated () =
-  (* two disconnected cones: pruning with relevance in one drops the other *)
+let test_subgraph_disjoint_cones_kept () =
+  (* two disconnected cones: the view keeps both, because every cell of a
+     query's sub-graph came from the cone of one of its relevant bits *)
   let c = Circuit.create "two" in
   let a = Circuit.add_input c "a" ~width:1 in
   let b = Circuit.add_input c "b" ~width:1 in
@@ -203,30 +204,94 @@ let test_subgraph_prune_unrelated () =
   let sg = Smartly.Subgraph.create c index in
   Smartly.Subgraph.add_cone sg ~k:4 t1;
   Smartly.Subgraph.add_cone sg ~k:4 t2;
-  check_int "both in" 2 (Smartly.Subgraph.size sg);
-  let v = Smartly.Subgraph.prune sg ~relevant:[ t1 ] in
-  check_int "kept 1" 1 v.Smartly.Subgraph.kept;
-  check_int "dropped 1" 1 v.Smartly.Subgraph.dropped;
-  (* related signals stay together *)
-  let v2 = Smartly.Subgraph.prune sg ~relevant:[ t1; Circuit.bit_of_wire x ] in
-  check_int "kept both" 2 v2.Smartly.Subgraph.kept
+  let v = Smartly.Subgraph.view sg in
+  check_int "both kept" 2 (List.length v.Smartly.Subgraph.cells);
+  check_bool "t1 computed" true (Smartly.Subgraph.computes v t1);
+  check_bool "t2 computed" true (Smartly.Subgraph.computes v t2)
 
 let test_subgraph_no_common_descendant_link () =
-  (* s and t only share a *descendant*: they must land in different groups *)
+  (* s and t only share a *descendant*: the join is in neither cone, so
+     the view holds the two nots and nothing else *)
   let c = Circuit.create "desc" in
   let s = Circuit.add_input c "s" ~width:1 in
   let t = Circuit.add_input c "t" ~width:1 in
   let join = Circuit.mk_and c (Circuit.bit_of_wire s) (Circuit.bit_of_wire t) in
   let s2 = Circuit.mk_not c (Circuit.bit_of_wire s) in
   let t2 = Circuit.mk_not c (Circuit.bit_of_wire t) in
-  ignore join;
   let index = Index.build c in
   let sg = Smartly.Subgraph.create c index in
   Smartly.Subgraph.add_cone sg ~k:4 s2;
   Smartly.Subgraph.add_cone sg ~k:4 t2;
-  (* note: the and-join is NOT in the subgraph (not in either cone) *)
-  let v = Smartly.Subgraph.prune sg ~relevant:[ s2 ] in
-  check_int "t's not is pruned" 1 v.Smartly.Subgraph.kept
+  let v = Smartly.Subgraph.view sg in
+  check_int "the two nots" 2 (List.length v.Smartly.Subgraph.cells);
+  check_bool "join left out" false (Smartly.Subgraph.computes v join)
+
+let test_subgraph_drivers_first () =
+  (* a diamond a -> {n1, n2} -> x -> y: every cell comes after the view
+     cells that drive its inputs *)
+  let c = Circuit.create "diamond" in
+  let a = Circuit.bit_of_wire (Circuit.add_input c "a" ~width:1) in
+  let n1 = Circuit.mk_not c a in
+  let n2 = Circuit.mk_not c n1 in
+  let x = Circuit.mk_xor c n1 n2 in
+  let y = Circuit.mk_and c x a in
+  let index = Index.build c in
+  let sg = Smartly.Subgraph.create c index in
+  Smartly.Subgraph.add_cone sg ~k:6 y;
+  let v = Smartly.Subgraph.view sg in
+  let cells = v.Smartly.Subgraph.cells in
+  check_int "all four cells" 4 (List.length cells);
+  check_bool "ordered_cells agrees" true
+    (Smartly.Subgraph.ordered_cells sg = cells);
+  let pos = Hashtbl.create 8 in
+  List.iteri (fun i id -> Hashtbl.replace pos id i) cells;
+  List.iter
+    (fun id ->
+      List.iter
+        (fun b ->
+          match Index.driving_cell index b with
+          | Some (did, _) when Hashtbl.mem pos did ->
+            check_bool "driver before reader" true
+              (Hashtbl.find pos did < Hashtbl.find pos id)
+          | Some _ | None -> ())
+        (Cell.input_bits (Circuit.cell c id)))
+    cells
+
+let test_subgraph_sources_exact () =
+  (* sources are exactly the bits read but not driven inside: the free
+     inputs and the boundary bit where k cuts a cone -- never a constant,
+     never an internal bit.  A cell reading only constants is kept and
+     adds no source. *)
+  let c = Circuit.create "srcs" in
+  let a = Circuit.bit_of_wire (Circuit.add_input c "a" ~width:1) in
+  let b = Circuit.bit_of_wire (Circuit.add_input c "b" ~width:1) in
+  let d = Circuit.bit_of_wire (Circuit.add_input c "d" ~width:1) in
+  let beyond = Circuit.mk_not c d in
+  let deep = Circuit.mk_not c beyond in
+  let cut = Circuit.mk_not c deep in
+  let kc = Circuit.mk_and c Bits.C1 Bits.C0 in
+  let ab = Circuit.mk_or c a b in
+  let y = Circuit.mk_xor c (Circuit.mk_and c ab kc) cut in
+  let index = Index.build c in
+  let sg = Smartly.Subgraph.create c index in
+  (* depths from y: the and and [cut] at 1; [ab], [kc] and [deep] at 2;
+     [beyond] at 3, outside k = 3 *)
+  Smartly.Subgraph.add_cone sg ~k:3 y;
+  let v = Smartly.Subgraph.view sg in
+  check_int "six cells" 6 (List.length v.Smartly.Subgraph.cells);
+  check_bool "constant-input cell kept" true (Smartly.Subgraph.computes v kc);
+  let sorted l = List.sort compare l in
+  check_bool "sources are a, b and the cut bit" true
+    (sorted v.Smartly.Subgraph.sources = sorted [ a; b; beyond ]);
+  List.iter
+    (fun bit ->
+      check_bool "is_source agrees" true (Smartly.Subgraph.is_source v bit))
+    [ a; b; beyond ];
+  List.iter
+    (fun bit ->
+      check_bool "driven, constant or unread bits are not sources" false
+        (Smartly.Subgraph.is_source v bit))
+    [ ab; deep; cut; kc; y; Bits.C1; Bits.C0; d ]
 
 (* --- engine --- *)
 
@@ -542,9 +607,12 @@ let () =
       ( "subgraph",
         [
           Alcotest.test_case "cone depth" `Quick test_subgraph_cone_depth;
-          Alcotest.test_case "prune unrelated" `Quick test_subgraph_prune_unrelated;
+          Alcotest.test_case "disjoint cones kept" `Quick
+            test_subgraph_disjoint_cones_kept;
           Alcotest.test_case "no common-descendant link" `Quick
             test_subgraph_no_common_descendant_link;
+          Alcotest.test_case "drivers first" `Quick test_subgraph_drivers_first;
+          Alcotest.test_case "sources exact" `Quick test_subgraph_sources_exact;
         ] );
       ( "engine",
         [
