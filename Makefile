@@ -94,13 +94,11 @@ bench-baselines: build
 # NL010..NL013 rules and the engine's rung zero use, exercised on real
 # sources rather than profiles.  The mux_chain
 # optimization is re-run under --check-invariants, which validates,
-# lints and equivalence-checks the circuit after every pass, and then
-# once more on the sharded task path (--jobs 2) with the full
-# equivalence check, proving the parallel scheduler's netlist against
-# the original.  A serve smoke follows: a 4-line JSONL batch (two
-# identical jobs, one sharded, one shutdown) through the stdio daemon,
-# with the per-job smartly-report-v1 stream kept as an artifact and
-# parse-validated.  Finally
+# lints and equivalence-checks the circuit after every pass.  A serve
+# smoke follows: a 4-line JSONL batch (two identical jobs, a riscv job,
+# one shutdown) through the stdio daemon, with the per-job
+# smartly-report-v1 stream kept as an artifact and parse-validated.
+# Finally
 # the run-ledger surface: a deliberately budget-starved run (1 ms per
 # pass) must still exit 0 with its netlist equivalence-checking — the
 # watchdog degrades, never crashes — and `smartly report` must render
@@ -128,12 +126,10 @@ ci: build
 	  /tmp/smartly_analysis_priority_select.json
 	dune exec bin/smartly_cli.exe -- opt mux_chain --flow smartly \
 	  --check-invariants
-	dune exec bin/smartly_cli.exe -- opt mux_chain --flow smartly \
-	  --jobs 2 --check --check-invariants
 	printf '%s\n' \
 	  '{"op":"optimize","id":"ci-1","kind":"profile","source":"mux_chain"}' \
 	  '{"op":"optimize","id":"ci-2","kind":"profile","source":"mux_chain"}' \
-	  '{"op":"optimize","id":"ci-3","kind":"profile","source":"riscv","jobs":2}' \
+	  '{"op":"optimize","id":"ci-3","kind":"profile","source":"riscv"}' \
 	  '{"op":"shutdown"}' \
 	  | dune exec bin/smartly_cli.exe -- serve \
 	  > /tmp/smartly_serve_reports.jsonl

@@ -13,7 +13,7 @@
                                           --list-rules prints the registry
    smartly serve [--socket PATH]          batch daemon: JSONL jobs in, one
                                           smartly-report-v1 per job out, warm
-                                          cross-job memo store
+                                          cross-job memo and replay stores
 
    SRC is either a built-in profile name or a path to a Verilog file in the
    supported subset.
@@ -132,16 +132,6 @@ let no_analysis_arg =
            identical either way; this knob exists for benchmarking and \
            for proving it.")
 
-let sat_session_arg =
-  Arg.(
-    value
-    & opt ~vopt:true bool true
-    & info [ "sat-session" ] ~docv:"BOOL"
-        ~doc:
-          "Use one persistent incremental SAT solver for all queries of a \
-           run (default).  $(b,--sat-session=false) falls back to a fresh \
-           solver and Tseitin encoding per query.")
-
 let sat_dump_arg =
   Arg.(
     value
@@ -189,28 +179,6 @@ let pass_alloc_budget_mw_arg =
         ~doc:
           "Allocation budget per pass in millions of words; same graceful \
            degradation as $(b,--pass-budget-ms).")
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Shard independent muxtrees across N worker domains \
-           (smartly-family flows).  The final netlist and the merged \
-           telemetry are byte-identical for every N; without the flag \
-           the legacy in-place sequential walk runs instead.")
-
-let portfolio_arg =
-  Arg.(
-    value & flag
-    & info [ "portfolio" ]
-        ~doc:
-          "Race solver configurations (budgeted CDCL vs a fresh \
-           simulation-first ladder) on SAT queries the hardest-query \
-           ring flags as hard.  Opt-in: the netlist is unchanged but \
-           solver telemetry (conflict counts, hardest-query ranking) \
-           becomes schedule-dependent.")
 
 let progress_arg =
   Arg.(
@@ -452,10 +420,9 @@ let flow_name = function
   | `Sat -> "sat"
   | `Rebuild -> "rebuild"
 
-let run_flow ?after_pass ?(sat_memo = true) ?(sat_session = true)
-    ?(analysis = true) ?(pass_budget_ms = None) ?(pass_alloc_budget_mw = None)
-    ?(jobs = None) ?(portfolio = false) flow (c : Netlist.Circuit.t) : outcome
-    =
+let run_flow ?after_pass ?(sat_memo = true) ?(analysis = true)
+    ?(pass_budget_ms = None) ?(pass_alloc_budget_mw = None) flow
+    (c : Netlist.Circuit.t) : outcome =
   match flow with
   | `None -> O_none
   | `Yosys -> O_yosys (Smartly.Driver.yosys ?after_pass c)
@@ -470,12 +437,9 @@ let run_flow ?after_pass ?(sat_memo = true) ?(sat_session = true)
       {
         cfg with
         Smartly.Config.enable_sat_memo = sat_memo;
-        enable_sat_session = sat_session;
         enable_analysis = analysis;
         pass_budget_ms;
         pass_alloc_budget_mw;
-        jobs;
-        portfolio;
       }
     in
     O_smartly (Smartly.Driver.smartly ~cfg ?after_pass c)
@@ -696,9 +660,8 @@ let flight_extra () =
 
 let opt_cmd =
   let run src style flow check verbose trace json provenance sat_dump
-      check_invariants no_sat_memo no_analysis sat_session no_ledger
-      ledger_root pass_budget_ms pass_alloc_budget_mw jobs portfolio progress
-      =
+      check_invariants no_sat_memo no_analysis no_ledger ledger_root
+      pass_budget_ms pass_alloc_budget_mw progress =
     let c = load_circuit ~style src in
     let orig = Netlist.Circuit.copy c in
     let invariants =
@@ -782,9 +745,9 @@ let opt_cmd =
     let t0 = Obs.Clock.now () in
     let outcome =
       try
-        run_flow ?after_pass ~sat_memo:(not no_sat_memo) ~sat_session
+        run_flow ?after_pass ~sat_memo:(not no_sat_memo)
           ~analysis:(not no_analysis) ~pass_budget_ms ~pass_alloc_budget_mw
-          ~jobs ~portfolio flow c
+          flow c
       with e ->
         (match ledger with
         | Some l ->
@@ -958,8 +921,8 @@ let opt_cmd =
       const run $ src_arg $ style_arg $ flow_arg $ check_arg $ verbose_arg
       $ trace_arg $ json_arg $ provenance_arg $ sat_dump_arg
       $ check_invariants_arg $ no_sat_memo_arg $ no_analysis_arg
-      $ sat_session_arg $ no_ledger_arg $ ledger_root_arg $ pass_budget_ms_arg
-      $ pass_alloc_budget_mw_arg $ jobs_arg $ portfolio_arg $ progress_arg)
+      $ no_ledger_arg $ ledger_root_arg $ pass_budget_ms_arg
+      $ pass_alloc_budget_mw_arg $ progress_arg)
 
 let write_verilog_cmd =
   let out_arg =
@@ -1744,8 +1707,8 @@ let serve_cmd =
           ~doc:
             "Listen on a Unix-domain socket at PATH instead of serving \
              stdio.  Connections are accepted and served one at a time; \
-             the warm memo store is shared across all of them.  An \
-             existing socket file at PATH is replaced.")
+             the warm memo and replay stores are shared across all of \
+             them.  An existing socket file at PATH is replaced.")
   in
   let budget_ms_arg =
     Arg.(
@@ -1757,7 +1720,7 @@ let serve_cmd =
              --budget-ms) for jobs whose request carries no budget_ms \
              field.")
   in
-  let run style socket jobs portfolio budget_ms =
+  let run style socket budget_ms =
     let load ~kind source =
       match kind with
       | "profile" | "verilog" | "auto" -> (
@@ -1767,12 +1730,7 @@ let serve_cmd =
       | k -> Error (Printf.sprintf "unknown kind %S" k)
     in
     let cfg =
-      {
-        Smartly.Config.default with
-        jobs;
-        portfolio;
-        pass_budget_ms = budget_ms;
-      }
+      { Smartly.Config.default with Smartly.Config.pass_budget_ms = budget_ms }
     in
     let daemon = Smartly.Serve.create ~cfg ~load () in
     match socket with
@@ -1805,13 +1763,12 @@ let serve_cmd =
        ~doc:
          "Run the batch optimization daemon: one JSON request per line \
           (op optimize/ping/stats/shutdown), one smartly-report-v1 \
-          response per job, over stdio or a Unix socket.  A single warm \
-          cross-job memo store persists for the daemon's lifetime, so \
-          structurally recurring queries in a batch are answered from \
-          cache instead of re-solved.")
-    Term.(
-      const run $ style_arg $ socket_arg $ jobs_arg $ portfolio_arg
-      $ budget_ms_arg)
+          response per job, over stdio or a Unix socket.  A warm \
+          cross-job memo store and pass-replay store persist for the \
+          daemon's lifetime, so structurally recurring queries in a batch \
+          are answered from cache instead of re-solved, and a recurring \
+          design replays whole sat_elim passes.")
+    Term.(const run $ style_arg $ socket_arg $ budget_ms_arg)
 
 let main_cmd =
   let doc = "smaRTLy: RTL muxtree optimization (DAC'25 reproduction)" in

@@ -52,7 +52,7 @@ let () =
 
   (* run just the SAT-elimination pass and see the mux disappear *)
   let original = Circuit.copy c in
-  let report = Smartly.Sat_elim.run_once Smartly.Config.default c in
+  let report = Smartly.Sat_elim.run Smartly.Config.default c in
   ignore (Rtl_opt.Opt_clean.run c);
   Fmt.pr "sat_elim: %a@." Smartly.Sat_elim.pp_report report;
   let st = Stats.of_circuit c in

@@ -1,17 +1,18 @@
 (* Per-pass resource watchdog.
 
-   Domain-local, like the metrics registry and the SAT log: the driver
-   arms it before each pass with the configured wall-time / allocation
-   limits, the expensive inner loops (the Engine sim-vs-SAT ladder, the
-   Restructure root walk) poll [exhausted] and degrade gracefully —
-   forgo the query, skip the tree — and the driver disarms it after the
-   pass, collecting an overrun record if the budget tripped.
+   The driver arms it before each pass with the configured wall-time /
+   allocation limits, the expensive inner loops (the Engine sim-vs-SAT
+   ladder, the SAT solver's search loop, the Restructure root walk) poll
+   [exhausted] and degrade gracefully — stop the SAT call, forgo the
+   query, skip the tree — and the driver disarms it after the pass,
+   collecting an overrun record if the budget tripped.
 
    The design constraint is the poll: [exhausted] sits inside
-   Engine.determine, so with no budget armed it must reduce to one ref
-   read, and with one armed to a clock read and a compare.  Once a limit
-   trips the verdict is sticky until [disarm] — a pass that has blown
-   its budget stays truncated rather than flapping. *)
+   Engine.determine and runs at every solver conflict and decision, so
+   with no budget armed it must reduce to one ref read, and
+   with one armed to a clock read and a compare.  Once a limit trips the
+   verdict is sticky until [disarm] — a pass that has blown its budget
+   stays truncated rather than flapping. *)
 
 type overrun = {
   pass : string;
@@ -32,22 +33,19 @@ type armed = {
   mutable a_truncated : int;
 }
 
-(* Domain-local: each scheduler worker polls (and trips) its own armed
-   record; trip/truncation flags are folded back into the coordinator's
-   at the join barrier ([merge_worker]). *)
-let state : armed option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let state : armed option ref = ref None
 
 let m_exceeded = Obs.Metrics.counter "budget.exceeded"
 let m_truncated = Obs.Metrics.counter "budget.truncated"
 
 let arm ?(cfg = Config.default) ~pass () =
   match cfg.Config.pass_budget_ms, cfg.Config.pass_alloc_budget_mw with
-  | None, None -> Domain.DLS.set state None
+  | None, None -> state := None
   | wall_ms, alloc_mw ->
     let now = Obs.Clock.now_ns () in
     let words = Gc.minor_words () in
-    Domain.DLS.set state
-      @@ Some
+    state :=
+      Some
         {
           a_pass = pass;
           a_deadline =
@@ -61,10 +59,10 @@ let arm ?(cfg = Config.default) ~pass () =
           a_truncated = 0;
         }
 
-let armed () = Domain.DLS.get state <> None
+let armed () = !state <> None
 
 let exhausted () =
-  match Domain.DLS.get state with
+  match !state with
   | None -> false
   | Some a ->
     a.a_tripped
@@ -86,17 +84,17 @@ let exhausted () =
        end
 
 let note_truncation () =
-  match Domain.DLS.get state with
+  match !state with
   | None -> ()
   | Some a ->
     a.a_truncated <- a.a_truncated + 1;
     Obs.Metrics.incr m_truncated
 
 let disarm () =
-  match Domain.DLS.get state with
+  match !state with
   | None -> None
   | Some a ->
-    Domain.DLS.set state None;
+    state := None;
     if not a.a_tripped then None
     else begin
       let cfg_ms =
@@ -121,84 +119,9 @@ let disarm () =
         }
     end
 
-let reset () = Domain.DLS.set state None
+let reset () = state := None
 
-(* --- worker propagation --- *)
-
-type inherited = {
-  i_pass : string;
-  i_deadline : int64 option;
-  i_alloc_mw : float option; (* remaining allowance, millions of words *)
-}
-
-(* Snapshot the armed budget for a worker domain.  The wall deadline is
-   an absolute monotonic-clock reading, valid process-wide; the
-   allocation limit is in the arming domain's (domain-local)
-   [Gc.minor_words] units, so it travels as the remaining allowance and
-   each worker re-anchors it on its own counter — every worker gets the
-   full remaining allowance rather than a share, which only makes the
-   watchdog more permissive, never spuriously strict. *)
-let snapshot () : inherited option =
-  match Domain.DLS.get state with
-  | None -> None
-  | Some a ->
-    Some
-      {
-        i_pass = a.a_pass;
-        i_deadline = a.a_deadline;
-        i_alloc_mw =
-          Option.map
-            (fun limit -> Float.max 0.0 (limit -. Gc.minor_words ()) /. 1e6)
-            a.a_alloc_limit;
-      }
-
-let adopt (i : inherited option) =
-  match i with
-  | None -> Domain.DLS.set state None
-  | Some i ->
-    let words = Gc.minor_words () in
-    Domain.DLS.set state
-      @@ Some
-        {
-          a_pass = i.i_pass;
-          a_deadline = i.i_deadline;
-          a_alloc_limit =
-            Option.map (fun mw -> words +. (mw *. 1e6)) i.i_alloc_mw;
-          a_start_ns = Obs.Clock.now_ns ();
-          a_start_words = words;
-          a_tripped = false;
-          a_truncated = 0;
-        }
-
-(* Displace/restore the armed state around an inline task on the
-   coordinator itself. *)
-type saved = armed option
-
-let save () : saved = Domain.DLS.get state
-let restore (s : saved) = Domain.DLS.set state s
-
-type worker_outcome = { w_tripped : bool; w_truncated : int }
-
-let capture_worker () : worker_outcome =
-  match Domain.DLS.get state with
-  | None -> { w_tripped = false; w_truncated = 0 }
-  | Some a ->
-    Domain.DLS.set state None;
-    { w_tripped = a.a_tripped; w_truncated = a.a_truncated }
-
-(* Fold a worker's verdict into the coordinator's armed record, so the
-   pass-level overrun report covers truncations that happened on any
-   domain.  The worker already bumped the exceeded/truncated metrics in
-   its own scope. *)
-let merge_worker (w : worker_outcome) =
-  match Domain.DLS.get state with
-  | None -> ()
-  | Some a ->
-    if w.w_tripped then a.a_tripped <- true;
-    a.a_truncated <- a.a_truncated + w.w_truncated
-
-let overrun_to_json (o : overrun) : Obs.Json.t
-    =
+let overrun_to_json (o : overrun) : Obs.Json.t =
   Obs.Json.Obj
     ([ "pass", Obs.Json.Str o.pass ]
     @ (match o.budget_ms with

@@ -1,10 +1,10 @@
 (** Per-pass resource watchdog: wall-time and allocation budgets with
     graceful degradation.
 
-    Domain-local like {!Obs.Metrics} and {!Engine.Sat_log}.  The
-    driver {!arm}s it before each pass from the {!Config} budgets; the
-    expensive inner loops poll {!exhausted} and abandon remaining work
-    items (forgone SAT queries, skipped muxtree roots) once it trips;
+    The driver {!arm}s it before each pass from the {!Config} budgets;
+    the expensive inner loops — the SAT solver's search included — poll
+    {!exhausted} and abandon remaining work (interrupted SAT calls,
+    forgone queries, skipped muxtree roots) once it trips;
     {!disarm} reports whether — and by how much — the pass overran.
     Exceeding a budget is never an error: the flow completes with
     partial optimization and a [Budget_exceeded] event on the bus. *)
@@ -27,7 +27,8 @@ val armed : unit -> bool
 
 val exhausted : unit -> bool
 (** [true] once the armed pass has exceeded a budget; sticky until
-    {!disarm}.  Cheap enough to poll per query. *)
+    {!disarm}.  Cheap enough to poll at every solver conflict and
+    decision. *)
 
 val note_truncation : unit -> unit
 (** Record one abandoned work item (bumps the [budget.truncated]
@@ -40,37 +41,3 @@ val reset : unit -> unit
 (** Forget any armed state (test scoping). *)
 
 val overrun_to_json : overrun -> Obs.Json.t
-
-(** {2 Worker propagation}
-
-    The armed state is domain-local; the scheduler snapshots it on the
-    coordinating domain, each worker adopts the snapshot (re-anchoring
-    the allocation allowance on its own [Gc.minor_words] counter, the
-    wall deadline being process-wide already), and the worker's
-    tripped/truncated outcome folds back into the coordinator's record
-    at the barrier so the pass-level overrun report is complete. *)
-
-type inherited
-
-val snapshot : unit -> inherited option
-(** [None] when no budget is armed. *)
-
-val adopt : inherited option -> unit
-(** Arm (or disarm) the current domain from a snapshot. *)
-
-type saved
-
-val save : unit -> saved
-(** The current domain's armed state, for displacing around an inline
-    task. *)
-
-val restore : saved -> unit
-
-type worker_outcome
-
-val capture_worker : unit -> worker_outcome
-(** Read and disarm the current domain's verdict. *)
-
-val merge_worker : worker_outcome -> unit
-(** Fold a worker's verdict into the current domain's armed record;
-    no-op when nothing is armed here. *)

@@ -15,9 +15,6 @@ type t = {
           fixpoint answers [Forced]/[Unreachable] before the memo/sim/SAT
           rungs when it pins the target; falls through on top *)
   enable_sat : bool;  (** the SAT-based redundancy elimination pass *)
-  enable_sat_session : bool;
-      (** persistent incremental solver ({!Cdcl.Session}) shared by all
-          queries of a run; [false] = fresh solver per query *)
   enable_sat_memo : bool;
       (** cross-query verdict cache ({!Memo}) consulted before the
           sim/SAT rungs *)
@@ -31,14 +28,6 @@ type t = {
           still completes, with partial optimization *)
   pass_alloc_budget_mw : float option;
       (** allocation budget per pass, in millions of words *)
-  jobs : int option;
-      (** [Some n]: shard independent muxtrees across an [n]-worker
-          domain pool ({!Sat_elim.run_tasks}); [None] (default) is the
-          legacy in-place sequential walk *)
-  portfolio : bool;
-      (** race solver configurations on ring-flagged hard queries;
-          opt-in because it trades solver-telemetry determinism for
-          wall time *)
 }
 
 val default : t
@@ -52,5 +41,4 @@ val rebuild_only : t
 val fingerprint : t -> string
 (** Stable serialization of every verdict-affecting knob, for composite
     cache keys ({!Replay}).  Two configs with equal fingerprints drive
-    the task path identically; [jobs] is excluded because the task
-    path's output is schedule-invariant by contract. *)
+    a [sat_elim] pass identically. *)

@@ -88,7 +88,7 @@ let smartly ?(cfg = Config.default) ?(after_pass = fun _ _ -> ())
         let sat_changed =
           if cfg.Config.enable_sat then
             run_pass ~iter "sat_elim" ~default:false (fun () ->
-                let r = Sat_elim.run ?jobs:cfg.Config.jobs cfg c in
+                let r = Sat_elim.run cfg c in
                 sat_reports := r :: !sat_reports;
                 Sat_elim.changed r)
           else false

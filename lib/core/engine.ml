@@ -65,12 +65,8 @@ let source_name = function
 
 (* Per-SAT-query telemetry with a bounded buffer of the hardest queries
    (by conflicts), each carrying a self-contained DIMACS dump so it can be
-   re-run in isolation by [smartly replay].  Domain-local, like the
-   metrics registry: each scheduler worker numbers its queries from 0 in
-   its own instance, and [absorb] folds a captured worker log back into
-   the coordinator's, shifting local ids onto the global sequence so the
-   merged log is indistinguishable from a sequential run's.  [reset]
-   scopes the coordinator's log to one run. *)
+   re-run in isolation by [smartly replay].  [reset] scopes the log to one
+   run. *)
 module Sat_log = struct
   type entry = {
     id : int;
@@ -83,9 +79,8 @@ module Sat_log = struct
     wall_s : float;
     vars : int;
     clauses : int;
-    dimacs : int -> string;
-        (* full instance incl. metadata comment line, rendered for the
-           given (possibly remapped) query id *)
+    dimacs : unit -> string;
+        (* full instance incl. metadata comment line, rendered on demand *)
   }
 
   let default_keep = 8
@@ -97,21 +92,17 @@ module Sat_log = struct
     mutable hardest : entry list; (* hardest first, length <= keep *)
   }
 
-  let fresh_state () =
-    { keep = default_keep; next_id = 0; total = 0; hardest = [] }
-
-  let state_key : state Domain.DLS.key = Domain.DLS.new_key fresh_state
-  let st () = Domain.DLS.get state_key
+  let state = { keep = default_keep; next_id = 0; total = 0; hardest = [] }
 
   let reset ?keep:(k = default_keep) () =
-    let s = st () in
+    let s = state in
     s.keep <- k;
     s.next_id <- 0;
     s.total <- 0;
     s.hardest <- []
 
   let fresh_id () =
-    let s = st () in
+    let s = state in
     let id = s.next_id in
     s.next_id <- s.next_id + 1;
     id
@@ -124,8 +115,8 @@ module Sat_log = struct
        | weakest :: _ -> conflicts > weakest.conflicts
        | [] -> true)
 
-  (* Newest-first among equal conflict counts, exactly like sequential
-     admission: the candidate is prepended before the stable sort. *)
+  (* Newest-first among equal conflict counts: the candidate is
+     prepended before the stable sort. *)
   let insert s (e : entry) =
     let merged =
       List.stable_sort
@@ -142,10 +133,10 @@ module Sat_log = struct
   (* [dimacs] is a thunk so easy queries that don't make the buffer never
      pay for materializing the instance; it is forced at admission (the
      encoder it closes over mutates across queries) and yields the
-     id-parameterized renderer stored in the entry. *)
+     renderer stored in the entry. *)
   let record ~id ~verdict ~solve ~mode ~conflicts ~decisions ~propagations
-      ~wall_s ~vars ~clauses ~(dimacs : unit -> int -> string) =
-    let s = st () in
+      ~wall_s ~vars ~clauses ~(dimacs : unit -> unit -> string) =
+    let s = state in
     s.total <- s.total + 1;
     if admits s ~conflicts then
       insert s
@@ -163,66 +154,8 @@ module Sat_log = struct
           dimacs = dimacs ();
         }
 
-  (* --- worker capture / merge --- *)
-
-  type snapshot = {
-    ss_ids : int; (* ids consumed by the captured instance *)
-    ss_total : int;
-    ss_entries : entry list; (* its hardest buffer, local ids *)
-  }
-
-  let capture_and_reset () : snapshot =
-    let s = st () in
-    let snap =
-      { ss_ids = s.next_id; ss_total = s.total; ss_entries = s.hardest }
-    in
-    s.next_id <- 0;
-    s.total <- 0;
-    s.hardest <- [];
-    snap
-
-  (* Displace the current domain's log with a fresh one — task scoping
-     when the coordinator runs tasks inline ([--jobs 1]) — and put the
-     displaced log back afterwards. *)
-  type saved = state
-
-  let save_fresh () : saved =
-    let prev = Domain.DLS.get state_key in
-    Domain.DLS.set state_key (fresh_state ());
-    prev
-
-  let restore (s : saved) = Domain.DLS.set state_key s
-
-  (* Fold a captured worker log into the current domain's.  Returns the
-     id offset applied, so the caller can renumber the same task's
-     provenance/bus references ({!Obs.Scope.map_queries}) consistently.
-     Entries are re-admitted in their original (id) order through the
-     same admission predicate, which reproduces the sequential buffer
-     exactly: a worker's buffer starts empty, so it retains a superset
-     of what global admission would have kept from that worker. *)
-  let absorb (snap : snapshot) : int =
-    let s = st () in
-    let offset = s.next_id in
-    s.next_id <- s.next_id + snap.ss_ids;
-    s.total <- s.total + snap.ss_total;
-    List.iter
-      (fun e ->
-        if admits s ~conflicts:e.conflicts then
-          insert s { e with id = e.id + offset })
-      (List.sort (fun a b -> compare a.id b.id) snap.ss_entries);
-    offset
-
-  let hardest () = (st ()).hardest
-  let query_count () = (st ()).total
-
-  (* The portfolio trigger: once some retained hardest-ring entry has
-     crossed [hard_floor] conflicts, this run's workload is producing
-     queries the primary configuration struggles with, and later SAT
-     queries are worth racing against a fresh-encoding rival. *)
-  let hard_floor = 64
-
-  let flags_hard () =
-    List.exists (fun e -> e.conflicts >= hard_floor) (st ()).hardest
+  let hardest () = state.hardest
+  let query_count () = state.total
 
   let solve_name = function
     | Cdcl.Solver.Sat -> "SAT"
@@ -245,7 +178,7 @@ module Sat_log = struct
       ]
 
   let to_json () : Obs.Json.t =
-    let s = st () in
+    let s = state in
     Obs.Json.Obj
       [
         ("total", Obs.Json.num_of_int s.total);
@@ -258,10 +191,10 @@ module Sat_log = struct
       (fun e ->
         let path = Filename.concat dir (Printf.sprintf "query_%04d.cnf" e.id) in
         let oc = open_out path in
-        output_string oc (e.dimacs e.id);
+        output_string oc (e.dimacs ());
         close_out oc;
         path)
-      (List.rev (st ()).hardest)
+      (List.rev state.hardest)
 end
 
 (* Global instruments; handles resolved once, bumped per query. *)
@@ -378,117 +311,47 @@ let verdict_query_name = function
    lazily encoded as guarded clause groups ([Cdcl.Session.prepare]) and
    this query activates exactly them by assuming their guard literals, so
    the verdict is identical to a fresh encoding of the view while learned
-   clauses and the variable map survive to the next query. *)
-type attempt_out = {
-  at_r : Cdcl.Tseitin.query_result;
-  at_info : Cdcl.Tseitin.solve_info;
-  at_enc : Cdcl.Tseitin.t;
-  at_assumptions : Cdcl.Lit.t list;
-  at_mode : string;
-  at_conflicts : int;
-  at_decisions : int;
-  at_propagations : int;
-  at_wall_s : float;
-}
+   clauses and the variable map survive to the next query.
 
-let m_portfolio_races = Obs.Metrics.counter "engine.portfolio_races"
-let m_portfolio_fresh_wins = Obs.Metrics.counter "engine.portfolio_fresh_wins"
-
-let query_sat_how ?stats ?session ?(portfolio = false) (circuit : Circuit.t)
+   The solver polls the pass budget's watchdog at every conflict and
+   decision, so a pass that runs out of time stops inside a long SAT
+   call instead of after it; the interrupted query is [Unknown]. *)
+let query_sat_how ?stats ?session (circuit : Circuit.t)
     (view : Subgraph.view) (known : Inference.known) ~budget
     ~(target : Bits.bit) : verdict * int =
   let qid = Sat_log.fresh_id () in
-  let fresh_candidate () =
-    let enc = Cdcl.Tseitin.create () in
-    Cdcl.Tseitin.encode_cells enc circuit view.Subgraph.cells;
-    (enc, [], None, "fresh")
-  in
-  let primary =
+  let enc, guards, relevant, mode =
     match session with
     | Some sess ->
       let guards, relevant =
         Cdcl.Session.prepare sess circuit view.Subgraph.cells
       in
       (Cdcl.Session.encoder sess, guards, Some relevant, "session")
-    | None -> fresh_candidate ()
+    | None ->
+      let enc = Cdcl.Tseitin.create () in
+      Cdcl.Tseitin.encode_cells enc circuit view.Subgraph.cells;
+      (enc, [], None, "fresh")
   in
-  let attempt (enc, guards, relevant, mode) interrupt : attempt_out =
-    let assumptions =
-      guards
-      @ Bits.Bit_tbl.fold
-          (fun b v acc -> Cdcl.Tseitin.assume_lit enc b v :: acc)
-          known []
-    in
-    (* snapshot around the query so a persistent solver's lifetime totals
-       don't leak into per-query telemetry (fresh solvers start at zero,
-       so the deltas are identical to the old totals there) *)
-    let c0, d0, p0 = Cdcl.Solver.stats enc.Cdcl.Tseitin.solver in
-    let t0 = Obs.Clock.now () in
-    let r, info =
-      Cdcl.Tseitin.query_forced_info ~budget ?relevant ~interrupt enc
-        ~assumptions ~target
-    in
-    let wall_s = Obs.Clock.now () -. t0 in
-    let c1, d1, p1 = Cdcl.Solver.stats enc.Cdcl.Tseitin.solver in
-    {
-      at_r = r;
-      at_info = info;
-      at_enc = enc;
-      at_assumptions = assumptions;
-      at_mode = mode;
-      at_conflicts = c1 - c0;
-      at_decisions = d1 - d0;
-      at_propagations = p1 - p0;
-      at_wall_s = wall_s;
-    }
+  let assumptions =
+    guards
+    @ Bits.Bit_tbl.fold
+        (fun b v acc -> Cdcl.Tseitin.assume_lit enc b v :: acc)
+        known []
   in
-  let no_interrupt () = false in
-  let out =
-    if portfolio && session <> None && Sat_log.flags_hard () then begin
-      (* Race the warm session against a fresh encoding (no accumulated
-         learned clauses or activity — a genuinely different search
-         trajectory).  The first decided verdict wins and interrupts the
-         rival; an interrupted or budgeted-out attempt reports
-         [Undetermined] and is stashed as the fallback for when neither
-         side decides.  Only the winner's deltas reach the telemetry,
-         which is why this mode is opt-in: the netlist is unchanged, but
-         conflict counts and the hardest-query ranking become
-         schedule-dependent. *)
-      Obs.Metrics.incr m_portfolio_races;
-      let undecided = Atomic.make None in
-      let wrap mk stop =
-        let out = attempt (mk ()) stop in
-        match out.at_r with
-        | Cdcl.Tseitin.Undetermined ->
-          Atomic.set undecided (Some out);
-          None
-        | _ -> Some { out with at_mode = "portfolio-" ^ out.at_mode }
-      in
-      match Pool.race [ wrap (fun () -> primary); wrap fresh_candidate ] with
-      | Some out ->
-        if out.at_mode = "portfolio-fresh" then
-          Obs.Metrics.incr m_portfolio_fresh_wins;
-        out
-      | None -> (
-        match Atomic.get undecided with
-        | Some out -> out
-        | None -> attempt primary no_interrupt)
-    end
-    else attempt primary no_interrupt
+  (* snapshot around the query so a persistent solver's lifetime totals
+     don't leak into per-query telemetry (fresh solvers start at zero,
+     so the deltas are identical to the old totals there) *)
+  let c0, d0, p0 = Cdcl.Solver.stats enc.Cdcl.Tseitin.solver in
+  let t0 = Obs.Clock.now () in
+  let r, info =
+    Cdcl.Tseitin.query_forced_info ~budget ?relevant
+      ~interrupt:Budget.exhausted enc ~assumptions ~target
   in
-  let {
-    at_r = r;
-    at_info = info;
-    at_enc = enc;
-    at_assumptions = assumptions;
-    at_mode = mode;
-    at_conflicts = conflicts;
-    at_decisions = decisions;
-    at_propagations = propagations;
-    at_wall_s = wall_s;
-  } =
-    out
-  in
+  let wall_s = Obs.Clock.now () -. t0 in
+  let c1, d1, p1 = Cdcl.Solver.stats enc.Cdcl.Tseitin.solver in
+  let conflicts = c1 - c0 in
+  let decisions = d1 - d0 in
+  let propagations = p1 - p0 in
   Obs.Metrics.add m_sat_conflicts conflicts;
   Obs.Metrics.add m_sat_decisions decisions;
   Obs.Metrics.add m_sat_propagations propagations;
@@ -509,20 +372,19 @@ let query_sat_how ?stats ?session ?(portfolio = false) (circuit : Circuit.t)
        [info.last_result].  In session mode the log also holds inactive
        clause groups; their guards stay free, so any solver can satisfy
        them by switching those groups off.  The CNF is materialized now
-       (the session encoder mutates across queries); only the metadata
-       comment waits for the final query id, which a parallel merge may
-       shift. *)
+       (the session encoder mutates across queries); the text is
+       rendered only when the entry is dumped. *)
     let extra =
       List.map (fun l -> [ l ]) assumptions
       @ [ [ info.Cdcl.Tseitin.last_target_lit ] ]
     in
     let cnf = Cdcl.Tseitin.to_dimacs enc ~extra in
-    fun id ->
+    fun () ->
       let meta =
         Printf.sprintf
           "smartly-sat-query id=%d verdict=%s solve=%s mode=%s conflicts=%d \
            decisions=%d propagations=%d wall_us=%.0f"
-          id (verdict_query_name r)
+          qid (verdict_query_name r)
           (Sat_log.solve_name info.Cdcl.Tseitin.last_result)
           mode conflicts decisions propagations (wall_s *. 1e6)
       in
@@ -551,11 +413,8 @@ let query_sat_how ?stats ?session ?(portfolio = false) (circuit : Circuit.t)
     | Cdcl.Tseitin.Undetermined -> Unknown),
     qid )
 
-let query_sat ?stats ?session ?portfolio circuit view known ~budget ~target :
-    verdict =
-  fst
-    (query_sat_how ?stats ?session ?portfolio circuit view known ~budget
-       ~target)
+let query_sat ?stats ?session circuit view known ~budget ~target : verdict =
+  fst (query_sat_how ?stats ?session circuit view known ~budget ~target)
 
 (* --- the combined engine --- *)
 
@@ -716,8 +575,7 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
                 stats.sat_queries <- stats.sat_queries + 1;
                 Obs.Metrics.incr m_sat_queries;
                 let v, qid =
-                  query_sat_how ~stats ?session
-                    ~portfolio:cfg.Config.portfolio circuit view local
+                  query_sat_how ~stats ?session circuit view local
                     ~budget:cfg.Config.sat_conflict_budget ~target
                 in
                 (v, Via_sat qid)

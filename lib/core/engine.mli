@@ -57,11 +57,8 @@ val source_name : source -> string
 
 (** Per-SAT-query telemetry and a bounded buffer of the hardest queries
     (by conflicts), each with a self-contained DIMACS dump replayable by
-    [smartly replay].  Domain-local like the metrics registry: each
-    scheduler worker numbers queries from 0 in its own instance and the
-    coordinator {!Sat_log.absorb}s captured logs in task order, shifting
-    local ids onto the global sequence.  Call {!Sat_log.reset} to scope
-    the coordinator's log to one run. *)
+    [smartly replay].  Call {!Sat_log.reset} to scope the log to one
+    run. *)
 module Sat_log : sig
   type entry = {
     id : int;  (** query id, 0-based per {!reset} *)
@@ -75,11 +72,9 @@ module Sat_log : sig
     wall_s : float;
     vars : int;
     clauses : int;
-    dimacs : int -> string;
-        (** full DIMACS text for the given query id, metadata comment
-            line included — the CNF is already materialized; only the
-            [id=] field of the comment is rendered late, because a
-            parallel merge may renumber the entry *)
+    dimacs : unit -> string;
+        (** full DIMACS text, metadata comment line included — the CNF
+            is already materialized; only its text is rendered late *)
   }
 
   val reset : ?keep:int -> unit -> unit
@@ -91,34 +86,6 @@ module Sat_log : sig
 
   val query_count : unit -> int
   (** Total queries recorded since {!reset}. *)
-
-  val flags_hard : unit -> bool
-  (** Whether the retained ring holds an entry past the hard-query
-      conflict floor — the portfolio racer's trigger: once the run has
-      produced one genuinely hard query, later SAT queries are worth
-      racing against a fresh-encoding rival. *)
-
-  type snapshot
-  (** A captured worker-domain log: ids consumed, total, hardest
-      buffer. *)
-
-  val capture_and_reset : unit -> snapshot
-  (** Drain the current domain's log (worker side of the barrier). *)
-
-  val absorb : snapshot -> int
-  (** Fold a captured log into the current domain's and return the id
-      offset applied to its entries — the caller renumbers the same
-      task's provenance and bus references with it
-      ({!Obs.Scope.map_queries}).  Merging snapshots in task order
-      reproduces the sequential log exactly. *)
-
-  type saved
-
-  val save_fresh : unit -> saved
-  (** Displace the current domain's log with a fresh one (task scoping
-      when tasks run inline on the coordinator). *)
-
-  val restore : saved -> unit
 
   val solve_name : Cdcl.Solver.result -> string
   (** ["SAT" | "UNSAT" | "UNKNOWN"] — matches the [solve=] field of the
@@ -145,7 +112,6 @@ val simulate_exhaustive :
 val query_sat :
   ?stats:stats ->
   ?session:Cdcl.Session.t ->
-  ?portfolio:bool ->
   Circuit.t ->
   Subgraph.view ->
   Inference.known ->
@@ -160,18 +126,14 @@ val query_sat :
     the query's conflict/decision/propagation deltas are accumulated into
     it (and into the global {!Obs.Metrics} registry).
 
-    With [portfolio] (and a session), queries issued after
-    {!Sat_log.flags_hard} trips are raced on two domains: the warm
-    session versus a fresh encoding, first decided verdict wins and
-    interrupts the rival ({!Pool.race}).  The verdict is unchanged
-    either way; only the solver telemetry (whose configuration's deltas
-    get recorded) becomes schedule-dependent, which is why the mode is
-    opt-in. *)
+    The solver polls {!Budget.exhausted} at every conflict and decision:
+    once the armed pass budget trips, a running query stops with
+    [Unknown] (never memoized).  Without a session this is the fresh
+    encoding the differential tests use as their oracle. *)
 
 val query_sat_how :
   ?stats:stats ->
   ?session:Cdcl.Session.t ->
-  ?portfolio:bool ->
   Circuit.t ->
   Subgraph.view ->
   Inference.known ->

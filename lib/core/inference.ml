@@ -16,13 +16,9 @@ type known = bool Bits.Bit_tbl.t
    newly derived by [set] is tagged with the rule family of the cell being
    stepped (e.g. "or", "eq", "mux").  A global pair of refs rather than
    threading through every helper: [set]/[link] are called from a dozen
-   sites inside [step] which have no cell context of their own.
-   Domain-local so concurrent scheduler workers each track their own
-   propagation. *)
-let track_tbl : string Bits.Bit_tbl.t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let track_rule : string Domain.DLS.key = Domain.DLS.new_key (fun () -> "seed")
+   sites inside [step] which have no cell context of their own. *)
+let track_tbl : string Bits.Bit_tbl.t option ref = ref None
+let track_rule = ref "seed"
 
 let rule_name (cell : Cell.t) =
   match cell with
@@ -50,8 +46,8 @@ let set (k : known) (b : Bits.bit) (v : bool) : bool =
     | Some old -> if old <> v then raise Contradiction else false
     | None ->
       Bits.Bit_tbl.replace k b v;
-      (match Domain.DLS.get track_tbl with
-      | Some t -> Bits.Bit_tbl.replace t b (Domain.DLS.get track_rule)
+      (match !track_tbl with
+      | Some t -> Bits.Bit_tbl.replace t b !track_rule
       | None -> ());
       true)
 
@@ -381,8 +377,7 @@ let propagate ?track (circuit : Circuit.t) (k : known) (cells : int list) :
         (fun id ->
           match Circuit.cell_opt circuit id with
           | Some cell ->
-            if Domain.DLS.get track_tbl <> None then
-              Domain.DLS.set track_rule (rule_name cell);
+            if !track_tbl <> None then track_rule := rule_name cell;
             if step k cell then progress := true
           | None -> ())
         cells;
@@ -392,8 +387,6 @@ let propagate ?track (circuit : Circuit.t) (k : known) (cells : int list) :
   match track with
   | None -> loop 0
   | Some t ->
-    Domain.DLS.set track_tbl (Some t);
+    track_tbl := Some t;
     (* Contradiction must not leave the recorder installed *)
-    Fun.protect
-      ~finally:(fun () -> Domain.DLS.set track_tbl None)
-      (fun () -> loop 0)
+    Fun.protect ~finally:(fun () -> track_tbl := None) (fun () -> loop 0)

@@ -24,8 +24,9 @@
    [Unknown] verdicts are never cached: they depend on the conflict
    budget and on accumulated solver state, not on the triple alone.
 
-   Process-global like the metrics registry; [reset] scopes it to one
-   run.  Bounded FIFO eviction keeps memory flat on large designs. *)
+   One process-wide store unless a caller installs its own (the serve
+   daemon keeps a warm one across jobs); [reset] scopes it to one run.
+   Bounded FIFO eviction keeps memory flat on large designs. *)
 
 open Netlist
 
@@ -161,64 +162,30 @@ let key (circuit : Circuit.t) (view : Subgraph.view)
 
 let default_capacity = 65536
 
-(* A store owns its entries; [base] is an optional frozen fallback it
-   reads through.  The parallel scheduler gives each task a fresh
-   overlay whose base is the coordinator's store — safe to read from
-   many domains at once because the coordinator is blocked at the
-   barrier while workers run, so nobody writes it — and absorbs the
-   overlays back in task order.  The serve daemon keeps one warm store
-   across jobs the same way. *)
+(* One bounded store; the serve daemon keeps a warm one installed
+   across jobs. *)
 type t = {
   mutable capacity : int;
   tbl : (string, verdict) Hashtbl.t;
   order : string Queue.t; (* insertion order, for FIFO eviction *)
-  base : t option;
 }
 
-let make ?(capacity = default_capacity) ?base () =
-  { capacity; tbl = Hashtbl.create 1024; order = Queue.create (); base }
+let make ?(capacity = default_capacity) () =
+  { capacity; tbl = Hashtbl.create 1024; order = Queue.create () }
 
-let global : t = make ()
-
-(* Domain-local overlay; [None] means "use the process-global store",
-   which only the main domain does. *)
-let overlay_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let current () =
-  match Domain.DLS.get overlay_key with Some s -> s | None -> global
-
-let install_overlay ?capacity ?base () =
-  Domain.DLS.set overlay_key (Some (make ?capacity ?base ()))
-
-(* Make an existing store the current domain's — the serve daemon keeps
-   one warm store across jobs this way. *)
-let install (s : t) = Domain.DLS.set overlay_key (Some s)
-
-let uninstall_overlay () = Domain.DLS.set overlay_key None
-
-(* Displace/restore the overlay slot around an inline task, so nesting
-   (a per-task overlay inside a serve worker's warm per-job overlay)
-   puts the outer store back when the task closes. *)
-type saved = t option
-
-let save () : saved = Domain.DLS.get overlay_key
-let restore (s : saved) = Domain.DLS.set overlay_key s
+let installed : t ref = ref (make ())
+let install (s : t) = installed := s
 
 let reset ?capacity:(c = default_capacity) () =
-  let s = current () in
+  let s = !installed in
   s.capacity <- c;
   Hashtbl.reset s.tbl;
   Queue.clear s.order
 
-let size () = Hashtbl.length (current ()).tbl
-
-let rec find_in (s : t) k =
-  match Hashtbl.find_opt s.tbl k with
-  | Some v -> Some v
-  | None -> ( match s.base with Some b -> find_in b k | None -> None)
+let size () = Hashtbl.length !installed.tbl
 
 let find k : verdict option =
-  match find_in (current ()) k with
+  match Hashtbl.find_opt !installed.tbl k with
   | Some v ->
     Obs.Metrics.incr m_hits;
     Some v
@@ -227,8 +194,8 @@ let find k : verdict option =
     None
 
 let store k (v : verdict) =
-  let s = current () in
-  if find_in s k = None then begin
+  let s = !installed in
+  if not (Hashtbl.mem s.tbl k) then begin
     if Hashtbl.length s.tbl >= s.capacity && s.capacity > 0 then (
       match Queue.take_opt s.order with
       | Some oldest ->
@@ -240,28 +207,6 @@ let store k (v : verdict) =
       Queue.add k s.order
     end
   end
-
-(* --- worker capture / merge --- *)
-
-type snapshot = (string * verdict) list
-
-(* Drain the overlay's own entries in insertion order and uninstall it.
-   Absorbing snapshots in task order therefore replays stores in a
-   schedule-independent order. *)
-let capture_overlay () : snapshot =
-  match Domain.DLS.get overlay_key with
-  | None -> []
-  | Some s ->
-    Domain.DLS.set overlay_key None;
-    Queue.fold
-      (fun acc k ->
-        match Hashtbl.find_opt s.tbl k with
-        | Some v -> (k, v) :: acc
-        | None -> acc)
-      [] s.order
-    |> List.rev
-
-let absorb (snap : snapshot) = List.iter (fun (k, v) -> store k v) snap
 
 let to_json () : Obs.Json.t =
   let hits = Obs.Metrics.value m_hits in
@@ -276,6 +221,6 @@ let to_json () : Obs.Json.t =
       ("misses", Obs.Json.num_of_int misses);
       ("evictions", Obs.Json.num_of_int (Obs.Metrics.value m_evictions));
       ("entries", Obs.Json.num_of_int (size ()));
-      ("capacity", Obs.Json.num_of_int (current ()).capacity);
+      ("capacity", Obs.Json.num_of_int !installed.capacity);
       ("hit_rate", Obs.Json.Num rate);
     ]

@@ -6,11 +6,9 @@
     (or stamped-out copies of the same logic) hit the same entry.  The
     full key is stored, so hash collisions can never return a wrong
     verdict; [Unknown] verdicts are never cached (they depend on the
-    conflict budget, not only on the query).  Domain-local like the
-    metrics registry — worker domains install overlays over a frozen
-    base and the coordinator absorbs them in task order — with
-    hit/miss/eviction counters ([memo.hits], [memo.misses],
-    [memo.evictions]) and bounded FIFO eviction. *)
+    conflict budget, not only on the query).  Hit/miss/eviction
+    counters ([memo.hits], [memo.misses], [memo.evictions]) and bounded
+    FIFO eviction. *)
 
 open Netlist
 
@@ -44,48 +42,17 @@ val to_json : unit -> Obs.Json.t
 (** [{"hits", "misses", "evictions", "entries", "capacity",
     "hit_rate"}] — the [--json] report's [memo] section. *)
 
-(** {2 Domain-local overlays}
+(** {2 Stores}
 
-    Every operation above acts on the current domain's store: the
-    process-global one unless an overlay is installed here.  An overlay
-    owns its entries and reads through a frozen [base] — safe across
-    domains while the base's owner is blocked at the join barrier. *)
+    Every operation above acts on the installed store: a process-wide
+    one unless {!install} swaps in another. *)
 
 type t
 (** A verdict store. *)
 
-val current : unit -> t
-(** The store the current domain's operations hit. *)
-
-val install_overlay : ?capacity:int -> ?base:t -> unit -> unit
-(** Install a fresh overlay on the current domain, reading through
-    [base] on miss and keeping its own writes. *)
-
-val make : ?capacity:int -> ?base:t -> unit -> t
-(** A detached store (not installed anywhere). *)
+val make : ?capacity:int -> unit -> t
+(** A detached store (not installed). *)
 
 val install : t -> unit
-(** Make an existing store the current domain's — the serve daemon
-    keeps one warm store installed across jobs. *)
-
-val uninstall_overlay : unit -> unit
-
-type saved
-
-val save : unit -> saved
-(** The current domain's overlay slot, for displacing around an inline
-    task (overlays nest by save/restore, not by stacking). *)
-
-val restore : saved -> unit
-
-type snapshot
-(** An overlay's own entries, in insertion order. *)
-
-val capture_overlay : unit -> snapshot
-(** Drain and uninstall the current domain's overlay; empty when none
-    is installed. *)
-
-val absorb : snapshot -> unit
-(** Replay a snapshot's entries into the current domain's store (first
-    writer wins).  Absorbing task snapshots in task order makes the
-    merged store schedule-independent. *)
+(** Make [t] the store every operation acts on — the serve daemon keeps
+    one warm store installed across jobs. *)

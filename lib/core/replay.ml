@@ -1,28 +1,25 @@
-(* Task-level result cache for the sharded muxtree pass.
+(* Pass-level result cache for the SAT-elimination walk.
 
-   The task path ({!Sat_elim.run_tasks}) already produces, per muxtree
-   root, a self-contained deterministic result: the recorded edit set
-   against the pass-start snapshot plus the pass counters.  That result
-   is a pure function of (frozen circuit cells, root id, config), so a
-   warm batch — the serve daemon re-optimizing stamped-out copies or
-   re-running a design batch after edits elsewhere — can skip the whole
-   task and replay the recorded edits when the key recurs.  This is the
-   coarse-grained sibling of the per-query {!Memo}: Memo removes a
-   recurring query's sim/SAT rung, Replay removes the entire traversal,
-   sub-graph construction and key building for a recurring tree.
+   One {!Sat_elim.run} pass reads the circuit's cells, its output ports
+   (output bits count as readers, so they decide which muxes are roots
+   and which are dedicated children) and the config.  When a warm batch
+   — the serve daemon re-optimizing stamped-out copies, or re-running a
+   design after edits elsewhere — starts a pass from a circuit it has
+   seen before, the pass replays its recorded edit set and counters
+   instead of walking again.  This is the coarse-grained sibling of the
+   per-query {!Memo}: Memo removes a recurring query's sim/SAT rung,
+   Replay removes the entire traversal, sub-graph construction and key
+   building of a recurring pass.
 
-   Keys embed a digest of a full serialization of the circuit's cells
-   (the only state the task reads — ports and wire names don't reach the
-   engine), the root id and {!Config.fingerprint}.  Distinct circuits
-   serialize distinctly, so a digest collision is the only wrong-replay
-   risk (MD5, negligible at cache scale); a serialization mismatch
-   between equal circuits merely costs a miss, never correctness.
+   Keys embed a digest of a full serialization of the cells and output
+   bits, plus {!Config.fingerprint}.  Distinct circuits serialize
+   distinctly, so a digest collision is the only wrong-replay risk (MD5,
+   negligible at cache scale); a serialization mismatch between equal
+   circuits merely costs a miss, never correctness.
 
    The cache is opt-in: nothing is consulted until a caller installs a
-   store on the current domain (the serve daemon and the jobs_per_sec
-   bench do; plain CLI runs never see it).  Lookups and stores happen
-   only on the coordinator domain — hits are filtered out before tasks
-   reach the worker pool — so the table needs no locking. *)
+   store (the serve daemon and the jobs_per_sec bench do; plain CLI runs
+   never see it). *)
 
 open Netlist
 
@@ -53,14 +50,12 @@ let make ?(capacity = 1024) () =
     evictions = 0;
   }
 
-(* Opt-in, per domain: [None] (the default everywhere) disables the
-   cache entirely. *)
-let current_key : t option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* Opt-in: [None] (the default everywhere) disables the cache. *)
+let current : t option ref = ref None
 
-let install s = Domain.DLS.set current_key (Some s)
-let uninstall () = Domain.DLS.set current_key None
-let active () = Domain.DLS.get current_key
+let install s = current := Some s
+let uninstall () = current := None
+let active () = !current
 
 (* Cells carry mutable bit arrays; entries own their cells so a later
    in-place rewrite of an applied cell can't corrupt the cache. *)
@@ -140,10 +135,12 @@ let circuit_digest (c : Circuit.t) : string =
       ser_cell buf (Circuit.cell c id);
       Buffer.add_char buf '\n')
     (Circuit.cell_ids c);
+  Buffer.add_string buf "out:";
+  ser_sig buf (Array.of_list (Circuit.output_bits c));
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let task_key ~digest ~cfg_fp ~root =
-  Printf.sprintf "%s:%d:%s" digest root cfg_fp
+let key (cfg : Config.t) (c : Circuit.t) =
+  circuit_digest c ^ ":" ^ Config.fingerprint cfg
 
 (* --- lookup / store --- *)
 

@@ -1,21 +1,18 @@
-(** Task-level result cache for the sharded muxtree pass.
+(** Pass-level result cache for the SAT-elimination walk.
 
-    The task path ({!Sat_elim.run_tasks}) produces, per muxtree root, a
-    deterministic self-contained result — the edit set against the
-    pass-start snapshot plus the pass counters — which is a pure
-    function of (frozen circuit cells, root id, config).  A warm batch
-    (the serve daemon re-optimizing stamped-out design variants, or the
-    [jobs_per_sec] bench's warm mode) therefore replays the recorded
-    edits on key recurrence instead of re-running the task.  The
+    One {!Sat_elim.run} pass reads the circuit it starts from — its
+    cells and its output bits, which decide the muxtree roots — and the
+    config (plus verdicts, which the {!Memo} answers the same way the
+    rungs would).  A warm batch (the serve daemon re-optimizing
+    stamped-out design variants, or the [jobs_per_sec] bench's warm
+    mode) therefore replays the recorded edits and counters when a
+    pass-start circuit recurs instead of walking it again.  The
     coarse-grained sibling of {!Memo}: Memo removes a recurring query's
-    sim/SAT rung, Replay removes the recurring tree's entire traversal.
+    sim/SAT rung, Replay removes the recurring pass's entire traversal.
 
-    Opt-in and coordinator-only: nothing is consulted until {!install}
-    puts a store on the current domain, and {!Sat_elim.run_tasks}
-    resolves hits before tasks reach the worker pool, so the store
-    needs no locking.  Replayed tasks restore their counters and
-    engine-stat contributions byte-for-byte but do not re-emit
-    provenance/metric events for the skipped work. *)
+    Opt-in: nothing is consulted until {!install} puts a store in place.
+    Replayed passes restore their counters and engine-stat contributions
+    but do not re-emit provenance/metric events for the skipped work. *)
 
 open Netlist
 
@@ -37,8 +34,8 @@ val make : ?capacity:int -> unit -> t
     storing. *)
 
 val install : t -> unit
-(** Make [t] the current domain's store — consulted by every subsequent
-    task-path pass on this domain until {!uninstall}. *)
+(** Make [t] the store every subsequent [sat_elim] pass consults, until
+    {!uninstall}. *)
 
 val uninstall : unit -> unit
 
@@ -46,14 +43,15 @@ val active : unit -> t option
 (** The installed store, if any ([None] is the default everywhere). *)
 
 val circuit_digest : Circuit.t -> string
-(** Digest of a full serialization of the circuit's cells — the only
-    state a task reads.  Distinct circuits serialize distinctly, so
-    only a digest collision could replay wrongly; equal circuits always
-    digest equally (cell ids ascending, canonical cell encoding). *)
+(** Digest of a full serialization of the circuit's cells and output
+    bits — everything a pass reads.  Distinct circuits serialize
+    distinctly, so only a digest collision could replay wrongly; equal
+    circuits always digest equally (cell ids ascending, canonical cell
+    encoding, output bits in port order). *)
 
-val task_key : digest:string -> cfg_fp:string -> root:int -> string
-(** Compose the cache key for one root of a digested circuit under a
-    {!Config.fingerprint}. *)
+val key : Config.t -> Circuit.t -> string
+(** The cache key of a pass over the circuit under the config: its
+    {!circuit_digest} plus {!Config.fingerprint}. *)
 
 val find : t -> string -> entry option
 (** Bumps the hit/miss counters. *)

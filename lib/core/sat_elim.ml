@@ -40,13 +40,12 @@ type ctx = {
   index : Index.t;
   readers : OM.readers;
   stats : Engine.stats;
-  session : Cdcl.Session.t option;
-      (* one persistent incremental solver for every SAT query of the run;
-         [None] when [cfg.enable_sat_session] is off *)
-  edits : (int * Cell.t * Cell.t) list ref option;
-      (* task path only: (id, old, new) newest-first, so the worker can
-         revert its circuit copy to the frozen snapshot after the task
-         and the coordinator can replay the news in application order *)
+  session : Cdcl.Session.t;
+      (* one persistent incremental solver for every SAT query of the
+         pass *)
+  edits : (int * Cell.t) list ref option;
+      (* (id, new cell) newest-first, recorded when the pass will be
+         stored in the {!Replay} cache *)
   mutable bypassed : int;
   mutable folded : int;
   mutable dead : int;
@@ -54,7 +53,7 @@ type ctx = {
 
 let replace ctx id (cell : Cell.t) =
   (match ctx.edits with
-  | Some edits -> edits := (id, Circuit.cell ctx.c id, cell) :: !edits
+  | Some edits -> edits := (id, cell) :: !edits
   | None -> ());
   Circuit.replace_cell ctx.c id cell
 
@@ -99,7 +98,7 @@ let resolve_select ctx known (s : Bits.bit) :
            covers those, skip the expensive query *)
         (Engine.Unknown, Engine.Via_forgone)
       else
-        Engine.determine_how ?session:ctx.session ctx.cfg ctx.stats ctx.c
+        Engine.determine_how ~session:ctx.session ctx.cfg ctx.stats ctx.c
           ctx.index known ~target:s)
 
 (* Substitute data-port bits under [known]: direct lookups plus values the
@@ -285,8 +284,9 @@ let m_bypassed = Obs.Metrics.counter "sat_elim.muxes_bypassed"
 let m_folded = Obs.Metrics.counter "sat_elim.data_bits_folded"
 let m_dead = Obs.Metrics.counter "sat_elim.dead_branches"
 
-let run_once (cfg : Config.t) (c : Circuit.t) : report =
-  Obs.Trace.with_span "sat_elim.run_once" @@ fun () ->
+(* One in-place traversal of every muxtree, in the Yosys opt_muxtree
+   order: each tree sees the rewrites of the trees walked before it. *)
+let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
   let index = Index.build c in
   let ctx =
     {
@@ -295,10 +295,8 @@ let run_once (cfg : Config.t) (c : Circuit.t) : report =
       index;
       readers = OM.collect_readers c;
       stats = Engine.fresh_stats ();
-      session =
-        (if cfg.Config.enable_sat_session then Some (Cdcl.Session.create ())
-         else None);
-      edits = None;
+      session = Cdcl.Session.create ();
+      edits;
       bypassed = 0;
       folded = 0;
       dead = 0;
@@ -313,9 +311,6 @@ let run_once (cfg : Config.t) (c : Circuit.t) : report =
       (Circuit.cell_ids c)
   in
   List.iter (fun id -> visit ctx visited (Bits.Bit_tbl.create 8) id) roots;
-  Obs.Metrics.add m_bypassed ctx.bypassed;
-  Obs.Metrics.add m_folded ctx.folded;
-  Obs.Metrics.add m_dead ctx.dead;
   {
     muxes_bypassed = ctx.bypassed;
     data_bits_folded = ctx.folded;
@@ -323,189 +318,45 @@ let run_once (cfg : Config.t) (c : Circuit.t) : report =
     engine = ctx.stats;
   }
 
-(* --- the sharded task path (--jobs) ---
-
-   Each muxtree root is one task.  A worker owns a private copy of the
-   circuit (frozen at pass start), optimizes its tree on that copy while
-   recording the edit set, reverts the copy back to the snapshot, and
-   hands the edits to the coordinator, which applies them to the master
-   circuit in task order.  Trees rooted at distinct roots touch disjoint
-   cell sets — a dedicated mux is read by exactly one location, so every
-   cell belongs to at most one tree and [port_children] never crosses
-   into another task's root — which makes the merge conflict-free and
-   the result independent of the schedule.
-
-   Every task also opens a {!Sched} scope: fresh SAT session, memo
-   overlay over the coordinator's frozen store, local metrics /
-   provenance / bus buffers and SAT log, all merged at the barrier in
-   task order so [--jobs N] telemetry is byte-identical for every N.
-   The price of that determinism is per-task (not per-run) solver
-   state; the legacy [run_once] path keeps the shared session and
-   remains the default. *)
-
-type task_result = {
-  t_edits : (int * Cell.t) list; (* (id, new cell) in application order *)
-  t_bypassed : int;
-  t_folded : int;
-  t_dead : int;
-  t_stats : Engine.stats;
-}
-
-let add_stats (into : Engine.stats) (s : Engine.stats) =
-  into.Engine.rule_hits <- into.Engine.rule_hits + s.Engine.rule_hits;
-  into.Engine.analysis_hits <-
-    into.Engine.analysis_hits + s.Engine.analysis_hits;
-  into.Engine.analysis_queries <-
-    into.Engine.analysis_queries + s.Engine.analysis_queries;
-  into.Engine.sim_queries <- into.Engine.sim_queries + s.Engine.sim_queries;
-  into.Engine.sat_queries <- into.Engine.sat_queries + s.Engine.sat_queries;
-  into.Engine.memo_hits <- into.Engine.memo_hits + s.Engine.memo_hits;
-  into.Engine.memo_misses <- into.Engine.memo_misses + s.Engine.memo_misses;
-  into.Engine.forgone <- into.Engine.forgone + s.Engine.forgone;
-  into.Engine.subgraph_kept <-
-    into.Engine.subgraph_kept + s.Engine.subgraph_kept;
-  into.Engine.sat_conflicts <-
-    into.Engine.sat_conflicts + s.Engine.sat_conflicts;
-  into.Engine.sat_decisions <-
-    into.Engine.sat_decisions + s.Engine.sat_decisions;
-  into.Engine.sat_propagations <-
-    into.Engine.sat_propagations + s.Engine.sat_propagations
-
-let run_tasks (cfg : Config.t) (c : Circuit.t) ~jobs : report =
-  Obs.Trace.with_span "sat_elim.run_tasks" @@ fun () ->
-  let readers0 = OM.collect_readers c in
-  let roots =
-    List.filter
-      (fun id ->
-        let cell = Circuit.cell c id in
-        is_mux cell && OM.dedicated_location readers0 cell = None)
-      (Circuit.cell_ids c)
-    |> Array.of_list
-  in
-  let n = Array.length roots in
-  (* Task-replay cache ({!Replay}, opt-in): a task's result is a pure
-     function of (frozen cells, root, config), so when a store is
-     installed, hits are resolved here on the coordinator — before the
-     pool sees any work, keeping the store lock-free — and only misses
-     become pool tasks.  A fully warm pass spawns no domains at all. *)
-  let cache = Replay.active () in
-  let keys =
-    match cache with
-    | None -> [||]
-    | Some _ ->
-      let digest = Replay.circuit_digest c in
-      let cfg_fp = Config.fingerprint cfg in
-      Array.map (fun root -> Replay.task_key ~digest ~cfg_fp ~root) roots
-  in
-  let cached =
-    match cache with
-    | None -> Array.make n None
-    | Some s -> Array.map (fun k -> Replay.find s k) keys
-  in
-  let miss_idx =
-    let l = ref [] in
-    for i = n - 1 downto 0 do
-      match cached.(i) with None -> l := i :: !l | Some _ -> ()
-    done;
-    Array.of_list !l
-  in
-  let env = Sched.env ~cfg () in
-  let miss_results =
-    Pool.run ~jobs
-      ~init:(fun () ->
-        let wc = Circuit.copy c in
-        (wc, Index.build wc, OM.collect_readers wc))
-      ~task:(fun (wc, index, readers) mi ->
-        Sched.with_task env @@ fun () ->
-        let edits = ref [] in
-        let ctx =
-          {
-            cfg;
-            c = wc;
-            index;
-            readers;
-            stats = Engine.fresh_stats ();
-            session =
-              (if cfg.Config.enable_sat_session then
-                 Some (Cdcl.Session.create ())
-               else None);
-            edits = Some edits;
-            bypassed = 0;
-            folded = 0;
-            dead = 0;
-          }
-        in
-        let visited = Hashtbl.create 64 in
-        visit ctx visited (Bits.Bit_tbl.create 8) roots.(miss_idx.(mi));
-        (* put the worker copy back to the frozen snapshot for the next
-           task; newest-first order unwinds repeated edits correctly *)
+(* With a {!Replay} store installed, a pass whose start circuit recurs
+   applies its recorded edits instead of walking.  Under an armed budget
+   the walk's result depends on the clock, so it neither replays nor
+   stores. *)
+let run (cfg : Config.t) (c : Circuit.t) : report =
+  Obs.Trace.with_span "sat_elim.run_once" @@ fun () ->
+  let r =
+    match Replay.active () with
+    | Some store when not (Budget.armed ()) -> (
+      let key = Replay.key cfg c in
+      match Replay.find store key with
+      | Some e ->
         List.iter
-          (fun (id, old_cell, _) -> Circuit.replace_cell wc id old_cell)
-          !edits;
+          (fun (id, cell) -> Circuit.replace_cell c id cell)
+          (Replay.copy_edits e.Replay.e_edits);
         {
-          t_edits = List.rev_map (fun (id, _, nc) -> (id, nc)) !edits;
-          t_bypassed = ctx.bypassed;
-          t_folded = ctx.folded;
-          t_dead = ctx.dead;
-          t_stats = ctx.stats;
-        })
-      (Array.length miss_idx)
-  in
-  (* barrier: apply and merge in task order — the only order-sensitive
-     step, and the reason the output cannot depend on the schedule.
-     Replayed tasks restore their recorded edits and counters; pool
-     tasks additionally merge their telemetry captures and feed the
-     cache. *)
-  let stats = Engine.fresh_stats () in
-  let bypassed = ref 0 in
-  let folded = ref 0 in
-  let dead = ref 0 in
-  let next_miss = ref 0 in
-  for i = 0 to n - 1 do
-    match cached.(i) with
-    | Some e ->
-      List.iter
-        (fun (id, cell) -> Circuit.replace_cell c id cell)
-        (Replay.copy_edits e.Replay.e_edits);
-      add_stats stats e.Replay.e_stats;
-      bypassed := !bypassed + e.Replay.e_bypassed;
-      folded := !folded + e.Replay.e_folded;
-      dead := !dead + e.Replay.e_dead
-    | None ->
-      let tr, capture = miss_results.(!next_miss) in
-      incr next_miss;
-      List.iter (fun (id, cell) -> Circuit.replace_cell c id cell) tr.t_edits;
-      Sched.merge capture;
-      add_stats stats tr.t_stats;
-      bypassed := !bypassed + tr.t_bypassed;
-      folded := !folded + tr.t_folded;
-      dead := !dead + tr.t_dead;
-      (match cache with
-      | Some s ->
-        Replay.store s keys.(i)
+          muxes_bypassed = e.Replay.e_bypassed;
+          data_bits_folded = e.Replay.e_folded;
+          dead_branches = e.Replay.e_dead;
+          engine = e.Replay.e_stats;
+        }
+      | None ->
+        let edits = ref [] in
+        let r = walk cfg c ~edits:(Some edits) in
+        Replay.store store key
           {
-            Replay.e_edits = tr.t_edits;
-            e_bypassed = tr.t_bypassed;
-            e_folded = tr.t_folded;
-            e_dead = tr.t_dead;
-            e_stats = tr.t_stats;
-          }
-      | None -> ())
-  done;
-  Obs.Metrics.add m_bypassed !bypassed;
-  Obs.Metrics.add m_folded !folded;
-  Obs.Metrics.add m_dead !dead;
-  {
-    muxes_bypassed = !bypassed;
-    data_bits_folded = !folded;
-    dead_branches = !dead;
-    engine = stats;
-  }
-
-let run ?jobs (cfg : Config.t) (c : Circuit.t) : report =
-  match jobs with
-  | Some n -> run_tasks cfg c ~jobs:n
-  | None -> run_once cfg c
+            Replay.e_edits = List.rev !edits;
+            e_bypassed = r.muxes_bypassed;
+            e_folded = r.data_bits_folded;
+            e_dead = r.dead_branches;
+            e_stats = r.engine;
+          };
+        r)
+    | Some _ | None -> walk cfg c ~edits:None
+  in
+  Obs.Metrics.add m_bypassed r.muxes_bypassed;
+  Obs.Metrics.add m_folded r.data_bits_folded;
+  Obs.Metrics.add m_dead r.dead_branches;
+  r
 
 let changed (r : report) =
   r.muxes_bypassed + r.data_bits_folded + r.dead_branches > 0

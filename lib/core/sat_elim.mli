@@ -16,23 +16,14 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-val run_once : Config.t -> Circuit.t -> report
-(** One full traversal of every muxtree.  Interleave with opt_expr /
-    opt_clean and iterate (see {!Driver.smartly}). *)
+val run : Config.t -> Circuit.t -> report
+(** One full in-place traversal of every muxtree, with one persistent
+    SAT session for the pass.  Interleave with opt_expr / opt_clean and
+    iterate (see {!Driver.smartly}).
 
-val run_tasks : Config.t -> Circuit.t -> jobs:int -> report
-(** The sharded traversal: each muxtree root is one task on a
-    [jobs]-worker domain pool ({!Pool.run}); workers optimize private
-    circuit copies frozen at pass start, and the coordinator applies
-    the recorded edit sets — provably disjoint across trees — in task
-    order, so the result and the merged telemetry are byte-identical
-    for every [jobs] value ([jobs = 1] runs the tasks inline).  Differs
-    from {!run_once} only in SAT-session scope (per task rather than
-    per run) and in trees seeing the pass-start snapshot rather than
-    earlier trees' rewrites within the same traversal. *)
-
-val run : ?jobs:int -> Config.t -> Circuit.t -> report
-(** Dispatch on {!Config.t.jobs}: [run_tasks] when set, else
-    [run_once]. *)
+    With a {!Replay} store installed and no budget armed, a pass whose
+    start circuit and config recur replays the recorded edits and
+    report instead of walking; a first pass walks, records its edits
+    and stores them. *)
 
 val changed : report -> bool

@@ -2,11 +2,13 @@
 
    One request per line, one response per line.  The payoff over looping
    `smartly opt` in a shell is the warm state a process boundary would
-   throw away: a single cross-job verdict store ({!Memo}) stays
-   installed for the daemon's lifetime, so structurally recurring
-   queries — overwhelmingly common when a batch stamps out variants of
-   the same design — are answered from cache in later jobs.  The
-   jobs_per_sec bench section measures exactly this effect.
+   throw away: a single cross-job verdict store ({!Memo}) and a single
+   pass-replay store ({!Replay}) stay installed for the daemon's
+   lifetime, so structurally recurring queries — overwhelmingly common
+   when a batch stamps out variants of the same design — are answered
+   from cache in later jobs, and a recurring design replays whole
+   [sat_elim] passes.  The jobs_per_sec bench section measures exactly
+   this effect.
 
    The daemon is transport-agnostic: it reads requests from an
    [in_channel] and writes responses to an [out_channel], so the CLI can
@@ -17,7 +19,7 @@
 
    Protocol (one JSON object per line):
      {"op":"optimize","id":...,"kind":...,"source":...,
-      "jobs":N?,"budget_ms":B?}     -> smartly-report-v1 job report
+      "budget_ms":B?}               -> smartly-report-v1 job report
      {"op":"ping"}                  -> {"op":"ping","status":"ok"}
      {"op":"stats"}                 -> daemon counters + warm-memo state
      {"op":"shutdown"}              -> {"op":"shutdown","status":"ok"}, stop
@@ -33,8 +35,8 @@ type t = {
   base_cfg : Config.t;
   warm : Memo.t;  (* installed for the daemon's lifetime *)
   replays : Replay.t;
-      (* task-replay cache: whole muxtree tasks recur across a batch of
-         stamped-out variants and replay from their recorded edit sets *)
+      (* pass-replay cache: whole sat_elim passes recur across a batch
+         of stamped-out variants and replay from their recorded edits *)
   started : float;
   mutable jobs_ok : int;
   mutable jobs_failed : int;
@@ -62,7 +64,7 @@ let error_response ?id msg : Obs.Json.t =
    so the report describes this job alone; the memo section is the warm
    store's cumulative state — its hit rate rising across jobs is the
    daemon's reason to exist. *)
-let optimize t ~id ~kind ~source ~jobs ~budget_ms ~portfolio : Obs.Json.t =
+let optimize t ~id ~kind ~source ~budget_ms : Obs.Json.t =
   match t.load ~kind source with
   | Error msg ->
     t.jobs_failed <- t.jobs_failed + 1;
@@ -71,18 +73,7 @@ let optimize t ~id ~kind ~source ~jobs ~budget_ms ~portfolio : Obs.Json.t =
     let cfg =
       {
         t.base_cfg with
-        (* the daemon always runs the task path: its warm replay cache
-           only engages there, and the task path's output is
-           schedule-invariant, so every job of a batch is comparable *)
-        Config.jobs =
-          (match jobs with
-          | Some _ -> jobs
-          | None -> (
-            match t.base_cfg.Config.jobs with
-            | Some _ as j -> j
-            | None -> Some 1));
-        portfolio;
-        pass_budget_ms =
+        Config.pass_budget_ms =
           (match budget_ms with
           | Some _ -> budget_ms
           | None -> t.base_cfg.Config.pass_budget_ms);
@@ -162,14 +153,8 @@ let handle t (line : string) : Obs.Json.t * bool =
         let kind =
           Option.value (Obs.Json.mem_str "kind" req) ~default:"profile"
         in
-        let jobs = Obs.Json.mem_int "jobs" req in
         let budget_ms = Obs.Json.mem_int "budget_ms" req in
-        let portfolio =
-          match Obs.Json.member "portfolio" req with
-          | Some (Obs.Json.Bool b) -> b
-          | _ -> t.base_cfg.Config.portfolio
-        in
-        (optimize t ~id ~kind ~source ~jobs ~budget_ms ~portfolio, true))
+        (optimize t ~id ~kind ~source ~budget_ms, true))
     | Some op -> (error_response ~id ("unknown op: " ^ op), true)
     | None -> (error_response ~id "missing \"op\"", true))
 

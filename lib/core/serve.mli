@@ -6,19 +6,22 @@
     smartly flow with per-job {!Engine.Sat_log}/{!Budget} scoping, and
     answers with a [smartly-report-v1] job report.  Two warm caches
     persist across jobs: the {!Memo} verdict store (recurring queries
-    skip their sim/SAT rung) and the {!Replay} task cache (recurring
-    muxtree tasks — stamped-out variants of one design — replay their
-    recorded edit sets without re-running at all).  That cross-job
-    state is the effect the [jobs_per_sec] bench section measures.
+    skip their sim/SAT rung) and the {!Replay} pass cache (a recurring
+    design — stamped-out variants of one source — replays whole
+    [sat_elim] passes from their recorded edits without walking).  That
+    cross-job state is the effect the [jobs_per_sec] bench section
+    measures.
 
     Protocol (one JSON object per line, one response per line):
     {v
     {"op":"optimize","id":ID?,"kind":K?,"source":S,
-     "jobs":N?,"budget_ms":B?,"portfolio":P?}   -> job report
+     "budget_ms":B?}                            -> job report
     {"op":"ping"}                               -> {"op":"ping","status":"ok"}
     {"op":"stats"}                              -> counters + warm-memo state
     {"op":"shutdown"}                           -> ack, then the loop returns
     v}
+    Other fields of an [optimize] request are ignored, so older clients'
+    ["jobs"] and ["portfolio"] fields are accepted and have no effect.
     Malformed lines get [{"status":"error",...}] and the daemon keeps
     serving — one bad job must not take down the batch. *)
 
@@ -35,10 +38,7 @@ type t
 
 val create : ?cfg:Config.t -> load:load -> unit -> t
 (** [cfg] (default {!Config.default}) is the base for every job;
-    requests override [jobs], [portfolio] and [pass_budget_ms] per job.
-    Jobs always run the task path: when neither the request nor [cfg]
-    sets [jobs], the daemon uses [jobs = 1] — the warm replay cache
-    only engages there, and its output is schedule-invariant. *)
+    requests override [pass_budget_ms] per job. *)
 
 val handle : t -> string -> Obs.Json.t * bool
 (** Process one request line.  Returns the response and whether to keep

@@ -397,35 +397,7 @@ module Event = struct
   let pass_stack : string list ref = ref []
   let emitted_total = ref 0
 
-  (* Domain-local capture buffer.  The bus state above is owned by the
-     domain that installed the sinks (the main domain); worker domains
-     must never touch it.  A worker installs a buffer here instead:
-     [emit] appends to it, and the events are replayed through the real
-     bus — in a deterministic order — when the worker's scope is merged
-     at the join barrier.  [lb_live] mirrors whether the main bus had
-     subscribers when the scope was opened, so workers skip payload
-     construction exactly when the main domain would. *)
-  type captured = { ce_kind : kind; ce_name : string; ce_data : Json.t }
-
-  type local_buf = { mutable lb_rev : captured list; lb_live : bool }
-
-  let local_key : local_buf option Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> None)
-
-  let install_local ~live =
-    Domain.DLS.set local_key (Some { lb_rev = []; lb_live = live })
-
-  let capture_local () : captured list =
-    match Domain.DLS.get local_key with
-    | None -> []
-    | Some b ->
-      Domain.DLS.set local_key None;
-      List.rev b.lb_rev
-
-  let enabled () =
-    match Domain.DLS.get local_key with
-    | Some b -> b.lb_live
-    | None -> !subscribers <> []
+  let enabled () = !subscribers <> []
 
   let subscribe ?(name = "sink") fn =
     incr next_sid;
@@ -462,35 +434,23 @@ module Event = struct
       !subscribers
 
   let emit ?(name = "") ?(data = Json.Null) kind =
-    match Domain.DLS.get local_key with
-    | Some b ->
-      if b.lb_live then
-        b.lb_rev <- { ce_kind = kind; ce_name = name; ce_data = data } :: b.lb_rev
-    | None ->
-      (match kind with
-      | Pass_start -> pass_stack := name :: !pass_stack
-      | Pass_end -> (
-        match !pass_stack with [] -> () | _ :: r -> pass_stack := r)
-      | _ -> ());
-      if !subscribers <> [] then begin
-        (* Clamp to the last stamp: the clock is monotonic already, but the
-           stream's non-decreasing invariant must hold by construction, not
-           by trusting the platform. *)
-        let t = Clock.now_ns () in
-        let t = if Int64.compare t !last_ns < 0 then !last_ns else t in
-        last_ns := t;
-        let e = { seq = !next_seq; t_ns = t; kind; name; data } in
-        incr next_seq;
-        incr emitted_total;
-        deliver e
-      end
-
-  (* Re-emit a worker's captured events on the owning domain.  Stamps are
-     assigned at replay time, so the stream invariants (gapless seq,
-     monotonic t_ns) hold over the merged stream by the same construction
-     as live emission. *)
-  let replay (evs : captured list) =
-    List.iter (fun c -> emit ~name:c.ce_name ~data:c.ce_data c.ce_kind) evs
+    (match kind with
+    | Pass_start -> pass_stack := name :: !pass_stack
+    | Pass_end -> (
+      match !pass_stack with [] -> () | _ :: r -> pass_stack := r)
+    | _ -> ());
+    if !subscribers <> [] then begin
+      (* Clamp to the last stamp: the clock is monotonic already, but the
+         stream's non-decreasing invariant must hold by construction, not
+         by trusting the platform. *)
+      let t = Clock.now_ns () in
+      let t = if Int64.compare t !last_ns < 0 then !last_ns else t in
+      last_ns := t;
+      let e = { seq = !next_seq; t_ns = t; kind; name; data } in
+      incr next_seq;
+      incr emitted_total;
+      deliver e
+    end
 
   let current_pass () =
     match !pass_stack with [] -> None | p :: _ -> Some p
@@ -601,15 +561,10 @@ module Trace = struct
   let make_sink () =
     { epoch = Clock.now (); recorded = []; count = 0; depth = 0 }
 
-  (* Domain-local: a sink installed by the main domain is never shared
-     with worker domains (their spans still reach the event bus through
-     the worker's capture buffer). *)
-  let current : sink option Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> None)
-
-  let install s = Domain.DLS.set current (Some s)
-  let uninstall () = Domain.DLS.set current None
-  let enabled () = Domain.DLS.get current <> None
+  let current : sink option ref = ref None
+  let install s = current := Some s
+  let uninstall () = current := None
+  let enabled () = !current <> None
 
   let record s name t0 =
     let now = Clock.now () in
@@ -626,7 +581,7 @@ module Trace = struct
 
   let with_span name f =
     (* Fast path unchanged: no sink, no bus subscriber — direct call. *)
-    match Domain.DLS.get current, Event.enabled () with
+    match !current, Event.enabled () with
     | None, false -> f ()
     | sink, bus ->
       if bus then Event.emit ~name Event.Span_open;
@@ -688,7 +643,7 @@ module Trace = struct
 end
 
 module Metrics = struct
-  type counter = { cname : string; mutable count : int }
+  type counter = { mutable count : int }
 
   (* Percentiles come from a bounded sample window: samples are kept
      verbatim until [sample_cap], after which the buffer wraps (index
@@ -697,7 +652,6 @@ module Metrics = struct
   let sample_cap = 1024
 
   type histogram = {
-    hname : string;
     mutable n : int;
     mutable sum : float;
     mutable min_seen : float;
@@ -708,77 +662,35 @@ module Metrics = struct
   let counter_registry : (string, counter) Hashtbl.t = Hashtbl.create 32
   let histogram_registry : (string, histogram) Hashtbl.t = Hashtbl.create 32
 
-  (* Domain-local overlay.  Handles are resolved once at module
-     initialization on the main domain, so a worker domain bumping one
-     directly would race on the shared record.  When a local registry is
-     installed (one per worker scope), every read/write path re-resolves
-     the handle by name against it — the handle is just a name carrier
-     there — and the deltas are folded back into the owning registry at
-     the join barrier.  The main domain pays one DLS read per bump. *)
-  type local_registry = {
-    lr_counters : (string, counter) Hashtbl.t;
-    lr_histograms : (string, histogram) Hashtbl.t;
-  }
-
-  let local_key : local_registry option Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> None)
-
-  let fresh_histogram name =
-    {
-      hname = name;
-      n = 0;
-      sum = 0.0;
-      min_seen = 0.0;
-      max_seen = 0.0;
-      samples = Array.make sample_cap 0.0;
-    }
-
-  let resolve_counter tbl name =
-    match Hashtbl.find_opt tbl name with
+  let counter name =
+    match Hashtbl.find_opt counter_registry name with
     | Some c -> c
     | None ->
-      let c = { cname = name; count = 0 } in
-      Hashtbl.replace tbl name c;
+      let c = { count = 0 } in
+      Hashtbl.replace counter_registry name c;
       c
 
-  let resolve_histogram tbl name =
-    match Hashtbl.find_opt tbl name with
-    | Some h -> h
-    | None ->
-      let h = fresh_histogram name in
-      Hashtbl.replace tbl name h;
-      h
-
-  let counter name =
-    match Domain.DLS.get local_key with
-    | Some l -> resolve_counter l.lr_counters name
-    | None -> resolve_counter counter_registry name
-
-  let incr c =
-    match Domain.DLS.get local_key with
-    | None -> c.count <- c.count + 1
-    | Some l ->
-      let lc = resolve_counter l.lr_counters c.cname in
-      lc.count <- lc.count + 1
-
-  let add c n =
-    match Domain.DLS.get local_key with
-    | None -> c.count <- c.count + n
-    | Some l ->
-      let lc = resolve_counter l.lr_counters c.cname in
-      lc.count <- lc.count + n
-
-  let value c =
-    match Domain.DLS.get local_key with
-    | None -> c.count
-    | Some l -> (resolve_counter l.lr_counters c.cname).count
+  let incr c = c.count <- c.count + 1
+  let add c n = c.count <- c.count + n
+  let value c = c.count
 
   let histogram name =
-    match Domain.DLS.get local_key with
-    | Some l -> resolve_histogram l.lr_histograms name
-    | None -> resolve_histogram histogram_registry name
+    match Hashtbl.find_opt histogram_registry name with
+    | Some h -> h
+    | None ->
+      let h =
+        {
+          n = 0;
+          sum = 0.0;
+          min_seen = 0.0;
+          max_seen = 0.0;
+          samples = Array.make sample_cap 0.0;
+        }
+      in
+      Hashtbl.replace histogram_registry name h;
+      h
 
-  let observe_direct h v =
+  let observe h v =
     if h.n = 0 then begin
       h.min_seen <- v;
       h.max_seen <- v
@@ -790,11 +702,6 @@ module Metrics = struct
     h.samples.(h.n mod sample_cap) <- v;
     h.n <- h.n + 1;
     h.sum <- h.sum +. v
-
-  let observe h v =
-    match Domain.DLS.get local_key with
-    | None -> observe_direct h v
-    | Some l -> observe_direct (resolve_histogram l.lr_histograms h.hname) v
 
   let observe_int h v = observe h (float_of_int v)
 
@@ -831,28 +738,20 @@ module Metrics = struct
       p90 = percentile sorted 0.90;
     }
 
-  let active_registries () =
-    match Domain.DLS.get local_key with
-    | Some l -> l.lr_counters, l.lr_histograms
-    | None -> counter_registry, histogram_registry
-
   let counters () =
-    let ctbl, _ = active_registries () in
     Hashtbl.fold
       (fun name (c : counter) acc -> (name, c.count) :: acc)
-      ctbl []
+      counter_registry []
     |> List.sort compare
 
   let histograms () =
-    let _, htbl = active_registries () in
     Hashtbl.fold
       (fun name h acc -> (name, histogram_stats h) :: acc)
-      htbl []
+      histogram_registry []
     |> List.sort compare
 
   let reset () =
-    let ctbl, htbl = active_registries () in
-    Hashtbl.iter (fun _ (c : counter) -> c.count <- 0) ctbl;
+    Hashtbl.iter (fun _ (c : counter) -> c.count <- 0) counter_registry;
     Hashtbl.iter
       (fun _ h ->
         h.n <- 0;
@@ -860,92 +759,7 @@ module Metrics = struct
         h.min_seen <- 0.0;
         h.max_seen <- 0.0;
         Array.fill h.samples 0 sample_cap 0.0)
-      htbl
-
-  (* --- scope capture / merge --- *)
-
-  type hist_capture = {
-    hc_name : string;
-    hc_n : int;
-    hc_sum : float;
-    hc_min : float;
-    hc_max : float;
-    hc_samples : float array;  (* retained window, oldest first *)
-  }
-
-  type snapshot = {
-    sn_counters : (string * int) list;
-    sn_histograms : hist_capture list;
-  }
-
-  let empty_snapshot = { sn_counters = []; sn_histograms = [] }
-
-  let install_local () =
-    Domain.DLS.set local_key
-      (Some
-         {
-           lr_counters = Hashtbl.create 32;
-           lr_histograms = Hashtbl.create 16;
-         })
-
-  let capture_hist name (h : histogram) : hist_capture =
-    let retained = min h.n sample_cap in
-    let samples =
-      Array.init retained (fun i ->
-          if h.n <= sample_cap then h.samples.(i)
-          else h.samples.((h.n + i) mod sample_cap))
-    in
-    {
-      hc_name = name;
-      hc_n = h.n;
-      hc_sum = h.sum;
-      hc_min = h.min_seen;
-      hc_max = h.max_seen;
-      hc_samples = samples;
-    }
-
-  let capture_local () : snapshot =
-    match Domain.DLS.get local_key with
-    | None -> empty_snapshot
-    | Some l ->
-      Domain.DLS.set local_key None;
-      {
-        sn_counters =
-          Hashtbl.fold
-            (fun name (c : counter) acc ->
-              if c.count <> 0 then (name, c.count) :: acc else acc)
-            l.lr_counters []
-          |> List.sort compare;
-        sn_histograms =
-          Hashtbl.fold
-            (fun name h acc ->
-              if h.n > 0 then capture_hist name h :: acc else acc)
-            l.lr_histograms []
-          |> List.sort (fun a b -> compare a.hc_name b.hc_name);
-      }
-
-  (* Fold a captured snapshot into the current domain's registry (the
-     global one when no local overlay is installed).  Counters add;
-     histograms replay their retained window and account for wrapped-out
-     observations in n/sum/min/max, so totals are exact even though the
-     merged percentile window only holds the retained tail. *)
-  let absorb (s : snapshot) =
-    List.iter (fun (name, v) -> add (counter name) v) s.sn_counters;
-    List.iter
-      (fun hc ->
-        let h = histogram hc.hc_name in
-        Array.iter (fun v -> observe h v) hc.hc_samples;
-        let dropped = hc.hc_n - Array.length hc.hc_samples in
-        if dropped > 0 then begin
-          let retained_sum =
-            Array.fold_left ( +. ) 0.0 hc.hc_samples
-          in
-          h.n <- h.n + dropped;
-          h.sum <- h.sum +. (hc.hc_sum -. retained_sum);
-          if hc.hc_min < h.min_seen then h.min_seen <- hc.hc_min;
-          if hc.hc_max > h.max_seen then h.max_seen <- hc.hc_max
-        end)
-      s.sn_histograms
+      histogram_registry
 
   (* --- GC deltas --- *)
 
@@ -1047,15 +861,10 @@ module Provenance = struct
 
   let make_sink () = { recorded = []; count = 0 }
 
-  (* Domain-local: each worker domain installs its own sink (or none);
-     the scheduler merges captured events back into the main domain's
-     sink at the barrier. *)
-  let current : sink option Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> None)
-
-  let install s = Domain.DLS.set current (Some s)
-  let uninstall () = Domain.DLS.set current None
-  let enabled () = Domain.DLS.get current <> None
+  let current : sink option ref = ref None
+  let install s = current := Some s
+  let uninstall () = current := None
+  let enabled () = !current <> None
 
   (* Forward declared: the bus payload needs [event_to_json], defined
      below with the rest of the serialization. *)
@@ -1063,7 +872,7 @@ module Provenance = struct
 
   let emit ~kind ~cell ~pass ~mechanism ?query ?(bits = 0) ?(area_delta = 0)
       () =
-    let cur = Domain.DLS.get current in
+    let cur = !current in
     if cur <> None || Event.enabled () then begin
       let ev = { kind; cell; pass; mechanism; query; bits; area_delta } in
       (match cur with
@@ -1073,27 +882,6 @@ module Provenance = struct
       | None -> ());
       if Event.enabled () then !to_bus ev
     end
-
-  (* Append already-recorded events to the current domain's sink without
-     re-emitting them on the bus (the scope merge replays the bus
-     capture separately, so double emission would duplicate events). *)
-  let absorb (evs : event list) =
-    match Domain.DLS.get current with
-    | None -> ()
-    | Some s ->
-      List.iter
-        (fun ev ->
-          s.recorded <- ev :: s.recorded;
-          s.count <- s.count + 1)
-        evs
-
-  (* Drain the current domain's sink (oldest first) and uninstall it. *)
-  let capture_local () : event list =
-    match Domain.DLS.get current with
-    | None -> []
-    | Some s ->
-      Domain.DLS.set current None;
-      List.rev s.recorded
 
   let events s = List.rev s.recorded
   let count s = s.count
@@ -1483,102 +1271,4 @@ module Ledger = struct
         ~extra:(("ended_unix", Json.Num (Unix.gettimeofday ())) :: extra)
         t
     end
-end
-
-module Scope = struct
-  (* One observability scope per scheduler task.  [spec] is taken on the
-     coordinating domain before tasks are handed out; [install] runs on
-     the executing domain (a worker, or the main domain when jobs run
-     inline) and redirects every Obs write path — metrics, event bus,
-     provenance — into domain-local buffers; [capture] drains them and
-     restores whatever [install] displaced; [merge] folds a capture back
-     into the coordinator's live state.  Captures merged in task order
-     reproduce the sequential event stream exactly, which is what makes
-     `--jobs N` output byte-identical to sequential. *)
-
-  type spec = { sp_bus : bool; sp_prov : bool }
-
-  let spec () = { sp_bus = Event.enabled (); sp_prov = Provenance.enabled () }
-
-  type handle = { h_prev_prov : Provenance.sink option }
-
-  let install (sp : spec) : handle =
-    let prev = Domain.DLS.get Provenance.current in
-    Metrics.install_local ();
-    Event.install_local ~live:sp.sp_bus;
-    if sp.sp_prov then Provenance.install (Provenance.make_sink ())
-    else Provenance.uninstall ();
-    { h_prev_prov = prev }
-
-  type capture = {
-    c_metrics : Metrics.snapshot;
-    c_events : Event.captured list;
-    c_prov : Provenance.event list;
-  }
-
-  let capture (h : handle) : capture =
-    let c =
-      {
-        c_metrics = Metrics.capture_local ();
-        c_events = Event.capture_local ();
-        c_prov = Provenance.capture_local ();
-      }
-    in
-    Domain.DLS.set Provenance.current h.h_prev_prov;
-    c
-
-  let empty_capture =
-    { c_metrics = Metrics.empty_snapshot; c_events = []; c_prov = [] }
-
-  (* Rewrite the SAT-query ids embedded in a capture: provenance [query]
-     fields (both the typed events and their bus copies) and the bus
-     Sat_query event's "q<id>" name and "id" datum.  The scheduler
-     renumbers per-task-local ids into the global sequential numbering
-     with this before merging, so merged streams are indistinguishable
-     from a sequential run's. *)
-  let map_queries (f : int -> int) (c : capture) : capture =
-    let patch_field key j =
-      match j with
-      | Json.Obj fields ->
-        Json.Obj
-          (List.map
-             (fun (k, v) ->
-               match v with
-               | Json.Num n when k = key ->
-                 k, Json.num_of_int (f (int_of_float n))
-               | _ -> k, v)
-             fields)
-      | d -> d
-    in
-    let patch_ev (ce : Event.captured) =
-      match ce.Event.ce_kind with
-      | Event.Sat_query ->
-        let name =
-          let n = ce.Event.ce_name in
-          if String.length n > 1 && n.[0] = 'q' then
-            match int_of_string_opt (String.sub n 1 (String.length n - 1)) with
-            | Some old -> Printf.sprintf "q%d" (f old)
-            | None -> n
-          else n
-        in
-        { ce with Event.ce_name = name; ce_data = patch_field "id" ce.ce_data }
-      | Event.Provenance ->
-        { ce with Event.ce_data = patch_field "query" ce.ce_data }
-      | _ -> ce
-    in
-    let patch_prov (ev : Provenance.event) =
-      match ev.Provenance.query with
-      | Some q -> { ev with Provenance.query = Some (f q) }
-      | None -> ev
-    in
-    {
-      c with
-      c_events = List.map patch_ev c.c_events;
-      c_prov = List.map patch_prov c.c_prov;
-    }
-
-  let merge (c : capture) =
-    Metrics.absorb c.c_metrics;
-    Provenance.absorb c.c_prov;
-    Event.replay c.c_events
 end

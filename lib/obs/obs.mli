@@ -159,32 +159,6 @@ module Event : sig
   val attach_progress : ?out:out_channel -> unit -> subscription
   (** Live TTY sink: one line per completed pass and per budget verdict,
       written to [out] (default [stderr]). *)
-
-  (** {2 Domain-local capture}
-
-      The bus state (subscribers, sequence counter, pass stack) is owned
-      by the domain that installed the sinks.  Worker domains install a
-      capture buffer instead: {!emit} appends to it, and the buffered
-      events are replayed through the real bus when the worker's scope is
-      merged at the join barrier.  Most callers want {!Scope}, which
-      bundles this with metrics and provenance capture. *)
-
-  type captured
-  (** One buffered event: kind, name and payload, stamped at replay. *)
-
-  val install_local : live:bool -> unit
-  (** Install a capture buffer on the current domain.  [live] mirrors
-      whether the owning bus had subscribers when the scope opened, so
-      workers skip payload construction exactly when the owner would. *)
-
-  val capture_local : unit -> captured list
-  (** Drain the current domain's buffer (oldest first) and uninstall
-      it; [[]] when none is installed. *)
-
-  val replay : captured list -> unit
-  (** Re-emit captured events on the current domain's real bus.  Stamps
-      are assigned at replay time, so the merged stream keeps the
-      gapless-[seq]/monotonic-[t_ns] invariants by construction. *)
 end
 
 (** Nested wall-clock spans with a single global sink.
@@ -299,33 +273,6 @@ module Metrics : sig
   val to_json : unit -> Json.t
   (** [{"counters": {...}, "histograms": {name: {count, sum, min, max,
       mean, p50, p90}}}]. *)
-
-  (** {2 Domain-local capture}
-
-      The registries above are owned by the main domain.  A worker domain
-      installs a local overlay: handle operations re-resolve by name into
-      it, and the overlay is captured and folded back into the owner's
-      registry at the join barrier.  Counter totals and histogram
-      [count]/[sum]/[min]/[max] merge exactly; the percentile sample
-      window keeps the retained tail. *)
-
-  type snapshot
-  (** Captured contents of a local overlay. *)
-
-  val empty_snapshot : snapshot
-
-  val install_local : unit -> unit
-  (** Install a fresh overlay on the current domain; subsequent handle
-      operations on this domain hit the overlay, not the global
-      registry. *)
-
-  val capture_local : unit -> snapshot
-  (** Drain and uninstall the current domain's overlay;
-      {!empty_snapshot} when none is installed. *)
-
-  val absorb : snapshot -> unit
-  (** Fold a snapshot into the current domain's registry (the global one
-      unless an overlay is installed here too). *)
 end
 
 (** Optimization provenance: one typed event per netlist mutation, so a run
@@ -427,19 +374,6 @@ module Provenance : sig
   val summary_json : event list -> Json.t
   (** [{"events", "cells_removed", "area_saved", "by_mechanism": [...]}] —
       the [provenance_summary] section of the [--json] report. *)
-
-  (** {2 Domain-local capture}
-
-      The installed sink is domain-local: {!install} on a worker domain
-      never races the main domain's sink. *)
-
-  val absorb : event list -> unit
-  (** Append already-recorded events to the current domain's sink
-      without re-emitting them on the bus; no-op without a sink. *)
-
-  val capture_local : unit -> event list
-  (** Drain the current domain's sink (oldest first) and uninstall it;
-      [[]] when none is installed. *)
 end
 
 (** Flight recorder: a fixed-capacity ring of the most recent bus events.
@@ -528,53 +462,4 @@ module Ledger : sig
   (** Detach the sinks (closing [events.jsonl]) and rewrite the manifest
       with [status], an end timestamp, and any [extra] summary fields.
       Idempotent: only the first call acts. *)
-end
-
-(** Per-task observability scope for the parallel scheduler.
-
-    A scope redirects every Obs write path — metrics, the event bus,
-    provenance — into domain-local buffers on the executing domain, and
-    merges them back into the coordinator's live state at the join
-    barrier.  Captures merged in task order reproduce the sequential
-    event stream exactly, which is what makes [--jobs N] output
-    byte-identical to a sequential run. *)
-module Scope : sig
-  type spec
-  (** What the coordinator's observability looked like when the scope
-      family was opened: whether the bus had subscribers and whether a
-      provenance sink was installed.  Immutable — safe to share across
-      domains. *)
-
-  val spec : unit -> spec
-  (** Take on the coordinating domain before handing out tasks. *)
-
-  type handle
-  (** Returned by {!install}; remembers what installation displaced so
-      {!capture} can restore it (needed when tasks run inline on the
-      coordinating domain itself). *)
-
-  val install : spec -> handle
-  (** Begin a scope on the executing domain: fresh metrics overlay,
-      event capture buffer (live iff the coordinator's bus was), and a
-      fresh provenance sink iff the coordinator had one. *)
-
-  type capture
-
-  val capture : handle -> capture
-  (** End the scope: drain all three buffers and restore what {!install}
-      displaced. *)
-
-  val empty_capture : capture
-
-  val map_queries : (int -> int) -> capture -> capture
-  (** Rewrite the SAT-query ids embedded in a capture — provenance
-      [query] fields (typed events and their bus copies) and Sat_query
-      bus events' ["q<id>"] name and ["id"] datum.  The scheduler uses
-      this to renumber task-local ids into the global sequential
-      numbering before merging. *)
-
-  val merge : capture -> unit
-  (** Fold a capture into the current domain's live state: metrics
-      absorbed, provenance appended to the installed sink, bus events
-      replayed — in that order. *)
 end

@@ -39,7 +39,8 @@ val solve :
 
     [interrupt] is polled at every conflict and decision; once it returns
     [true] the call stops with [Unknown], leaving the solver reusable.
-    The portfolio racer uses it to abandon the losing configuration.
+    The engine passes the pass-budget watchdog here, so an overrunning
+    pass stops inside a long call rather than after it.
 
     [relevant] restricts decisions to the given variables and stops with
     [Sat] (a {e partial} model — other variables keep their phase-saved

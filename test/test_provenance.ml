@@ -146,7 +146,7 @@ let test_sat_capture_replay () =
   check_bool "buffer bounded" true (List.length hardest <= 8);
   List.iter
     (fun (e : Smartly.Engine.Sat_log.entry) ->
-      let dimacs = e.Smartly.Engine.Sat_log.dimacs e.Smartly.Engine.Sat_log.id in
+      let dimacs = e.Smartly.Engine.Sat_log.dimacs () in
       (* metadata comment carries the recorded outcome *)
       check_bool "metadata line" true
         (String.length dimacs > 0 && String.sub dimacs 0 1 = "c");

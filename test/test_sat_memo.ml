@@ -89,10 +89,7 @@ let determine ?session cfg c facts target =
 
 let fast_cfg cfg = { cfg with Smartly.Config.enable_sat_memo = true }
 
-let slow_cfg cfg =
-  { cfg with
-    Smartly.Config.enable_sat_memo = false;
-    Smartly.Config.enable_sat_session = false }
+let slow_cfg cfg = { cfg with Smartly.Config.enable_sat_memo = false }
 
 let verdict_name = function
   | Smartly.Engine.Forced true -> "forced_true"
@@ -356,7 +353,7 @@ let test_session_dump_replays () =
       check_string "session mode recorded" "session" e.Smartly.Engine.Sat_log.mode;
       let cnf, comments =
         Cdcl.Dimacs.parse_string_ext
-          (e.Smartly.Engine.Sat_log.dimacs e.Smartly.Engine.Sat_log.id)
+          (e.Smartly.Engine.Sat_log.dimacs ())
       in
       check_bool "metadata comment present" true
         (List.exists
@@ -371,6 +368,33 @@ let test_session_dump_replays () =
         (Smartly.Engine.Sat_log.solve_name e.Smartly.Engine.Sat_log.solve)
         (Smartly.Engine.Sat_log.solve_name replayed))
     entries
+
+(* --- an armed pass budget interrupts a running SAT call ---
+
+   With one xor3 input known, each polarity solve needs a decision, so
+   a budget that has already expired must stop the call at its first
+   decision: the verdict is [Unknown], where the unarmed query proves
+   the cone free. *)
+
+let test_budget_interrupts_sat () =
+  Smartly.Budget.reset ();
+  Smartly.Engine.Sat_log.reset ();
+  let c, a, y = xor3 () in
+  let view = subgraph_view c [ y ] [ a ] in
+  let query () =
+    verdict_name
+      (Smartly.Engine.query_sat c view (mk_known [ a, true ]) ~budget:4000
+         ~target:y)
+  in
+  let expired =
+    { Smartly.Config.default with Smartly.Config.pass_budget_ms = Some 0 }
+  in
+  Smartly.Budget.arm ~cfg:expired ~pass:"sat_elim" ();
+  Unix.sleepf 0.002;
+  let starved = query () in
+  ignore (Smartly.Budget.disarm ());
+  check_string "expired budget interrupts the call" "unknown" starved;
+  check_string "unarmed query decides" "free" (query ())
 
 (* --- end-to-end: memo on vs off produce the identical netlist --- *)
 
@@ -449,6 +473,11 @@ let () =
         [
           Alcotest.test_case "session dumps replay" `Quick
             test_session_dump_replays;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "expired budget interrupts SAT" `Quick
+            test_budget_interrupts_sat;
         ] );
       ( "e2e",
         [

@@ -399,7 +399,7 @@ let fig3_circuit () =
 let test_sat_elim_fig3 () =
   let c = fig3_circuit () in
   let orig = Circuit.copy c in
-  let r = Smartly.Sat_elim.run_once Smartly.Config.default c in
+  let r = Smartly.Sat_elim.run Smartly.Config.default c in
   check_bool "bypassed inner mux" true (r.Smartly.Sat_elim.muxes_bypassed >= 1);
   ignore (Rtl_opt.Opt_clean.run c);
   let st = Stats.of_circuit c in
@@ -427,7 +427,7 @@ let test_sat_elim_contradicted_inner () =
   let outer = Circuit.mk_mux c ~a:(Circuit.sig_of_wire cc) ~b:inner ~s:sb in
   expose c "Y" outer;
   let orig = Circuit.copy c in
-  let r = Smartly.Sat_elim.run_once Smartly.Config.default c in
+  let r = Smartly.Sat_elim.run Smartly.Config.default c in
   check_bool "bypassed" true (r.Smartly.Sat_elim.muxes_bypassed >= 1);
   check_bool "equiv" true (Equiv.is_equivalent orig c)
 
