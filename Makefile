@@ -19,19 +19,24 @@ bench: build
 # machines.  The diff table lands in /tmp/smartly_bench_diff.txt for
 # artifact upload.
 #
-# The gate runs three times.  Baselines are recorded with --no-sat-memo
-# (verdict cache off, SAT session + value analysis on), so the
-# --no-sat-memo leg must reproduce every deterministic counter exactly —
-# this proves the committed SAT-conflict/time numbers were beaten by the
-# incremental solver itself, not by a cache shortcut that could mask a
-# solver regression.  The default leg then runs with the memo enabled:
-# areas and cell counts must still match exactly, while the SAT counters
-# may only improve (the gate passes Improved, fails Regressed).  The
-# third leg disables the abstract-interpretation rung zero and gates
-# against bench/baselines/noanalysis, recorded in the same mode: areas
-# are byte-identical across the two stores while their sat_queries
-# differ, so the committed diff attributes the query reduction to the
-# rung the same way the memo legs attribute the cache win.
+# The paper-table gate runs three times.  Baselines are recorded with
+# --no-sat-memo (verdict cache off, SAT session + value analysis on),
+# so the --no-sat-memo leg must reproduce every deterministic counter
+# exactly — this proves the committed SAT-conflict/time numbers were
+# beaten by the incremental solver itself, not by a cache shortcut that
+# could mask a solver regression.  The default leg then runs with the
+# memo enabled: areas and cell counts must still match exactly, while
+# the SAT counters may only improve (the gate passes Improved, fails
+# Regressed).  The third leg disables the abstract-interpretation rung
+# zero and gates against bench/baselines/noanalysis, recorded in the
+# same mode: areas are byte-identical across the two stores while their
+# sat_queries differ, so the committed diff attributes the query
+# reduction to the rung the same way the memo legs attribute the cache
+# win.  A fourth leg gates the industrial section in the same
+# --no-sat-memo mode: on the mux-rich ind_* designs the walk's data-bit
+# folding dominates the run, so a change there must keep their areas
+# and removed-cell counts exactly.  The jobs_per_sec leg gates the warm
+# serve batch.
 #
 # The last step is a self-test of the gate itself: --pessimize turns
 # the smartly flows into no-ops, so the re-measured areas genuinely
@@ -45,6 +50,8 @@ bench-check: build
 	dune exec bench/main.exe -- table2 mux_chain --check --no-sat-memo \
 	  --no-analysis --baseline-dir bench/baselines/noanalysis \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff_noanalysis.txt
+	dune exec bench/main.exe -- industrial --check --no-sat-memo \
+	  --threshold-scale 4 --report /tmp/smartly_bench_diff_industrial.txt
 	dune exec bench/main.exe -- jobs_per_sec --check \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff_jobs.txt
 	@if dune exec bench/main.exe -- mux_chain --check --pessimize \

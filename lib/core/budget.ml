@@ -2,9 +2,10 @@
 
    The driver arms it before each pass with the configured wall-time /
    allocation limits, the expensive inner loops (the Engine sim-vs-SAT
-   ladder, the SAT solver's search loop, the Restructure root walk) poll
-   [exhausted] and degrade gracefully — stop the SAT call, forgo the
-   query, skip the tree — and the driver disarms it after the pass,
+   ladder, the SAT solver's search loop, the Sat_elim walk and its
+   data-port folds, the Restructure root walk) poll [exhausted] and
+   degrade gracefully — stop the SAT call, forgo the query, leave the
+   port, skip the tree — and the driver disarms it after the pass,
    collecting an overrun record if the budget tripped.
 
    The design constraint is the poll: [exhausted] sits inside

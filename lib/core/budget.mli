@@ -4,7 +4,8 @@
     The driver {!arm}s it before each pass from the {!Config} budgets;
     the expensive inner loops — the SAT solver's search included — poll
     {!exhausted} and abandon remaining work (interrupted SAT calls,
-    forgone queries, skipped muxtree roots) once it trips;
+    forgone queries, unfolded data ports, skipped muxtrees in
+    [sat_elim] and [restructure]) once it trips;
     {!disarm} reports whether — and by how much — the pass overran.
     Exceeding a budget is never an error: the flow completes with
     partial optimization and a [Budget_exceeded] event on the bus. *)

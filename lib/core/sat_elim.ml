@@ -34,6 +34,97 @@ let pp_report ppf r =
     r.engine.Engine.sat_conflicts r.engine.Engine.sat_decisions
     r.engine.Engine.sat_propagations
 
+(* The data-bit fold kernel of one walk: the cone index and the fact
+   store, built once over the pass-start circuit.  [replace] is the walk's
+   only mutation. *)
+module Fold = struct
+  type t = {
+    cfg : Config.t;
+    c : Circuit.t;
+    cones : Subgraph.Cones.t;
+    facts : Inference.Dense.t;
+  }
+
+  let create cfg c index =
+    {
+      cfg;
+      c;
+      cones = Subgraph.Cones.create c index;
+      facts = Inference.Dense.create c;
+    }
+
+  let replace t id cell =
+    Circuit.replace_cell t.c id cell;
+    Subgraph.Cones.invalidate t.cones id
+
+  (* Run the rules over the cones of the known bits and the port bits
+     into [t.facts]; [false] when they were not run (no rules, no facts,
+     cones over [max_subgraph_cells]) or contradicted, which leaves
+     [known] alone as the facts. *)
+  let derive t known port =
+    let cfg = t.cfg in
+    cfg.Config.enable_inference_rules
+    && Bits.Bit_tbl.length known > 0
+    &&
+    let cones = t.cones in
+    let k = cfg.Config.distance_k in
+    let add b =
+      Subgraph.Cones.add_cone cones ~k b;
+      (* sets only grow: the cut-off is already decided *)
+      if Subgraph.Cones.size cones > cfg.Config.max_subgraph_cells then
+        raise_notrace Exit
+    in
+    Subgraph.Cones.start cones;
+    match
+      Bits.Bit_tbl.iter (fun b _ -> add b) known;
+      Array.iter add port
+    with
+    | exception Exit -> false
+    | () -> (
+      Inference.Dense.load t.facts known;
+      match
+        Inference.Dense.propagate t.facts t.c
+          (Subgraph.Cones.ordered_cells cones)
+      with
+      | () -> true
+      | exception Inference.Contradiction -> false)
+
+  let port t known ~owner (port : Bits.sigspec) : Bits.sigspec * int =
+    if Bits.is_fully_const port then (port, 0)
+    else
+      Obs.Trace.with_span "sat_elim.fold" @@ fun () ->
+      let derived = derive t known port in
+      let folded = ref 0 in
+      let out =
+        Array.map
+          (fun b ->
+            let value =
+              if derived then Inference.Dense.read t.facts b
+              else Inference.read known b
+            in
+            match value with
+            | Some v ->
+              let nb = Bits.const_of_bool v in
+              if not (Bits.bit_equal nb b) then begin
+                incr folded;
+                (* a bit no rule derived is a path fact itself *)
+                let rule =
+                  if derived then Inference.Dense.rule t.facts b else None
+                in
+                Obs.Provenance.emit ~kind:Obs.Provenance.Const_resolved
+                  ~cell:owner ~pass:"sat_elim"
+                  ~mechanism:
+                    (Obs.Provenance.Rule
+                       (Option.value rule ~default:"identical_signal"))
+                  ~bits:1 ()
+              end;
+              nb
+            | None -> b)
+          port
+      in
+      (out, !folded)
+end
+
 type ctx = {
   cfg : Config.t;
   c : Circuit.t;
@@ -43,6 +134,7 @@ type ctx = {
   session : Cdcl.Session.t;
       (* one persistent incremental solver for every SAT query of the
          pass *)
+  fold : Fold.t;
   edits : (int * Cell.t) list ref option;
       (* (id, new cell) newest-first, recorded when the pass will be
          stored in the {!Replay} cache *)
@@ -55,7 +147,7 @@ let replace ctx id (cell : Cell.t) =
   (match ctx.edits with
   | Some edits -> edits := (id, cell) :: !edits
   | None -> ());
-  Circuit.replace_cell ctx.c id cell
+  Fold.replace ctx.fold id cell
 
 let is_mux = function
   | Cell.Mux _ | Cell.Pmux _ -> true
@@ -102,58 +194,21 @@ let resolve_select ctx known (s : Bits.bit) :
           ctx.index known ~target:s)
 
 (* Substitute data-port bits under [known]: direct lookups plus values the
-   inference rules derive on a bounded view built from the cones of the
-   known signals and of the port bits themselves.  [owner] is the mux cell
-   whose port is being folded, for provenance. *)
+   inference rules derive on the cones of the known signals and of the
+   port bits themselves.  [owner] is the mux cell whose port is being
+   folded, for provenance.  Once the pass budget trips, the port stays as
+   it is. *)
 let fold_data_bits ctx known ~owner (port : Bits.sigspec) :
     Bits.sigspec * bool =
-  Obs.Trace.with_span "sat_elim.fold" @@ fun () ->
-  let track = Bits.Bit_tbl.create 16 in
-  let local =
-    if
-      ctx.cfg.Config.enable_inference_rules
-      && Bits.Bit_tbl.length known > 0
-    then begin
-      let sg = Subgraph.create ctx.c ctx.index in
-      let k = ctx.cfg.Config.distance_k in
-      Bits.Bit_tbl.iter (fun b _ -> Subgraph.add_cone sg ~k b) known;
-      Array.iter (fun b -> Subgraph.add_cone sg ~k b) port;
-      if Subgraph.size sg > ctx.cfg.Config.max_subgraph_cells then known
-      else begin
-        let local = Bits.Bit_tbl.copy known in
-        match
-          Inference.propagate ~track ctx.c local (Subgraph.ordered_cells sg)
-        with
-        | _ -> local
-        | exception Inference.Contradiction -> known
-      end
-    end
-    else known
-  in
-  let changed = ref false in
-  let out =
-    Array.map
-      (fun b ->
-        match Inference.read local b with
-        | Some v ->
-          let nb = if v then Bits.C1 else Bits.C0 in
-          if not (Bits.bit_equal nb b) then begin
-            changed := true;
-            ctx.folded <- ctx.folded + 1;
-            let rule =
-              match Bits.Bit_tbl.find_opt track b with
-              | Some r -> r
-              | None -> "identical_signal"
-            in
-            Obs.Provenance.emit ~kind:Obs.Provenance.Const_resolved
-              ~cell:owner ~pass:"sat_elim"
-              ~mechanism:(Obs.Provenance.Rule rule) ~bits:1 ()
-          end;
-          nb
-        | None -> b)
-      port
-  in
-  out, !changed
+  if Budget.exhausted () then begin
+    Budget.note_truncation ();
+    (port, false)
+  end
+  else begin
+    let out, folded = Fold.port ctx.fold known ~owner port in
+    ctx.folded <- ctx.folded + folded;
+    (out, folded > 0)
+  end
 
 (* Chase a data bit through dedicated descendant muxes whose selects the
    engine can resolve.  [cache] memoizes select verdicts for the duration
@@ -221,11 +276,14 @@ let port_children ctx ~loc (port : Bits.sigspec) : int list =
          | None -> None)
   |> List.sort_uniq compare
 
+(* Walk the tree rooted at [id].  Once the pass budget trips, every tree
+   entered from here on, root or child, is left as it is. *)
 let rec visit ctx visited known (id : int) =
   if not (Hashtbl.mem visited id) then begin
     Hashtbl.replace visited id ();
     match Circuit.cell_opt ctx.c id with
     | None -> ()
+    | Some _ when Budget.exhausted () -> Budget.note_truncation ()
     | Some (Cell.Mux { a; b; s; y }) ->
       let known_a = with_fact known s false in
       let known_b = with_fact known s true in
@@ -296,6 +354,7 @@ let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
       readers = OM.collect_readers c;
       stats = Engine.fresh_stats ();
       session = Cdcl.Session.create ();
+      fold = Fold.create cfg c index;
       edits;
       bypassed = 0;
       folded = 0;

@@ -102,3 +102,121 @@ let view t : view =
 
 let is_source (v : view) b = Bits.Bit_tbl.mem v.source_set b
 let computes (v : view) b = Bits.Bit_tbl.mem v.driver b
+
+(* --- per-pass cone index --- *)
+
+(* The walk extracts one cell set per folded port, thousands per pass, on
+   a circuit whose edits only substitute fanin bits.  [Cones] reproduces
+   [create]/[add_cone]/[size]/[ordered_cells] from arrays over the
+   pass-start cell ids: each cell's combinational drivers, filled on first
+   use and forgotten by [invalidate]; stamp and best-depth marks in place
+   of the two tables; and a pass-start topological rank in place of the
+   per-call DFS.
+
+   The rank stays topological for the whole pass because every edit
+   replaces a fanin bit by a constant or by a bit already in that cell's
+   transitive fanin (a bypassed mux's data input), whose driver ranks
+   lower still. *)
+module Cones = struct
+  type t = {
+    circuit : Circuit.t;
+    index : Index.t;
+    rank : int array; (* cell -> rank; negative off the combinational graph *)
+    by_rank : int array; (* rank -> cell *)
+    fanin : int array array; (* cell -> combinational drivers, or [unfilled] *)
+    stamp : int array; (* cell -> the collection that last added it *)
+    depth : int array; (* cell -> its best depth in that collection *)
+    members : int array; (* the collection's cells, first [size] *)
+    mutable gen : int;
+    mutable size : int;
+  }
+
+  let unfilled : int array = [| -1 |]
+
+  let create (circuit : Circuit.t) (index : Index.t) =
+    let n = circuit.Circuit.next_cell_id in
+    let rank = Array.make n (-1) in
+    let by_rank = Array.make n (-1) in
+    let next = ref 0 in
+    (* post-order DFS over combinational drivers: -1 unvisited, -2 on the
+       DFS path (an edge back to it is cut, as [ordered_cells] cuts it),
+       -3 not a combinational cell *)
+    let rec visit id =
+      if rank.(id) = -1 then
+        match Circuit.cell_opt circuit id with
+        | Some cell when Cell.is_combinational cell ->
+          rank.(id) <- -2;
+          List.iter
+            (fun b ->
+              match Index.driving_cell index b with
+              | Some (d, _) -> visit d
+              | None -> ())
+            (Cell.input_bits cell);
+          rank.(id) <- !next;
+          by_rank.(!next) <- id;
+          incr next
+        | Some _ | None -> rank.(id) <- -3
+    in
+    for id = 0 to n - 1 do
+      visit id
+    done;
+    {
+      circuit;
+      index;
+      rank;
+      by_rank;
+      fanin = Array.make n unfilled;
+      stamp = Array.make n 0;
+      depth = Array.make n 0;
+      members = Array.make n 0;
+      gen = 1;
+      size = 0;
+    }
+
+  let invalidate t id = t.fanin.(id) <- unfilled
+
+  let fanin t id =
+    let f = t.fanin.(id) in
+    if f != unfilled then f
+    else begin
+      let f =
+        Cell.input_bits (Circuit.cell t.circuit id)
+        |> List.filter_map (fun b ->
+               match Index.driving_cell t.index b with
+               | Some (d, _) when t.rank.(d) >= 0 -> Some d
+               | Some _ | None -> None)
+        |> List.sort_uniq Int.compare |> Array.of_list
+      in
+      t.fanin.(id) <- f;
+      f
+    end
+
+  let start t =
+    t.gen <- t.gen + 1;
+    t.size <- 0
+
+  let rec visit t ~k depth id =
+    let fresh = t.stamp.(id) <> t.gen in
+    if fresh || t.depth.(id) > depth then begin
+      if fresh then begin
+        t.stamp.(id) <- t.gen;
+        t.members.(t.size) <- id;
+        t.size <- t.size + 1
+      end;
+      t.depth.(id) <- depth;
+      if depth + 1 < k then Array.iter (visit t ~k (depth + 1)) (fanin t id)
+    end
+
+  let add_cone t ~k (bit : Bits.bit) =
+    if k > 0 then
+      match Index.driving_cell t.index bit with
+      | Some (id, _) when t.rank.(id) >= 0 -> visit t ~k 0 id
+      | Some _ | None -> ()
+
+  let size t = t.size
+
+  let ordered_cells t =
+    let ranks = Array.init t.size (fun i -> t.rank.(t.members.(i))) in
+    Array.sort Int.compare ranks;
+    Array.map (fun r -> t.by_rank.(r)) ranks
+end

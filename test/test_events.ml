@@ -246,6 +246,57 @@ let test_budget_truncates_gracefully () =
   | Equiv.Inconclusive -> Alcotest.fail "equivalence inconclusive");
   Smartly.Budget.reset ()
 
+(* A starved sat_elim folds and bypasses nothing: the walk polls the
+   watchdog before each data port and each tree.  An allocation budget of
+   zero trips on the pass's first poll, so the outcome does not depend on
+   the clock.  ind_00 at one block-mix copy is the scaled-down industrial
+   design; its unbudgeted walk does fold data bits. *)
+let test_budget_stops_folding () =
+  with_bus @@ fun () ->
+  Smartly.Budget.reset ();
+  let p =
+    match Workloads.Profiles.by_name "ind_00" with
+    | Some p -> { p with Workloads.Profiles.repeat = 1 }
+    | None -> Alcotest.fail "no ind_00 profile"
+  in
+  let c0 = Workloads.Profiles.circuit p in
+  let folded (r : Smartly.Driver.result) =
+    List.fold_left
+      (fun acc (s : Smartly.Sat_elim.report) ->
+        acc + s.Smartly.Sat_elim.data_bits_folded)
+      0 r.Smartly.Driver.sat_reports
+  in
+  let free = Smartly.Driver.smartly (Circuit.copy c0) in
+  check_bool "the unbudgeted walk folds data bits" true (folded free > 0);
+  let c = Circuit.copy c0 in
+  let cfg =
+    {
+      Smartly.Config.default with
+      Smartly.Config.pass_alloc_budget_mw = Some 0.0;
+    }
+  in
+  let r = Smartly.Driver.smartly ~cfg c in
+  check_bool "sat_elim ran" true (r.Smartly.Driver.sat_reports <> []);
+  List.iter
+    (fun (s : Smartly.Sat_elim.report) ->
+      check_int "no data bit folded" 0 s.Smartly.Sat_elim.data_bits_folded;
+      check_int "no mux bypassed" 0 s.Smartly.Sat_elim.muxes_bypassed)
+    r.Smartly.Driver.sat_reports;
+  (match
+     List.find_opt
+       (fun (o : Smartly.Budget.overrun) -> o.Smartly.Budget.pass = "sat_elim")
+       r.Smartly.Driver.overruns
+   with
+  | Some o ->
+    check_bool "skipped work counted" true (o.Smartly.Budget.truncated > 0)
+  | None -> Alcotest.fail "sat_elim did not overrun");
+  (match Equiv.check c c0 with
+  | Equiv.Equivalent -> ()
+  | Equiv.Not_equivalent o ->
+    Alcotest.failf "starved flow broke equivalence on %s" o
+  | Equiv.Inconclusive -> Alcotest.fail "equivalence inconclusive");
+  Smartly.Budget.reset ()
+
 let test_budget_unarmed_is_free () =
   Smartly.Budget.reset ();
   check_bool "not armed" true (not (Smartly.Budget.armed ()));
@@ -405,6 +456,8 @@ let () =
             test_budget_truncates_gracefully;
           Alcotest.test_case "unarmed is free" `Quick
             test_budget_unarmed_is_free;
+          Alcotest.test_case "starved walk stops folding" `Quick
+            test_budget_stops_folding;
         ] );
       ( "ledger",
         [

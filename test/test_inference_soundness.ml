@@ -144,10 +144,310 @@ let prop_engine_sound =
         | Smartly.Engine.Unknown -> true (* giving up is always sound *)
       end)
 
+(* --- the walk's fold kernel against the reference path ---
+
+   [Sat_elim.Fold] answers each data-port fold from a per-pass cone index
+   ([Subgraph.Cones]) and a dense fact store ([Inference.Dense]); the
+   engine keeps the reference path ([Subgraph.create]/[add_cone]/
+   [ordered_cells] plus [Inference.propagate] on a copied table).  On
+   random circuits with multi-bit, mux, pmux and dff cells, and on known
+   sets that are consistent and sets that are not, both must extract the
+   same cells, derive the same value for every bit, and agree on whether
+   the facts contradict. *)
+
+(* random circuit of [n_cells] cells over four inputs of width 1..3, with
+   the multi-bit, pmux and dff cells [gen_circuit] lacks *)
+let gen_wide_circuit seed n_cells =
+  let c = Circuit.create "wide" in
+  let st = ref ((seed * 13) + 5) in
+  let next () =
+    st := (!st * 1103515245) + 12345;
+    (!st lsr 16) land 0xFFFF
+  in
+  let sigs =
+    ref
+      (List.init 4 (fun i ->
+           Circuit.sig_of_wire
+             (Circuit.add_input c (Printf.sprintf "i%d" i)
+                ~width:(1 + (next () mod 3)))))
+  in
+  let pick_bit () =
+    if next () mod 9 = 0 then Bits.const_of_bool (next () mod 2 = 0)
+    else
+      let s = List.nth !sigs (next () mod List.length !sigs) in
+      s.(next () mod Array.length s)
+  in
+  let pick w = Array.init w (fun _ -> pick_bit ()) in
+  for _ = 1 to n_cells do
+    let w = 1 + (next () mod 3) in
+    let binary ops =
+      Circuit.mk_binary c (List.nth ops (next () mod List.length ops))
+        (pick w) (pick w)
+    in
+    let y =
+      match next () mod 10 with
+      | 0 | 1 -> binary Cell.[ And; Or; Xor; Xnor ]
+      | 2 -> binary Cell.[ Eq; Ne; Logic_and; Logic_or ]
+      | 3 -> binary Cell.[ Add; Sub ]
+      | 4 ->
+        let ops =
+          Cell.[ Not; Logic_not; Reduce_and; Reduce_or; Reduce_xor; Reduce_bool ]
+        in
+        Circuit.mk_unary c (List.nth ops (next () mod 6)) (pick w)
+      | 5 | 6 -> Circuit.mk_mux c ~a:(pick w) ~b:(pick w) ~s:(pick_bit ())
+      | 7 | 8 ->
+        let n = 1 + (next () mod 3) in
+        Circuit.mk_pmux c ~a:(pick w) ~b:(pick (w * n)) ~s:(pick n)
+      | _ -> Circuit.mk_dff c ~d:(pick w)
+    in
+    sigs := y :: !sigs
+  done;
+  c, List.concat_map Array.to_list !sigs
+
+(* [n] facts: the values of random bits under one random input
+   assignment (consistent) or random values (often not) *)
+let gen_known c bits ~consistent ~seed n =
+  let st = ref ((seed * 31) + 7) in
+  let next () =
+    st := (!st * 48271) mod 0x7FFFFFFF;
+    !st
+  in
+  let env =
+    Rtl_sim.Eval.run c
+      ~inputs:
+        (List.concat_map
+           (fun w ->
+             Array.to_list
+               (Array.map
+                  (fun b -> (b, Rtl_sim.Value.of_bool (next () mod 2 = 0)))
+                  (Circuit.sig_of_wire w)))
+           (Circuit.inputs c))
+      ()
+  in
+  let known : Smartly.Inference.known = Bits.Bit_tbl.create 8 in
+  for _ = 1 to n do
+    let b = List.nth bits (next () mod List.length bits) in
+    let v =
+      if consistent then Rtl_sim.Value.to_bool (Rtl_sim.Eval.read env b)
+      else Some (next () mod 2 = 0)
+    in
+    match b, v with
+    | Bits.Of_wire _, Some v -> Bits.Bit_tbl.replace known b v
+    | _, _ -> ()
+  done;
+  known
+
+let wire_bits bits =
+  List.sort_uniq Bits.bit_compare
+    (List.filter (fun b -> not (Bits.is_const b)) bits)
+
+let prop_cones_and_store_agree =
+  QCheck.Test.make ~count:150
+    ~name:"cone index and dense store agree with the reference"
+    QCheck.(pair (int_bound 100000) (int_range 1 6))
+    (fun (seed, k) ->
+      let c, bits =
+        if seed mod 3 = 0 then
+          let c, _, pool = gen_circuit seed 5 14 in
+          c, pool
+        else gen_wide_circuit seed 24
+      in
+      let index = Index.build c in
+      let cones = Smartly.Subgraph.Cones.create c index in
+      let facts = Smartly.Inference.Dense.create c in
+      let all = wire_bits bits in
+      (* one index and one store serve every trial, as in a pass *)
+      List.for_all
+        (fun trial ->
+          let known =
+            gen_known c bits ~consistent:(trial mod 2 = 0)
+              ~seed:(seed + trial) (1 + (trial mod 5))
+          in
+          let seeds = Bits.Bit_tbl.fold (fun b _ acc -> b :: acc) known [] in
+          let extra = List.nth all ((seed + trial) mod List.length all) in
+          let sg = Smartly.Subgraph.create c index in
+          List.iter (Smartly.Subgraph.add_cone sg ~k) (extra :: seeds);
+          Smartly.Subgraph.Cones.start cones;
+          List.iter (Smartly.Subgraph.Cones.add_cone cones ~k)
+            (List.rev (extra :: seeds));
+          let ref_cells = Smartly.Subgraph.ordered_cells sg in
+          let cells = Smartly.Subgraph.Cones.ordered_cells cones in
+          if Smartly.Subgraph.Cones.size cones <> Smartly.Subgraph.size sg then
+            QCheck.Test.fail_report "cone sizes differ";
+          let sorted l = List.sort compare l in
+          if sorted (Array.to_list cells) <> sorted ref_cells then
+            QCheck.Test.fail_report "cone cell sets differ";
+          let local = Bits.Bit_tbl.copy known in
+          let ref_ok =
+            match Smartly.Inference.propagate c local ref_cells with
+            | _ -> true
+            | exception Smartly.Inference.Contradiction -> false
+          in
+          Smartly.Inference.Dense.load facts known;
+          let ok =
+            match Smartly.Inference.Dense.propagate facts c cells with
+            | () -> true
+            | exception Smartly.Inference.Contradiction -> false
+          in
+          if ok <> ref_ok then
+            QCheck.Test.fail_report "contradiction verdicts differ";
+          (not ok)
+          || List.for_all
+               (fun b ->
+                 Smartly.Inference.read local b
+                 = Smartly.Inference.Dense.read facts b)
+               all)
+        [ 0; 1; 2; 3; 4; 5 ])
+
+(* the fold the walk used to run per port, rebuilt from the reference
+   path *)
+let reference_fold (cfg : Smartly.Config.t) c index known port =
+  let k = cfg.Smartly.Config.distance_k in
+  let sg = Smartly.Subgraph.create c index in
+  Bits.Bit_tbl.iter (fun b _ -> Smartly.Subgraph.add_cone sg ~k b) known;
+  Array.iter (Smartly.Subgraph.add_cone sg ~k) port;
+  let local =
+    if
+      Bits.Bit_tbl.length known = 0
+      || Smartly.Subgraph.size sg > cfg.Smartly.Config.max_subgraph_cells
+    then known
+    else
+      let local = Bits.Bit_tbl.copy known in
+      match
+        Smartly.Inference.propagate c local (Smartly.Subgraph.ordered_cells sg)
+      with
+      | _ -> local
+      | exception Smartly.Inference.Contradiction -> known
+  in
+  Array.map
+    (fun b ->
+      match Smartly.Inference.read local b with
+      | Some v -> Bits.const_of_bool v
+      | None -> b)
+    port
+
+let with_provenance f =
+  let sink = Obs.Provenance.make_sink () in
+  Obs.Provenance.install sink;
+  let r = Fun.protect ~finally:Obs.Provenance.uninstall f in
+  r, Obs.Provenance.events sink
+
+let const_resolved evs =
+  List.length
+    (List.filter
+       (fun (e : Obs.Provenance.event) ->
+         e.Obs.Provenance.kind = Obs.Provenance.Const_resolved)
+       evs)
+
+let prop_fold_agrees =
+  QCheck.Test.make ~count:150 ~name:"fold kernel agrees with the reference"
+    QCheck.(triple (int_bound 100000) (int_range 1 6) (int_range 1 40))
+    (fun (seed, k, max_cells) ->
+      let c, bits = gen_wide_circuit seed 24 in
+      let index = Index.build c in
+      let cfg =
+        {
+          Smartly.Config.default with
+          Smartly.Config.distance_k = k;
+          max_subgraph_cells = max_cells;
+        }
+      in
+      let fold = Smartly.Sat_elim.Fold.create cfg c index in
+      List.for_all
+        (fun trial ->
+          let known =
+            gen_known c bits ~consistent:(trial mod 2 = 0)
+              ~seed:(seed + trial) (trial mod 5)
+          in
+          let port =
+            Array.init (1 + (trial mod 4)) (fun i ->
+                List.nth bits ((seed + (7 * trial) + i) mod List.length bits))
+          in
+          let expected = reference_fold cfg c index known port in
+          let (out, n), evs =
+            with_provenance (fun () ->
+                Smartly.Sat_elim.Fold.port fold known ~owner:0 port)
+          in
+          let changed = ref 0 in
+          Array.iter2
+            (fun a b -> if not (Bits.bit_equal a b) then incr changed)
+            port out;
+          Bits.equal out expected && n = !changed && const_resolved evs = n)
+        [ 0; 1; 2; 3; 4; 5 ])
+
+(* Y = S ? Q : M and M = T ? B : P, with P = R & Q and R = U | V.  The
+   walk may bypass P to R, which is already in M's fanin cone.  Under
+   S = 0, T = 0 and U = 1 at distance 2, M's output folds to 1 after that
+   edit, because M's cone then holds R's cell.  A kernel that kept M's
+   pass-start fanin would extract P's cell instead and fold nothing. *)
+let test_fold_forgets_replaced_fanin () =
+  let c = Circuit.create "replace" in
+  let input name = Circuit.bit_of_wire (Circuit.add_input c name ~width:1) in
+  let s = input "S" and t = input "T" and u = input "U" and v = input "V" in
+  let q = input "Q" and b = input "B" in
+  let r = Circuit.mk_or c u v in
+  let p = Circuit.mk_and c r q in
+  let m_out = Circuit.fresh_bit c in
+  let m =
+    Circuit.add_cell c
+      (Cell.Mux { a = [| p |]; b = [| b |]; s = t; y = [| m_out |] })
+  in
+  let y = Circuit.mk_mux c ~a:[| m_out |] ~b:[| q |] ~s in
+  ignore y;
+  let index = Index.build c in
+  let cfg = { Smartly.Config.default with Smartly.Config.distance_k = 2 } in
+  let fold = Smartly.Sat_elim.Fold.create cfg c index in
+  let known : Smartly.Inference.known = Bits.Bit_tbl.create 4 in
+  List.iter
+    (fun (bit, value) -> Bits.Bit_tbl.replace known bit value)
+    [ (s, false); (t, false); (u, true) ];
+  let port = [| m_out |] in
+  let before, n0 = Smartly.Sat_elim.Fold.port fold known ~owner:0 port in
+  Alcotest.(check int) "P is unknown before the edit" 0 n0;
+  Alcotest.(check bool) "port unchanged" true (Bits.equal before port);
+  Smartly.Sat_elim.Fold.replace fold m
+    (Cell.Mux { a = [| r |]; b = [| b |]; s = t; y = [| m_out |] });
+  let after, n1 = Smartly.Sat_elim.Fold.port fold known ~owner:0 port in
+  let expected = reference_fold cfg c index known port in
+  Alcotest.(check bool) "reference folds M to 1" true
+    (Bits.equal expected [| Bits.C1 |]);
+  Alcotest.(check int) "kernel folds one bit" 1 n1;
+  Alcotest.(check bool) "kernel agrees" true (Bits.equal after expected)
+
+let test_fold_constant_port () =
+  let c = Circuit.create "consts" in
+  let s = Circuit.bit_of_wire (Circuit.add_input c "S" ~width:1) in
+  let y = Circuit.mk_mux c ~a:[| Bits.C0; Bits.Cx |] ~b:[| Bits.C1; s |] ~s in
+  ignore y;
+  let fold =
+    Smartly.Sat_elim.Fold.create Smartly.Config.default c (Index.build c)
+  in
+  let known : Smartly.Inference.known = Bits.Bit_tbl.create 4 in
+  Bits.Bit_tbl.replace known s true;
+  let port = [| Bits.C0; Bits.C1; Bits.Cx |] in
+  let (out, n), evs =
+    with_provenance (fun () ->
+        Smartly.Sat_elim.Fold.port fold known ~owner:0 port)
+  in
+  Alcotest.(check bool) "unchanged" true (Bits.equal out port);
+  Alcotest.(check int) "nothing folded" 0 n;
+  Alcotest.(check int) "no Const_resolved event" 0 (const_resolved evs)
+
 let () =
   Alcotest.run "inference_soundness"
     [
       ( "property",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_inference_sound; prop_engine_sound ] );
+          [
+            prop_inference_sound;
+            prop_engine_sound;
+            prop_cones_and_store_agree;
+            prop_fold_agrees;
+          ] );
+      ( "fold kernel",
+        [
+          Alcotest.test_case "replaced mux fanin" `Quick
+            test_fold_forgets_replaced_fanin;
+          Alcotest.test_case "constant port" `Quick test_fold_constant_port;
+        ] );
     ]

@@ -115,6 +115,44 @@ let test_mux_chain_identity () =
   in
   check_int "explain table total" removed_counter table_total
 
+(* --- which rule a real fold reports --- *)
+
+(* Y = S ? {x, S, S|R} : A.  Under S = 1 the walk folds S|R by the $or
+   rule and S by reading the path fact itself; x stays free. *)
+let test_fold_rule_attribution () =
+  let open Netlist in
+  let c = Circuit.create "fold_rules" in
+  let s = Circuit.bit_of_wire (Circuit.add_input c "S" ~width:1) in
+  let r = Circuit.bit_of_wire (Circuit.add_input c "R" ~width:1) in
+  let x = Circuit.bit_of_wire (Circuit.add_input c "X" ~width:1) in
+  let a = Circuit.sig_of_wire (Circuit.add_input c "A" ~width:3) in
+  let s_or_r = Circuit.mk_or c s r in
+  let y = Circuit.add_output c "Y" ~width:3 in
+  let mux =
+    Circuit.add_cell c
+      (Cell.Mux { a; b = [| s_or_r; s; x |]; s; y = Circuit.sig_of_wire y })
+  in
+  let report = ref None in
+  let sink =
+    with_sink (fun () ->
+        report := Some (Smartly.Sat_elim.run Smartly.Config.default c))
+  in
+  (match !report with
+  | Some r -> check_int "two bits folded" 2 r.Smartly.Sat_elim.data_bits_folded
+  | None -> Alcotest.fail "no report");
+  let resolved =
+    List.filter_map
+      (fun (e : Obs.Provenance.event) ->
+        if e.Obs.Provenance.kind = Obs.Provenance.Const_resolved then begin
+          check_int "owner is the mux" mux e.Obs.Provenance.cell;
+          Some (Obs.Provenance.mechanism_name e.Obs.Provenance.mechanism)
+        end
+        else None)
+      (Obs.Provenance.events sink)
+  in
+  check_bool "S|R by the or rule, S by the path fact" true
+    (List.sort compare resolved = [ "rule:$or"; "rule:identical_signal" ])
+
 (* --- hardest-query capture and replay --- *)
 
 let solve_dimacs (text : string) : Cdcl.Solver.result =
@@ -199,6 +237,8 @@ let () =
           Alcotest.test_case "mux_chain identity" `Quick
             test_mux_chain_identity;
           Alcotest.test_case "no sink" `Quick test_no_sink;
+          Alcotest.test_case "fold rule attribution" `Quick
+            test_fold_rule_attribution;
         ] );
       ( "sat_log",
         [
