@@ -19,38 +19,29 @@ bench: build
 # machines.  The diff table lands in /tmp/smartly_bench_diff.txt for
 # artifact upload.
 #
-# The paper-table gate runs three times.  Baselines are recorded with
-# --no-sat-memo (verdict cache off, SAT session + value analysis on),
-# so the --no-sat-memo leg must reproduce every deterministic counter
-# exactly — this proves the committed SAT-conflict/time numbers were
-# beaten by the incremental solver itself, not by a cache shortcut that
-# could mask a solver regression.  The default leg then runs with the
-# memo enabled: areas and cell counts must still match exactly, while
-# the SAT counters may only improve (the gate passes Improved, fails
-# Regressed).  The third leg disables the abstract-interpretation rung
-# zero and gates against bench/baselines/noanalysis, recorded in the
-# same mode: areas are byte-identical across the two stores while their
-# sat_queries differ, so the committed diff attributes the query
-# reduction to the rung the same way the memo legs attribute the cache
-# win.  A fourth leg gates the industrial section in the same
-# --no-sat-memo mode: on the mux-rich ind_* designs the walk's data-bit
-# folding dominates the run, so a change there must keep their areas
-# and removed-cell counts exactly.  The jobs_per_sec leg gates the warm
-# serve batch.
+# Four legs.  The paper tables and mux_chain run in the default mode
+# (SAT session + value analysis on) and must reproduce every
+# deterministic counter exactly.  The second leg disables the
+# abstract-interpretation rung zero and gates against
+# bench/baselines/noanalysis, recorded in that mode: areas are
+# byte-identical across the two stores while their sat_queries differ,
+# so the committed diff attributes the query reduction to the rung.
+# The third leg gates the industrial section: on the mux-rich ind_*
+# designs the walk's data-bit folding dominates the run, so a change
+# there must keep their areas and removed-cell counts exactly.  The
+# jobs_per_sec leg gates the warm serve batch.
 #
 # The last step is a self-test of the gate itself: --pessimize turns
 # the smartly flows into no-ops, so the re-measured areas genuinely
 # regress and the gate MUST fail — if it passes, the gate is broken
 # and the target errors out.
 bench-check: build
-	dune exec bench/main.exe -- table2 mux_chain --check --no-sat-memo \
+	dune exec bench/main.exe -- table2 mux_chain --check \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff.txt
 	dune exec bench/main.exe -- table2 mux_chain --check \
-	  --threshold-scale 4 --report /tmp/smartly_bench_diff_memo.txt
-	dune exec bench/main.exe -- table2 mux_chain --check --no-sat-memo \
 	  --no-analysis --baseline-dir bench/baselines/noanalysis \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff_noanalysis.txt
-	dune exec bench/main.exe -- industrial --check --no-sat-memo \
+	dune exec bench/main.exe -- industrial --check \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff_industrial.txt
 	dune exec bench/main.exe -- jobs_per_sec --check \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff_jobs.txt
@@ -63,24 +54,18 @@ bench-check: build
 
 # Refresh every committed baseline.  Every section runs three times so
 # the wall-clock medians are meaningful (deterministic metrics are
-# rep-invariant, so the repetitions cost only time).  Baselines are
-# recorded with --no-sat-memo: the verdict cache off makes every SAT
-# counter deterministic and exactly reproducible by the memo-off gate
-# leg, and the default (memo-on) gate leg must then beat them rather
-# than merely match.  The jobs_per_sec section manages its own cache
-# state (cold vs warm is its subject) and so records without the flag.
-# Commit the resulting bench/baselines/*.json together with the change
-# that moved the numbers.
+# rep-invariant, so the repetitions cost only time).  Commit the
+# resulting bench/baselines/*.json together with the change that moved
+# the numbers.
 bench-baselines: build
 	dune exec bench/main.exe -- table2 table3 industrial \
-	  --update-baselines --no-sat-memo --reps 3
-	dune exec bench/main.exe -- mux_chain --update-baselines --no-sat-memo \
-	  --reps 3
+	  --update-baselines --reps 3
+	dune exec bench/main.exe -- mux_chain --update-baselines --reps 3
 	dune exec bench/main.exe -- jobs_per_sec --update-baselines --reps 3
 	dune exec bench/main.exe -- table2 table3 industrial \
-	  --update-baselines --no-sat-memo --no-analysis \
+	  --update-baselines --no-analysis \
 	  --baseline-dir bench/baselines/noanalysis --reps 3
-	dune exec bench/main.exe -- mux_chain --update-baselines --no-sat-memo \
+	dune exec bench/main.exe -- mux_chain --update-baselines \
 	  --no-analysis --baseline-dir bench/baselines/noanalysis --reps 3
 
 # What CI runs: build, the full test suite, then an end-to-end smoke of
@@ -112,12 +97,28 @@ bench-baselines: build
 # the ledger it left, with the JSON form surviving validate-json.  The
 # bench harness must refuse an unknown section name with exit 2 before
 # running anything: a misspelt section in a bench-check leg would
-# otherwise leave nothing to compare and pass the gate silently.
+# otherwise leave nothing to compare and pass the gate silently.  A
+# source that does not load must end in a located error and exit 2,
+# never an uncaught exception: `opt` on a Verilog file with a syntax
+# error must name its line and column, and `opt` on an unknown profile
+# name must exit 2 as well.
 ci: build
 	dune runtest
 	dune exec bench/main.exe -- nosuch --no-ledger 2>/dev/null; \
 	  status=$$?; [ "$$status" -eq 2 ] || { \
 	  echo "ci: bench accepted an unknown section (exit $$status)"; exit 1; }
+	printf 'module bad(input a, output y);\nassign y = a + ;\nendmodule\n' \
+	  > /tmp/smartly_bad.v
+	dune exec bin/smartly_cli.exe -- opt /tmp/smartly_bad.v --no-ledger \
+	  2> /tmp/smartly_bad.err; \
+	  status=$$?; [ "$$status" -eq 2 ] \
+	  && grep -q '^/tmp/smartly_bad.v:2:16: parse error: ' /tmp/smartly_bad.err \
+	  || { echo "ci: bad Verilog gave exit $$status:"; \
+	  cat /tmp/smartly_bad.err; exit 1; }
+	dune exec bin/smartly_cli.exe -- opt nosuch_profile --no-ledger \
+	  2>/dev/null; \
+	  status=$$?; [ "$$status" -eq 2 ] || { \
+	  echo "ci: unknown profile gave exit $$status"; exit 1; }
 	dune exec bin/smartly_cli.exe -- lint examples/*.v mux_chain riscv
 	dune exec bin/smartly_cli.exe -- lint examples/*.v mux_chain riscv \
 	  --json > /tmp/smartly_lint.json

@@ -6,11 +6,10 @@
      industrial — Section IV-B: the mux-rich industrial benchmark
      mux_chain  — the seconds-fast smoke profile (CI regression gate)
      jobs_per_sec — batch throughput: one warm batch with the cross-job
-                  memo and replay stores (the serve model) vs cold
-                  per-job runs with no stores
+                  replay store (the serve model) vs cold per-job runs
+                  with no store
      figures    — Figs. 1/2/3/5/6/7 and the Listing-2 assignment claim
      ablation   — design-choice sweeps (distance k, rules, sim, SAT, ...)
-     timing     — Bechamel micro-benchmarks of the passes
 
    Run with no arguments to regenerate everything the paper reports
    (table2 table3 industrial figures); pass section names to select.
@@ -35,11 +34,6 @@
      --pessimize           run the smaRTLy variants as no-ops: a
                            deliberate pessimization that self-tests the
                            regression gate end to end
-     --no-sat-memo         disable the cross-query verdict cache in the
-                           smaRTLy variants; baselines are recorded in this
-                           mode so the memo-off CI leg reproduces the
-                           deterministic counters exactly, while the
-                           default leg must only ever improve on them
      --no-analysis         disable the abstract-interpretation rung zero in
                            the smaRTLy variants; bench/baselines/noanalysis
                            is recorded in this mode, so the committed diff
@@ -67,7 +61,6 @@ let baseline_dir = ref Perf.Store.default_dir
 let threshold_scale = ref 1.0
 let report_path = ref None
 let pessimize = ref false
-let no_sat_memo = ref false
 let no_analysis = ref false
 let no_ledger = ref false
 let ledger_root = ref Obs.Ledger.default_root
@@ -138,15 +131,8 @@ let optimized flow (c0 : Circuit.t) =
        area/cells_removed metric regresses against a real baseline *)
     ()
   | `Smartly cfg ->
-    (* --no-sat-memo runs the flow without the cross-query verdict cache;
-       this is how baselines are recorded, so the CI memo-off gate leg
-       reproduces the deterministic counters exactly *)
-    let cfg =
-      if !no_sat_memo then { cfg with Smartly.Config.enable_sat_memo = false }
-      else cfg
-    in
-    (* --no-analysis likewise: the noanalysis baseline store is recorded
-       without the rung, so its gate leg reproduces those counters and the
+    (* --no-analysis: the noanalysis baseline store is recorded without
+       the rung, so its gate leg reproduces those counters and the
        committed diff between the stores is the rung's attribution *)
     let cfg =
       if !no_analysis then { cfg with Smartly.Config.enable_analysis = false }
@@ -177,9 +163,6 @@ type case_result = {
   sat_conflicts : int;
   sat_decisions : int;
   sat_propagations : int;
-  memo_hits : int;
-  memo_misses : int;
-  memo_evictions : int;
   session_flushes : int;
   analysis_queries : int;
   analysis_hits : int;
@@ -196,8 +179,7 @@ type case_result = {
    flow variants, or table cases *)
 let reset_instruments () =
   Obs.Metrics.reset ();
-  Smartly.Engine.Sat_log.reset ();
-  Smartly.Memo.reset ()
+  Smartly.Engine.Sat_log.reset ()
 
 let measure_flow flow (c0 : Circuit.t) : flow_meas * Circuit.t =
   let c, t =
@@ -229,9 +211,6 @@ let run_case ?(variants = `All) (p : Workloads.Profiles.profile) : case_result
   let sat_conflicts = counter "engine.sat_conflicts" in
   let sat_decisions = counter "engine.sat_decisions" in
   let sat_propagations = counter "engine.sat_propagations" in
-  let memo_hits = counter "memo.hits" in
-  let memo_misses = counter "memo.misses" in
-  let memo_evictions = counter "memo.evictions" in
   let session_flushes = counter "sat_session.flushes" in
   let analysis_queries = counter "engine.analysis_queries" in
   let analysis_hits = counter "engine.analysis_hits" in
@@ -256,9 +235,6 @@ let run_case ?(variants = `All) (p : Workloads.Profiles.profile) : case_result
     sat_conflicts;
     sat_decisions;
     sat_propagations;
-    memo_hits;
-    memo_misses;
-    memo_evictions;
     session_flushes;
     analysis_queries;
     analysis_hits;
@@ -305,22 +281,9 @@ let sat_counter_metrics (r : case_result) =
       scalar ~name:"sat_decisions" ~kind:Count (f r.sat_decisions);
       scalar ~name:"sat_propagations" ~kind:Count (f r.sat_propagations);
     ]
-  (* memo counters only exist when the cache ran: baselines are recorded
-     with --no-sat-memo, so the memo-on gate leg must see these as
-     New_metric (ignored), never as an exact-Count mismatch *)
-  @ (if !no_sat_memo then []
-     else
-       Perf.Schema.
-         [
-           scalar ~direction:Higher_better ~name:"memo_hits" ~kind:Count
-             (f r.memo_hits);
-           scalar ~name:"memo_misses" ~kind:Count (f r.memo_misses);
-         ])
   (* analysis counters only exist when the rung ran: the noanalysis
      baseline store omits them, so its gate leg sees the rung's metrics
-     as New_metric (ignored), never as an exact-Count mismatch.  The
-     rung sits before memo, so both of the memo legs reproduce these
-     counts exactly against the default baseline store *)
+     as New_metric (ignored), never as an exact-Count mismatch *)
   @ (if !no_analysis then []
      else
        Perf.Schema.
@@ -329,29 +292,21 @@ let sat_counter_metrics (r : case_result) =
            scalar ~direction:Higher_better ~name:"analysis_hits" ~kind:Count
              (f r.analysis_hits);
          ])
-  (* always committed: memoization can only merge the stale periods the
-     session observes, so the memo-on leg's flush count never exceeds the
-     memo-off baseline's (Lower_better => Improved/Unchanged, never a
-     spurious regression) *)
   @ [
       Perf.Schema.scalar ~name:"session_flushes" ~kind:Perf.Schema.Count
         (f r.session_flushes);
     ]
 
-(* the per-case cache/session panel of every statistical section *)
+(* the per-case rung-zero/session panel of every statistical section *)
 let counters_table results =
   print_endline
-    "Rung-zero analysis, cross-query memo and SAT-session counters (full \
-     flow):";
+    "Rung-zero analysis and SAT-session counters (full flow):";
   Report.Table.print
     ~columns:
       [
         Report.Table.column ~align:Report.Table.Left "Case";
         Report.Table.column "queries";
         Report.Table.column "analysis";
-        Report.Table.column "memo hit";
-        Report.Table.column "memo miss";
-        Report.Table.column "evict";
         Report.Table.column "flushes";
       ]
     ~rows:
@@ -361,9 +316,6 @@ let counters_table results =
              r.name;
              string_of_int r.sat_queries;
              Printf.sprintf "%d/%d" r.analysis_hits r.analysis_queries;
-             string_of_int r.memo_hits;
-             string_of_int r.memo_misses;
-             string_of_int r.memo_evictions;
              string_of_int r.session_flushes;
            ])
          results)
@@ -591,9 +543,8 @@ let mux_chain () =
 (* A batch the serve daemon would see: design variants (one per seed),
    each stamped out several times — regenerating unchanged sources is
    the normal shape of a re-run EDA batch.  Warm batch mode answers the
-   stamped copies from the cross-job caches: recurring queries from the
-   verdict memo, recurring sat_elim passes from the replay cache.
-   Generation happens once, outside every timed region. *)
+   stamped copies' recurring sat_elim passes from the cross-job replay
+   cache.  Generation happens once, outside every timed region. *)
 let batch_corpus =
   lazy
     (let mk seed copy =
@@ -623,24 +574,18 @@ let batch_corpus =
 let jobs_per_sec () =
   print_endline "";
   print_endline
-    "Batch throughput (jobs/s): warm cross-job caches (the serve model) vs \
-     cold per-job state";
+    "Batch throughput (jobs/s): warm cross-job replay cache (the serve \
+     model) vs cold per-job state";
   let corpus = Lazy.force batch_corpus in
   let n_jobs = List.length corpus in
-  (* [warm]: one memo store and one replay store for the whole batch —
-     the daemon's state model; cold resets the memo per job and installs
-     no replay store, the one-process-per-job reference.  Warmth builds
-     *within* a batch (each timed rep starts from fresh stores), so reps
-     are i.i.d.  Memo hits and replayed passes stand in for work a cold
-     run does, so an area disagreement below is a cache bug.  The
-     section's subject is the warm-memo batch mode, so it runs the
-     default config (memo on) regardless of --no-sat-memo, which scopes
-     the table2/table3 baseline-recording convention, not this section. *)
+  (* [warm]: one replay store for the whole batch — the daemon's state
+     model; cold installs no replay store, the one-process-per-job
+     reference.  Warmth builds *within* a batch (each timed rep starts
+     from a fresh store), so reps are i.i.d.  Replayed passes stand in
+     for work a cold run does, so an area disagreement below is a cache
+     bug. *)
   let run_batch ~warm () =
-    if warm then begin
-      Smartly.Memo.reset ();
-      Smartly.Replay.install (Smartly.Replay.make ())
-    end;
+    if warm then Smartly.Replay.install (Smartly.Replay.make ());
     List.map
       (fun (_, c0) ->
         if not warm then reset_instruments ();
@@ -954,45 +899,6 @@ let ablation () =
       [ left "Configuration"; right "AIG"; right "vs Yosys"; right "time" ]
     ~rows
 
-(* --- Bechamel timing --- *)
-
-let timing () =
-  print_endline "";
-  print_endline "Pass timings (Bechamel, monotonic clock)";
-  let c0 = Workloads.Profiles.circuit Workloads.Profiles.usb_funct in
-  let open Bechamel in
-  let make_pass name fn =
-    Test.make ~name (Staged.stage (fun () -> fn (Circuit.copy c0)))
-  in
-  let tests =
-    [
-      make_pass "opt_expr" (fun c -> ignore (Rtl_opt.Opt_expr.run c));
-      make_pass "opt_merge" (fun c -> ignore (Rtl_opt.Opt_merge.run c));
-      make_pass "opt_muxtree(yosys)" (fun c ->
-          ignore (Rtl_opt.Opt_muxtree.run c));
-      make_pass "sat_elim(smartly)" (fun c ->
-          ignore (Smartly.Sat_elim.run Smartly.Config.default c));
-      make_pass "restructure(smartly)" (fun c ->
-          ignore (Smartly.Restructure.run_once c));
-      make_pass "aigmap" (fun c -> ignore (Aiger.Aigmap.aig_area c));
-    ]
-  in
-  let test = Test.make_grouped ~name:"passes" tests in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  let results = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock results
-  in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-28s %12.0f ns/run\n" name est
-      | Some _ | None -> Printf.printf "  %-28s (no estimate)\n" name)
-    ols
-
 (* --- main --- *)
 
 let section_table =
@@ -1005,7 +911,6 @@ let section_table =
       ("jobs_per_sec", jobs_per_sec);
       ("figures", figures);
       ("ablation", ablation);
-      ("timing", timing);
     ]
   in
   each @ [ ("all", fun () -> List.iter (fun (_, run) -> run ()) each) ]
@@ -1015,11 +920,10 @@ let usage () =
     "usage: bench [SECTION...] [--json] [--out DIR] [--reps N]\n\
     \             [--compare | --check] [--update-baselines]\n\
     \             [--baseline-dir DIR] [--threshold-scale X]\n\
-    \             [--report FILE] [--pessimize] [--no-sat-memo]\n\
-    \             [--no-analysis] [--no-ledger] [--ledger-root DIR]\n\
-    \             [--progress]\n\
+    \             [--report FILE] [--pessimize] [--no-analysis]\n\
+    \             [--no-ledger] [--ledger-root DIR] [--progress]\n\
      sections: table2 table3 industrial mux_chain jobs_per_sec figures\n\
-    \          ablation timing all";
+    \          ablation all";
   exit 2
 
 let () =
@@ -1046,9 +950,6 @@ let () =
       parse sections rest
     | "--pessimize" :: rest ->
       pessimize := true;
-      parse sections rest
-    | "--no-sat-memo" :: rest ->
-      no_sat_memo := true;
       parse sections rest
     | "--no-analysis" :: rest ->
       no_analysis := true;

@@ -13,7 +13,7 @@
                                           --list-rules prints the registry
    smartly serve [--socket PATH]          batch daemon: JSONL jobs in, one
                                           smartly-report-v1 per job out, warm
-                                          cross-job memo and replay stores
+                                          cross-job replay store
 
    SRC is either a built-in profile name or a path to a Verilog file in the
    supported subset.
@@ -36,15 +36,42 @@ let read_file path =
   close_in ic;
   s
 
-let load_circuit ~style src : Netlist.Circuit.t =
+(* A source that does not load is one message, located as lint locates
+   frontend errors: "SRC:LINE:COL: parse error: MSG". *)
+let try_load_circuit ~style src : (Netlist.Circuit.t, string) result =
+  let located what msg (span : Hdl.Loc.span option) =
+    match span with
+    | Some sp when not (Hdl.Loc.is_dummy sp) ->
+      Error (Printf.sprintf "%s:%s: %s: %s" src (Hdl.Loc.to_string sp) what msg)
+    | _ -> Error (Printf.sprintf "%s: %s: %s" src what msg)
+  in
   match Workloads.Profiles.by_name src with
-  | Some p -> Workloads.Profiles.circuit p
-  | None ->
-    if Sys.file_exists src then
-      Hdl.Elaborate.elaborate_string ~style (read_file src)
-    else
-      failwith
-        (Printf.sprintf "%s: neither a profile name nor an existing file" src)
+  | Some p -> Ok (Workloads.Profiles.circuit p)
+  | None when not (Sys.file_exists src) ->
+    Error (Printf.sprintf "%s: neither a profile name nor an existing file" src)
+  | None -> (
+    match Hdl.Elaborate.elaborate_string ~style (read_file src) with
+    | c -> Ok c
+    | exception Sys_error msg ->
+      (* open errors name the path already; read errors do not *)
+      Error
+        (if String.starts_with ~prefix:src msg then msg
+         else Printf.sprintf "%s: %s" src msg)
+    | exception Hdl.Lexer.Lex_error (msg, pos) ->
+      located "lex error" msg (Some (Hdl.Loc.of_pos pos))
+    | exception Hdl.Parser.Parse_error (msg, pos) ->
+      located "parse error" msg (Some (Hdl.Loc.of_pos pos))
+    | exception Hdl.Elaborate.Elab_error (msg, span) ->
+      located "elaboration error" msg span)
+
+(* The one-shot subcommands: print the message and exit 2, lint's code
+   for a source it cannot read. *)
+let load_circuit ~style src : Netlist.Circuit.t =
+  match try_load_circuit ~style src with
+  | Ok c -> c
+  | Error msg ->
+    prerr_endline msg;
+    exit 2
 
 (* --- arguments --- *)
 
@@ -113,22 +140,13 @@ let provenance_arg =
            netlist mutation) to FILE; aggregate it with $(b,smartly \
            explain).")
 
-let no_sat_memo_arg =
-  Arg.(
-    value & flag
-    & info [ "no-sat-memo" ]
-        ~doc:
-          "Disable the cross-query verdict cache: every sim/SAT query is \
-           resolved from scratch.  The final netlist is identical either \
-           way; this knob exists for benchmarking and for proving it.")
-
 let no_analysis_arg =
   Arg.(
     value & flag
     & info [ "no-analysis" ]
         ~doc:
           "Disable the abstract-interpretation rung zero: every query \
-           falls through to the memo/sim/SAT rungs.  The final netlist is \
+           falls through to the sim/SAT rungs.  The final netlist is \
            identical either way; this knob exists for benchmarking and \
            for proving it.")
 
@@ -420,7 +438,7 @@ let flow_name = function
   | `Sat -> "sat"
   | `Rebuild -> "rebuild"
 
-let run_flow ?after_pass ?(sat_memo = true) ?(analysis = true)
+let run_flow ?after_pass ?(analysis = true)
     ?(pass_budget_ms = None) ?(pass_alloc_budget_mw = None) flow
     (c : Netlist.Circuit.t) : outcome =
   match flow with
@@ -436,8 +454,7 @@ let run_flow ?after_pass ?(sat_memo = true) ?(analysis = true)
     let cfg =
       {
         cfg with
-        Smartly.Config.enable_sat_memo = sat_memo;
-        enable_analysis = analysis;
+        Smartly.Config.enable_analysis = analysis;
         pass_budget_ms;
         pass_alloc_budget_mw;
       }
@@ -472,8 +489,6 @@ let engine_totals (o : outcome) : Smartly.Engine.stats =
         acc.analysis_queries <- acc.analysis_queries + e.analysis_queries;
         acc.sim_queries <- acc.sim_queries + e.sim_queries;
         acc.sat_queries <- acc.sat_queries + e.sat_queries;
-        acc.memo_hits <- acc.memo_hits + e.memo_hits;
-        acc.memo_misses <- acc.memo_misses + e.memo_misses;
         acc.forgone <- acc.forgone + e.forgone;
         acc.subgraph_kept <- acc.subgraph_kept + e.subgraph_kept;
         acc.sat_conflicts <- acc.sat_conflicts + e.sat_conflicts;
@@ -597,12 +612,9 @@ let stats_report_json ~src ~flow ~area0 ~area1 ~dt ~outcome ~sink ~psink :
             "rule_hits", num_of_int e.Smartly.Engine.rule_hits;
             "analysis_hits", num_of_int e.Smartly.Engine.analysis_hits;
             "sim_queries", num_of_int e.Smartly.Engine.sim_queries;
-            "memo_hits", num_of_int e.Smartly.Engine.memo_hits;
-            "memo_misses", num_of_int e.Smartly.Engine.memo_misses;
             "forgone", num_of_int e.Smartly.Engine.forgone;
             "subgraph_kept", num_of_int e.Smartly.Engine.subgraph_kept;
           ] );
-      "memo", Smartly.Memo.to_json ();
       "session", session_json ();
       "analysis", analysis_json ();
       ( "budget",
@@ -660,7 +672,7 @@ let flight_extra () =
 
 let opt_cmd =
   let run src style flow check verbose trace json provenance sat_dump
-      check_invariants no_sat_memo no_analysis no_ledger ledger_root
+      check_invariants no_analysis no_ledger ledger_root
       pass_budget_ms pass_alloc_budget_mw progress =
     let c = load_circuit ~style src in
     let orig = Netlist.Circuit.copy c in
@@ -674,7 +686,6 @@ let opt_cmd =
     in
     Obs.Metrics.reset ();
     Smartly.Engine.Sat_log.reset ();
-    Smartly.Memo.reset ();
     Smartly.Budget.reset ();
     Obs.Event.reset ();
     (* the run ledger is on by default; a failure to create it (read-only
@@ -745,9 +756,8 @@ let opt_cmd =
     let t0 = Obs.Clock.now () in
     let outcome =
       try
-        run_flow ?after_pass ~sat_memo:(not no_sat_memo)
-          ~analysis:(not no_analysis) ~pass_budget_ms ~pass_alloc_budget_mw
-          flow c
+        run_flow ?after_pass ~analysis:(not no_analysis) ~pass_budget_ms
+          ~pass_alloc_budget_mw flow c
       with e ->
         (match ledger with
         | Some l ->
@@ -769,7 +779,6 @@ let opt_cmd =
              "area", Obs.Json.num_of_int area1;
              "iterations", Obs.Json.num_of_int (iterations_of outcome);
              "wall_seconds", Obs.Json.Num dt;
-             "memo", Smartly.Memo.to_json ();
              "session", session_json ();
              "analysis", analysis_json ();
              "overruns", Obs.Json.num_of_int (List.length overruns);
@@ -823,16 +832,7 @@ let opt_cmd =
          (Report.Table.pct
             (100.0
             *. float_of_int e.Smartly.Engine.analysis_hits
-            /. float_of_int e.Smartly.Engine.analysis_queries));
-     let consults = e.Smartly.Engine.memo_hits + e.Smartly.Engine.memo_misses in
-     if consults > 0 then
-       Fmt.pf human "memo: %d/%d hits (%s), %d entries@."
-         e.Smartly.Engine.memo_hits consults
-         (Report.Table.pct
-            (100.0
-            *. float_of_int e.Smartly.Engine.memo_hits
-            /. float_of_int consults))
-         (Smartly.Memo.size ()));
+            /. float_of_int e.Smartly.Engine.analysis_queries)));
     List.iter
       (fun (o : Smartly.Budget.overrun) ->
         Fmt.pf human
@@ -920,7 +920,7 @@ let opt_cmd =
     Term.(
       const run $ src_arg $ style_arg $ flow_arg $ check_arg $ verbose_arg
       $ trace_arg $ json_arg $ provenance_arg $ sat_dump_arg
-      $ check_invariants_arg $ no_sat_memo_arg $ no_analysis_arg
+      $ check_invariants_arg $ no_analysis_arg
       $ no_ledger_arg $ ledger_root_arg $ pass_budget_ms_arg
       $ pass_alloc_budget_mw_arg $ progress_arg)
 
@@ -1491,10 +1491,6 @@ let report_cmd =
         Option.bind run_end (fun (e : Obs.Event.t) ->
             Obs.Json.mem_int "area" e.Obs.Event.data)
     in
-    let memo =
-      Option.bind run_end (fun (e : Obs.Event.t) ->
-          Obs.Json.member "memo" e.Obs.Event.data)
-    in
     let session =
       Option.bind run_end (fun (e : Obs.Event.t) ->
           Obs.Json.member "session" e.Obs.Event.data)
@@ -1548,7 +1544,6 @@ let report_cmd =
                     [ "before", opt_int area_before;
                       "after", opt_int area_after ] );
                 "sat_queries", num_of_int sat_queries;
-                "memo", Option.value memo ~default:Null;
                 "session", Option.value session ~default:Null;
                 "analysis", Option.value analysis ~default:Null;
                 ( "budget",
@@ -1625,13 +1620,6 @@ let report_cmd =
       end;
       if sat_queries > 0 then
         Printf.printf "  sat queries: %d\n" sat_queries;
-      (match memo with
-      | Some m ->
-        Printf.printf "  memo:   hits=%d misses=%d evictions=%d\n"
-          (Option.value (Obs.Json.mem_int "hits" m) ~default:0)
-          (Option.value (Obs.Json.mem_int "misses" m) ~default:0)
-          (Option.value (Obs.Json.mem_int "evictions" m) ~default:0)
-      | None -> ());
       (match analysis with
       | Some a ->
         Printf.printf
@@ -1690,7 +1678,7 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Render a human (or, with --json, machine-readable) summary of a \
-          run ledger: passes, timings, area trajectory, memo/session \
+          run ledger: passes, timings, area trajectory, session \
           counters, budget verdicts, flight-recorder dump.  Works from the \
           ledger files alone — including ledgers of runs that died \
           mid-pass, whose torn event stream is recovered and reported.")
@@ -1707,7 +1695,7 @@ let serve_cmd =
           ~doc:
             "Listen on a Unix-domain socket at PATH instead of serving \
              stdio.  Connections are accepted and served one at a time; \
-             the warm memo and replay stores are shared across all of \
+             the warm replay store is shared across all of \
              them.  An existing socket file at PATH is replaced.")
   in
   let budget_ms_arg =
@@ -1724,9 +1712,8 @@ let serve_cmd =
     let load ~kind source =
       match kind with
       | "profile" | "verilog" | "auto" -> (
-        try Ok (load_circuit ~style source) with
-        | Failure msg -> Error msg
-        | e -> Error (Printexc.to_string e))
+        try try_load_circuit ~style source
+        with e -> Error (Printexc.to_string e))
       | k -> Error (Printf.sprintf "unknown kind %S" k)
     in
     let cfg =
@@ -1764,10 +1751,9 @@ let serve_cmd =
          "Run the batch optimization daemon: one JSON request per line \
           (op optimize/ping/stats/shutdown), one smartly-report-v1 \
           response per job, over stdio or a Unix socket.  A warm \
-          cross-job memo store and pass-replay store persist for the \
-          daemon's lifetime, so structurally recurring queries in a batch \
-          are answered from cache instead of re-solved, and a recurring \
-          design replays whole sat_elim passes.")
+          cross-job pass-replay store persists for the daemon's lifetime, \
+          so a recurring design in a batch replays whole sat_elim passes \
+          instead of walking them again.")
     Term.(const run $ style_arg $ socket_arg $ budget_ms_arg)
 
 let main_cmd =

@@ -14,11 +14,9 @@ type t = {
   enable_inference_rules : bool; (* Table I propagation *)
   enable_analysis : bool;
       (* abstract-interpretation rung zero (known-bits + intervals):
-         answers Forced/Unreachable before the memo/sim/SAT rungs when
+         answers Forced/Unreachable before the sim/SAT rungs when
          the dataflow fixpoint pins the target; falls through on top *)
   enable_sat : bool; (* the SAT-based redundancy elimination *)
-  enable_sat_memo : bool;
-      (* cross-query verdict cache keyed by canonical structural hash *)
   enable_rebuild : bool; (* muxtree restructuring *)
   rebuild_single_ctrl : bool;
       (* enforce the paper's SingleCtrl condition; [false] additionally
@@ -43,7 +41,6 @@ let default =
     enable_inference_rules = true;
     enable_analysis = true;
     enable_sat = true;
-    enable_sat_memo = true;
     enable_rebuild = true;
     rebuild_single_ctrl = true;
     pass_budget_ms = None;
@@ -56,10 +53,10 @@ let rebuild_only = { default with enable_sat = false }
 (* Stable serialization of every verdict-affecting knob, for composite
    cache keys ({!Replay}). *)
 let fingerprint (t : t) =
-  Printf.sprintf "k%d;si%d;sa%d;cb%d;mx%d;f%b%b%b%b%b%b;bm%s;ba%s"
+  Printf.sprintf "k%d;si%d;sa%d;cb%d;mx%d;f%b%b%b%b%b;bm%s;ba%s"
     t.distance_k t.sim_input_threshold t.sat_input_threshold
     t.sat_conflict_budget t.max_subgraph_cells t.enable_inference_rules
-    t.enable_analysis t.enable_sat t.enable_sat_memo t.enable_rebuild
+    t.enable_analysis t.enable_sat t.enable_rebuild
     t.rebuild_single_ctrl
     (match t.pass_budget_ms with None -> "-" | Some m -> string_of_int m)
     (match t.pass_alloc_budget_mw with

@@ -12,12 +12,9 @@ type t = {
   enable_inference_rules : bool;  (** Table I propagation *)
   enable_analysis : bool;
       (** abstract-interpretation rung zero: the known-bits + interval
-          fixpoint answers [Forced]/[Unreachable] before the memo/sim/SAT
+          fixpoint answers [Forced]/[Unreachable] before the sim/SAT
           rungs when it pins the target; falls through on top *)
   enable_sat : bool;  (** the SAT-based redundancy elimination pass *)
-  enable_sat_memo : bool;
-      (** cross-query verdict cache ({!Memo}) consulted before the
-          sim/SAT rungs *)
   enable_rebuild : bool;  (** the muxtree restructuring pass *)
   rebuild_single_ctrl : bool;
       (** enforce the paper's SingleCtrl condition; [false] extends the

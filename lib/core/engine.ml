@@ -18,8 +18,6 @@ type stats = {
   mutable analysis_queries : int;
   mutable sim_queries : int;
   mutable sat_queries : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
   mutable forgone : int;
   mutable subgraph_kept : int;
   mutable sat_conflicts : int;
@@ -34,8 +32,6 @@ let fresh_stats () =
     analysis_queries = 0;
     sim_queries = 0;
     sat_queries = 0;
-    memo_hits = 0;
-    memo_misses = 0;
     forgone = 0;
     subgraph_kept = 0;
     sat_conflicts = 0;
@@ -51,7 +47,6 @@ type source =
   | Via_analysis (* abstract-interpretation rung zero *)
   | Via_sim (* exhaustive bit-parallel simulation *)
   | Via_sat of int (* SAT query, carrying the query id *)
-  | Via_memo (* cross-query verdict cache hit *)
   | Via_forgone (* thresholds exceeded; verdict is Unknown *)
 
 let source_name = function
@@ -60,7 +55,6 @@ let source_name = function
   | Via_analysis -> "analysis"
   | Via_sim -> "sim"
   | Via_sat id -> Printf.sprintf "sat:%d" id
-  | Via_memo -> "memo"
   | Via_forgone -> "forgone"
 
 (* Per-SAT-query telemetry with a bounded buffer of the hardest queries
@@ -540,56 +534,26 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
                else m_analysis_sat_avoided);
             (v, Via_analysis)
           | None ->
-          (* sim and SAT verdicts are pure functions of (view, knowns,
-             target): consult the cross-query cache before either rung *)
-          let mkey =
-            if cfg.Config.enable_sat_memo then
-              Some (Memo.key circuit view local ~target)
-            else None
-          in
-          match Option.bind mkey Memo.find with
-          | Some mv ->
-            stats.memo_hits <- stats.memo_hits + 1;
-            let v =
-              match mv with
-              | Memo.Forced b -> Forced b
-              | Memo.Free -> Free
-              | Memo.Unreachable -> Unreachable
-            in
-            (v, Via_memo)
-          | None ->
-            if mkey <> None then stats.memo_misses <- stats.memo_misses + 1;
-            let v, src =
-              if n <= cfg.Config.sim_input_threshold then begin
-                stats.sim_queries <- stats.sim_queries + 1;
-                Obs.Metrics.incr m_sim_queries;
-                let t0 = Obs.Clock.now () in
-                let v =
-                  simulate_exhaustive circuit view local ~free_inputs ~target
-                in
-                Obs.Metrics.observe h_sim_query_seconds
-                  (Obs.Clock.now () -. t0);
-                (v, Via_sim)
-              end
-              else begin
-                stats.sat_queries <- stats.sat_queries + 1;
-                Obs.Metrics.incr m_sat_queries;
-                let v, qid =
-                  query_sat_how ~stats ?session circuit view local
-                    ~budget:cfg.Config.sat_conflict_budget ~target
-                in
-                (v, Via_sat qid)
-              end
-            in
-            (match mkey with
-            | Some k -> (
-              match v with
-              | Forced b -> Memo.store k (Memo.Forced b)
-              | Free -> Memo.store k Memo.Free
-              | Unreachable -> Memo.store k Memo.Unreachable
-              | Unknown -> () (* budget-dependent, never cached *))
-            | None -> ());
-            (v, src)
+            if n <= cfg.Config.sim_input_threshold then begin
+              stats.sim_queries <- stats.sim_queries + 1;
+              Obs.Metrics.incr m_sim_queries;
+              let t0 = Obs.Clock.now () in
+              let v =
+                simulate_exhaustive circuit view local ~free_inputs ~target
+              in
+              Obs.Metrics.observe h_sim_query_seconds
+                (Obs.Clock.now () -. t0);
+              (v, Via_sim)
+            end
+            else begin
+              stats.sat_queries <- stats.sat_queries + 1;
+              Obs.Metrics.incr m_sat_queries;
+              let v, qid =
+                query_sat_how ~stats ?session circuit view local
+                  ~budget:cfg.Config.sat_conflict_budget ~target
+              in
+              (v, Via_sat qid)
+            end
         end
       | exception Inference.Contradiction -> (Unreachable, Via_rule "contradiction")
     end

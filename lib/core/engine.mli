@@ -3,7 +3,7 @@
     Resolution ladder, the paper's plus a static rung: direct lookup
     (the Yosys identical-signal rule), inference rules, the
     abstract-interpretation rung zero ({!Analysis.Fixpoint}: known-bits +
-    intervals, answering before the memo/sim/SAT rungs when the target's
+    intervals, answering before the sim/SAT rungs when the target's
     abstract value is definite), exhaustive bit-parallel simulation when
     the sub-graph view has few free inputs, an incremental SAT query
     otherwise, and a give-up threshold. *)
@@ -24,10 +24,6 @@ type stats = {
       (** rung-zero attempts (hits + falls through on top) *)
   mutable sim_queries : int;
   mutable sat_queries : int;
-  mutable memo_hits : int;
-      (** verdicts answered by the cross-query cache ({!Memo}) *)
-  mutable memo_misses : int;
-      (** cache consults that fell through to sim/SAT *)
   mutable forgone : int;
   mutable subgraph_kept : int;  (** cells over all query views *)
   mutable sat_conflicts : int;
@@ -48,12 +44,11 @@ type source =
           fixpoint pinned the target (or proved the path dead) *)
   | Via_sim  (** exhaustive bit-parallel simulation *)
   | Via_sat of int  (** SAT query, carrying the query id *)
-  | Via_memo  (** cross-query verdict cache hit *)
   | Via_forgone  (** thresholds exceeded; verdict is [Unknown] *)
 
 val source_name : source -> string
 (** ["lookup"], ["rule:or"], ["analysis"], ["sim"], ["sat:42"],
-    ["memo"], ["forgone"]. *)
+    ["forgone"]. *)
 
 (** Per-SAT-query telemetry and a bounded buffer of the hardest queries
     (by conflicts), each with a self-contained DIMACS dump replayable by
@@ -128,7 +123,7 @@ val query_sat :
 
     The solver polls {!Budget.exhausted} at every conflict and decision:
     once the armed pass budget trips, a running query stops with
-    [Unknown] (never memoized).  Without a session this is the fresh
+    [Unknown].  Without a session this is the fresh
     encoding the differential tests use as their oracle. *)
 
 val query_sat_how :
@@ -153,10 +148,8 @@ val determine :
   verdict
 (** Build the bounded sub-graph from the cones of the target and the known
     signals, view it in topological order, and run the ladder.  The caller's
-    known map is never polluted with inferred values.  When
-    [cfg.enable_sat_memo] is set, the sim/SAT rungs are fronted by the
-    cross-query cache ({!Memo}); [session] routes SAT queries through the
-    persistent incremental solver. *)
+    known map is never polluted with inferred values.  [session] routes
+    SAT queries through the persistent incremental solver. *)
 
 val determine_how :
   ?session:Cdcl.Session.t ->

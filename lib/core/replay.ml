@@ -6,10 +6,8 @@
    — the serve daemon re-optimizing stamped-out copies, or re-running a
    design after edits elsewhere — starts a pass from a circuit it has
    seen before, the pass replays its recorded edit set and counters
-   instead of walking again.  This is the coarse-grained sibling of the
-   per-query {!Memo}: Memo removes a recurring query's sim/SAT rung,
-   Replay removes the entire traversal, sub-graph construction and key
-   building of a recurring pass.
+   instead of walking again, skipping the traversal, sub-graph
+   construction and every engine query of a recurring pass.
 
    Keys embed a digest of a full serialization of the cells and output
    bits, plus {!Config.fingerprint}.  Distinct circuits serialize

@@ -2,13 +2,11 @@
 
     One {!Sat_elim.run} pass reads the circuit it starts from — its
     cells and its output bits, which decide the muxtree roots — and the
-    config (plus verdicts, which the {!Memo} answers the same way the
-    rungs would).  A warm batch (the serve daemon re-optimizing
-    stamped-out design variants, or the [jobs_per_sec] bench's warm
-    mode) therefore replays the recorded edits and counters when a
-    pass-start circuit recurs instead of walking it again.  The
-    coarse-grained sibling of {!Memo}: Memo removes a recurring query's
-    sim/SAT rung, Replay removes the recurring pass's entire traversal.
+    config.  A warm batch (the serve daemon re-optimizing stamped-out
+    design variants, or the [jobs_per_sec] bench's warm mode) therefore
+    replays the recorded edits and counters when a pass-start circuit
+    recurs instead of walking it again.  It is the only result cache:
+    individual queries are always answered afresh by the ladder.
 
     Opt-in: nothing is consulted until {!install} puts a store in place.
     Replayed passes restore their counters and engine-stat contributions

@@ -24,12 +24,11 @@ type report = {
 let pp_report ppf r =
   Fmt.pf ppf
     "bypassed=%d data_folded=%d dead=%d rules=%d analysis=%d sim=%d sat=%d \
-     memo=%d/%d forgone=%d kept=%d conflicts=%d decisions=%d props=%d"
+     forgone=%d kept=%d conflicts=%d decisions=%d props=%d"
     r.muxes_bypassed r.data_bits_folded r.dead_branches
     r.engine.Engine.rule_hits r.engine.Engine.analysis_hits
     r.engine.Engine.sim_queries
-    r.engine.Engine.sat_queries r.engine.Engine.memo_hits
-    r.engine.Engine.memo_misses r.engine.Engine.forgone
+    r.engine.Engine.sat_queries r.engine.Engine.forgone
     r.engine.Engine.subgraph_kept
     r.engine.Engine.sat_conflicts r.engine.Engine.sat_decisions
     r.engine.Engine.sat_propagations
@@ -162,7 +161,6 @@ let mechanism_of_source (src : Engine.source) :
   | Engine.Via_analysis -> (Obs.Provenance.Analysis, None)
   | Engine.Via_sim -> (Obs.Provenance.Rule "sim", None)
   | Engine.Via_sat qid -> (Obs.Provenance.Sat, Some qid)
-  | Engine.Via_memo -> (Obs.Provenance.Memo, None)
   | Engine.Via_forgone -> (Obs.Provenance.Pruned, None)
 
 let with_fact known (bit : Bits.bit) v =

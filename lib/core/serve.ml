@@ -2,13 +2,11 @@
 
    One request per line, one response per line.  The payoff over looping
    `smartly opt` in a shell is the warm state a process boundary would
-   throw away: a single cross-job verdict store ({!Memo}) and a single
-   pass-replay store ({!Replay}) stay installed for the daemon's
-   lifetime, so structurally recurring queries — overwhelmingly common
-   when a batch stamps out variants of the same design — are answered
-   from cache in later jobs, and a recurring design replays whole
-   [sat_elim] passes.  The jobs_per_sec bench section measures exactly
-   this effect.
+   throw away: a single pass-replay store ({!Replay}) stays installed
+   for the daemon's lifetime, so a recurring design — overwhelmingly
+   common when a batch stamps out variants of the same design — replays
+   whole [sat_elim] passes in later jobs.  The jobs_per_sec bench
+   section measures exactly this effect.
 
    The daemon is transport-agnostic: it reads requests from an
    [in_channel] and writes responses to an [out_channel], so the CLI can
@@ -21,7 +19,7 @@
      {"op":"optimize","id":...,"kind":...,"source":...,
       "budget_ms":B?}               -> smartly-report-v1 job report
      {"op":"ping"}                  -> {"op":"ping","status":"ok"}
-     {"op":"stats"}                 -> daemon counters + warm-memo state
+     {"op":"stats"}                 -> daemon counters + replay state
      {"op":"shutdown"}              -> {"op":"shutdown","status":"ok"}, stop
    Malformed lines get {"status":"error",...} and the daemon keeps
    serving: one bad job must not take down the batch. *)
@@ -33,7 +31,6 @@ type load = kind:string -> string -> (Circuit.t, string) result
 type t = {
   load : load;
   base_cfg : Config.t;
-  warm : Memo.t;  (* installed for the daemon's lifetime *)
   replays : Replay.t;
       (* pass-replay cache: whole sat_elim passes recur across a batch
          of stamped-out variants and replay from their recorded edits *)
@@ -46,7 +43,6 @@ let create ?(cfg = Config.default) ~load () =
   {
     load;
     base_cfg = cfg;
-    warm = Memo.make ();
     replays = Replay.make ();
     started = Obs.Clock.now ();
     jobs_ok = 0;
@@ -61,9 +57,9 @@ let error_response ?id msg : Obs.Json.t =
 
 (* One job: load, scope the per-job telemetry, run the smartly flow
    under the warm store, report.  [Sat_log]/[Budget] are reset per job
-   so the report describes this job alone; the memo section is the warm
-   store's cumulative state — its hit rate rising across jobs is the
-   daemon's reason to exist. *)
+   so the report describes this job alone; the replay section is the
+   warm store's cumulative state — its hit rate rising across jobs is
+   the daemon's reason to exist. *)
 let optimize t ~id ~kind ~source ~budget_ms : Obs.Json.t =
   match t.load ~kind source with
   | Error msg ->
@@ -81,7 +77,6 @@ let optimize t ~id ~kind ~source ~budget_ms : Obs.Json.t =
     in
     Engine.Sat_log.reset ();
     Budget.reset ();
-    Memo.install t.warm;
     Replay.install t.replays;
     let area0 = Aiger.Aigmap.aig_area c in
     let t0 = Obs.Clock.now () in
@@ -111,7 +106,6 @@ let optimize t ~id ~kind ~source ~budget_ms : Obs.Json.t =
           ("wall_seconds", Num dt);
           ("iterations", num_of_int result.Driver.iterations);
           ("sat_queries", num_of_int (Engine.Sat_log.query_count ()));
-          ("memo", Memo.to_json ());
           ("replay", Replay.to_json t.replays);
           ( "budget",
             List (List.map Budget.overrun_to_json result.Driver.overruns) );
@@ -119,7 +113,6 @@ let optimize t ~id ~kind ~source ~budget_ms : Obs.Json.t =
 
 let stats t : Obs.Json.t =
   let open Obs.Json in
-  Memo.install t.warm;
   Obj
     [
       ("op", Str "stats");
@@ -127,7 +120,6 @@ let stats t : Obs.Json.t =
       ("jobs_ok", num_of_int t.jobs_ok);
       ("jobs_failed", num_of_int t.jobs_failed);
       ("uptime_seconds", Num (Obs.Clock.now () -. t.started));
-      ("memo", Memo.to_json ());
       ("replay", Replay.to_json t.replays);
     ]
 

@@ -4,20 +4,18 @@
     [optimize] request loads a circuit (through the caller-supplied
     loader — this library never depends on the HDL frontend), runs the
     smartly flow with per-job {!Engine.Sat_log}/{!Budget} scoping, and
-    answers with a [smartly-report-v1] job report.  Two warm caches
-    persist across jobs: the {!Memo} verdict store (recurring queries
-    skip their sim/SAT rung) and the {!Replay} pass cache (a recurring
-    design — stamped-out variants of one source — replays whole
-    [sat_elim] passes from their recorded edits without walking).  That
-    cross-job state is the effect the [jobs_per_sec] bench section
-    measures.
+    answers with a [smartly-report-v1] job report.  The warm state that
+    persists across jobs is the {!Replay} pass cache: a recurring design
+    — stamped-out variants of one source — replays whole [sat_elim]
+    passes from their recorded edits without walking.  That cross-job
+    state is the effect the [jobs_per_sec] bench section measures.
 
     Protocol (one JSON object per line, one response per line):
     {v
     {"op":"optimize","id":ID?,"kind":K?,"source":S,
      "budget_ms":B?}                            -> job report
     {"op":"ping"}                               -> {"op":"ping","status":"ok"}
-    {"op":"stats"}                              -> counters + warm-memo state
+    {"op":"stats"}                              -> counters + replay state
     {"op":"shutdown"}                           -> ack, then the loop returns
     v}
     Other fields of an [optimize] request are ignored, so older clients'
@@ -33,7 +31,7 @@ type load = kind:string -> string -> (Circuit.t, string) result
     and ["verilog"] (path to a source file). *)
 
 type t
-(** A daemon instance: base config, loader, warm memo store, job
+(** A daemon instance: base config, loader, warm replay store, job
     counters. *)
 
 val create : ?cfg:Config.t -> load:load -> unit -> t

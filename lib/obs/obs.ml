@@ -838,7 +838,7 @@ module Provenance = struct
      single match on a ref and records nothing, so instrumented passes pay
      nothing in normal runs. *)
 
-  type mechanism = Pruned | Rule of string | Sat | Memo | Analysis | Restructure
+  type mechanism = Pruned | Rule of string | Sat | Analysis | Restructure
 
   type kind =
     | Cell_removed
@@ -908,7 +908,6 @@ module Provenance = struct
     | Pruned -> "pruned"
     | Rule r -> "rule:" ^ r
     | Sat -> "sat"
-    | Memo -> "memo"
     | Analysis -> "analysis"
     | Restructure -> "restructure"
 
@@ -916,7 +915,6 @@ module Provenance = struct
     match s with
     | "pruned" -> Some Pruned
     | "sat" -> Some Sat
-    | "memo" -> Some Memo
     | "analysis" -> Some Analysis
     | "restructure" -> Some Restructure
     | _ ->

@@ -288,7 +288,6 @@ module Provenance : sig
     | Pruned  (** reachability pruning / dead-code removal *)
     | Rule of string  (** a named inference or folding rule *)
     | Sat  (** resolved by a SAT query *)
-    | Memo  (** resolved by the cross-query verdict cache *)
     | Analysis  (** resolved by the abstract-interpretation rung *)
     | Restructure  (** muxtree restructuring *)
 

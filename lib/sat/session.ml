@@ -14,7 +14,7 @@
      learned clauses are resolution consequences that retain the [¬g]
      literals of every group they touched;
    - therefore verdicts are identical to the fresh-solver path (the
-     differential harness in test/test_sat_memo.ml checks this), while
+     differential harness in test/test_sat_session.ml checks this), while
      repeated queries pay no re-encoding and benefit from learned clauses.
 
    The session watches for staleness: optimization passes mutate cells in

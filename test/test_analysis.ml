@@ -265,22 +265,17 @@ let canonical (c : Circuit.t) =
     (Circuit.cell_ids c);
   Buffer.contents buf
 
-(* The rung sits before memo/sim/SAT and only answers queries those rungs
+(* The rung sits before sim/SAT and only answers queries those rungs
    would answer identically, so the optimized netlist must be the same
    cell for cell — with the per-pass invariant checker watching both
    runs, like `opt --check-invariants`. *)
 let test_e2e_netlist_identity () =
-  let run ~analysis ~memo =
+  let run ~analysis =
     let c = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
     let t = Lint.Invariant.create c in
     let cfg =
-      {
-        Smartly.Config.default with
-        Smartly.Config.enable_analysis = analysis;
-        enable_sat_memo = memo;
-      }
+      { Smartly.Config.default with Smartly.Config.enable_analysis = analysis }
     in
-    Smartly.Memo.reset ();
     ignore
       (Smartly.Driver.smartly ~cfg
          ~after_pass:(fun name c' -> Lint.Invariant.after_pass t name c')
@@ -291,10 +286,8 @@ let test_e2e_netlist_identity () =
       Alcotest.fail (Fmt.str "invariant: %a" Lint.Invariant.pp_failure f));
     canonical c
   in
-  let all_on = run ~analysis:true ~memo:true in
-  let all_off = run ~analysis:false ~memo:false in
   check_bool "netlists identical with rung zero on and off" true
-    (all_on = all_off)
+    (run ~analysis:true = run ~analysis:false)
 
 let () =
   Alcotest.run "analysis"

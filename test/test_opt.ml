@@ -98,58 +98,6 @@ let test_merge_duplicates () =
   let merged = Rtl_opt.Opt_merge.run c in
   check_bool "merged at least 2" true (merged >= 2)
 
-(* --- opt_reduce --- *)
-
-let test_reduce_pmux_merge () =
-  (* two consecutive parts with identical data merge; trailing default
-     parts fold away *)
-  let c = Circuit.create "pm" in
-  let s = Circuit.add_input c "s" ~width:4 in
-  let d0 = Circuit.add_input c "d0" ~width:2 in
-  let d1 = Circuit.add_input c "d1" ~width:2 in
-  let def = Circuit.add_input c "def" ~width:2 in
-  let sb = Circuit.sig_of_wire s in
-  let v0 = Circuit.sig_of_wire d0 and v1 = Circuit.sig_of_wire d1 in
-  let dv = Circuit.sig_of_wire def in
-  (* parts: d0, d0, d1, def  ->  expect: {d0 (s0|s1), d1 s2} *)
-  let p =
-    Circuit.mk_pmux c ~a:dv
-      ~b:(Bits.concat [ v0; v0; v1; dv ])
-      ~s:sb
-  in
-  expose c "y" p;
-  let orig = Circuit.copy c in
-  let changed = Rtl_opt.Opt_reduce.run c in
-  check_bool "changed" true (changed > 0);
-  let st = Stats.of_circuit c in
-  check_int "pmux kept" 1 st.Stats.pmuxes;
-  let part_count =
-    Circuit.fold_cells
-      (fun _ cell acc ->
-        match cell with
-        | Cell.Pmux { s; _ } -> acc + Bits.width s
-        | _ -> acc)
-      c 0
-  in
-  check_int "two parts left" 2 part_count;
-  check_bool "equiv" true (Equiv.is_equivalent orig c)
-
-let test_reduce_collapses_to_mux () =
-  let c = Circuit.create "pm1" in
-  let s = Circuit.add_input c "s" ~width:2 in
-  let d0 = Circuit.add_input c "d0" ~width:2 in
-  let def = Circuit.add_input c "def" ~width:2 in
-  let sb = Circuit.sig_of_wire s in
-  let v0 = Circuit.sig_of_wire d0 and dv = Circuit.sig_of_wire def in
-  let p = Circuit.mk_pmux c ~a:dv ~b:(Bits.concat [ v0; v0 ]) ~s:sb in
-  expose c "y" p;
-  let orig = Circuit.copy c in
-  ignore (Rtl_opt.Opt_reduce.run c);
-  let st = Stats.of_circuit c in
-  check_int "pmux became mux" 0 st.Stats.pmuxes;
-  check_int "one mux" 1 st.Stats.muxes;
-  check_bool "equiv" true (Equiv.is_equivalent orig c)
-
 (* --- opt_clean --- *)
 
 let test_clean_dead_cells () =
@@ -310,11 +258,6 @@ let () =
         ] );
       ( "opt_merge",
         [ Alcotest.test_case "duplicates" `Quick test_merge_duplicates ] );
-      ( "opt_reduce",
-        [
-          Alcotest.test_case "pmux merge" `Quick test_reduce_pmux_merge;
-          Alcotest.test_case "collapse to mux" `Quick test_reduce_collapses_to_mux;
-        ] );
       ( "opt_clean",
         [
           Alcotest.test_case "dead cells" `Quick test_clean_dead_cells;

@@ -169,10 +169,6 @@ let solve_dimacs (text : string) : Cdcl.Solver.result =
 let test_sat_capture_replay () =
   Obs.Metrics.reset ();
   Smartly.Engine.Sat_log.reset ();
-  (* the verdict cache is process-global too: without a reset, queries
-     already answered by earlier tests in this binary would never reach
-     the solver and nothing would be captured *)
-  Smartly.Memo.reset ();
   (* disabling exhaustive simulation forces the ladder's small queries to
      SAT, so even the smoke profile records captures *)
   let cfg = { Smartly.Config.default with Smartly.Config.sim_input_threshold = 0 } in
@@ -205,7 +201,6 @@ let test_sat_log_reset () =
   check_bool "no hardest" true (Smartly.Engine.Sat_log.hardest () = []);
   (* keep bound respected *)
   Obs.Metrics.reset ();
-  Smartly.Memo.reset ();
   let cfg = { Smartly.Config.default with Smartly.Config.sim_input_threshold = 0 } in
   let c = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
   ignore (Smartly.Driver.smartly ~cfg c);

@@ -13,11 +13,10 @@ let profile name =
   | Some p -> p
   | None -> Alcotest.failf "unknown profile %s" name
 
-(* One flow run on a copy: fresh telemetry and memo; no replay store
+(* One flow run on a copy: fresh telemetry; no replay store
    unless [replay].  Returns (optimized copy, netlist digest, area). *)
 let run_flow ?(replay = false) c0 =
   let c = Circuit.copy c0 in
-  Smartly.Memo.reset ();
   Smartly.Engine.Sat_log.reset ();
   Smartly.Budget.reset ();
   if not replay then Smartly.Replay.uninstall ();
