@@ -19,13 +19,15 @@ bench: build
 # machines.  The diff table lands in /tmp/smartly_bench_diff.txt for
 # artifact upload.
 #
-# Four legs.  The paper tables and mux_chain run in the default mode
+# Four legs.  The paper tables (table2 and table3, which share one run
+# of the ten public profiles) and mux_chain run in the default mode
 # (SAT session + value analysis on) and must reproduce every
-# deterministic counter exactly.  The second leg disables the
-# abstract-interpretation rung zero and gates against
-# bench/baselines/noanalysis, recorded in that mode: areas are
-# byte-identical across the two stores while their sat_queries differ,
-# so the committed diff attributes the query reduction to the rung.
+# deterministic counter exactly, table3's SAT query and effort counts
+# included.  The second leg disables the abstract-interpretation rung
+# zero and gates against bench/baselines/noanalysis, recorded in that
+# mode: areas are byte-identical across the two stores while their
+# sat_queries differ, so the committed diff attributes the query
+# reduction to the rung.
 # The third leg gates the industrial section: on the mux-rich ind_*
 # designs the walk's data-bit folding dominates the run, so a change
 # there must keep their areas and removed-cell counts exactly.  The
@@ -36,9 +38,9 @@ bench: build
 # regress and the gate MUST fail — if it passes, the gate is broken
 # and the target errors out.
 bench-check: build
-	dune exec bench/main.exe -- table2 mux_chain --check \
+	dune exec bench/main.exe -- table2 table3 mux_chain --check \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff.txt
-	dune exec bench/main.exe -- table2 mux_chain --check \
+	dune exec bench/main.exe -- table2 table3 mux_chain --check \
 	  --no-analysis --baseline-dir bench/baselines/noanalysis \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff_noanalysis.txt
 	dune exec bench/main.exe -- industrial --check \

@@ -889,8 +889,6 @@ let ablation () =
           { base with Smartly.Config.sim_input_threshold = 0 } );
         ( "no SAT (rules+sim only)",
           { base with Smartly.Config.sat_input_threshold = 0 } );
-        ( "multi-signal rebuild (extension)",
-          { base with Smartly.Config.rebuild_single_ctrl = false } );
       ]
   in
   Printf.printf "case %s: yosys area %d\n" p.Workloads.Profiles.name yosys;

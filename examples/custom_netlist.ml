@@ -33,12 +33,12 @@ let () =
     (Topo.logic_depth c);
 
   (* ask the engine directly: is the inner control forced when S = 1? *)
-  let index = Index.build c in
+  let kernel = Smartly.Subgraph.create c (Index.build c) in
   let known : Smartly.Inference.known = Bits.Bit_tbl.create 4 in
-  ignore (Smartly.Inference.set known sb true);
+  Bits.Bit_tbl.replace known sb true;
   let stats = Smartly.Engine.fresh_stats () in
   let verdict =
-    Smartly.Engine.determine Smartly.Config.default stats c index known
+    Smartly.Engine.determine Smartly.Config.default stats kernel known
       ~target:s_or_r
   in
   Printf.printf "engine: under S=1, S|R is %s (rule hits %d)\n"

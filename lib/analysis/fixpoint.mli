@@ -30,5 +30,5 @@ val run :
   int list ->
   result
 (** [run circuit cells] analyzes [cells] (a topological order of a
-    sub-DAG, e.g. [Topo.sort] or a [Subgraph.view]'s cells), assuming
+    sub-DAG, e.g. [Topo.sort] or a query sub-graph's cells), assuming
     every seeded bit value.  Bits driven outside [cells] stay top. *)

@@ -18,10 +18,6 @@ type t = {
          the dataflow fixpoint pins the target; falls through on top *)
   enable_sat : bool; (* the SAT-based redundancy elimination *)
   enable_rebuild : bool; (* muxtree restructuring *)
-  rebuild_single_ctrl : bool;
-      (* enforce the paper's SingleCtrl condition; [false] additionally
-         rebuilds chains over several independent condition signals (an
-         extension of this implementation) *)
   pass_budget_ms : int option;
       (* wall-time budget per driver pass; exceeding it truncates the
          pass (remaining queries forgone, remaining trees skipped) and
@@ -42,7 +38,6 @@ let default =
     enable_analysis = true;
     enable_sat = true;
     enable_rebuild = true;
-    rebuild_single_ctrl = true;
     pass_budget_ms = None;
     pass_alloc_budget_mw = None;
   }
@@ -53,11 +48,10 @@ let rebuild_only = { default with enable_sat = false }
 (* Stable serialization of every verdict-affecting knob, for composite
    cache keys ({!Replay}). *)
 let fingerprint (t : t) =
-  Printf.sprintf "k%d;si%d;sa%d;cb%d;mx%d;f%b%b%b%b%b;bm%s;ba%s"
+  Printf.sprintf "k%d;si%d;sa%d;cb%d;mx%d;f%b%b%b%b;bm%s;ba%s"
     t.distance_k t.sim_input_threshold t.sat_input_threshold
     t.sat_conflict_budget t.max_subgraph_cells t.enable_inference_rules
     t.enable_analysis t.enable_sat t.enable_rebuild
-    t.rebuild_single_ctrl
     (match t.pass_budget_ms with None -> "-" | Some m -> string_of_int m)
     (match t.pass_alloc_budget_mw with
     | None -> "-"

@@ -16,9 +16,6 @@ type t = {
           rungs when it pins the target; falls through on top *)
   enable_sat : bool;  (** the SAT-based redundancy elimination pass *)
   enable_rebuild : bool;  (** the muxtree restructuring pass *)
-  rebuild_single_ctrl : bool;
-      (** enforce the paper's SingleCtrl condition; [false] extends the
-          rebuild to chains over several independent condition signals *)
   pass_budget_ms : int option;
       (** wall-time budget per driver pass ({!Budget}); exceeding it
           truncates the pass and skips it on later iterations — the flow

@@ -96,10 +96,7 @@ let smartly ?(cfg = Config.default) ?(after_pass = fun _ _ -> ())
         let rebuild_changed =
           if cfg.Config.enable_rebuild then
             run_pass ~iter "restructure" ~default:false (fun () ->
-                let r =
-                  Restructure.run_once
-                    ~single_ctrl:cfg.Config.rebuild_single_ctrl c
-                in
+                let r = Restructure.run_once c in
                 rebuild_reports := r :: !rebuild_reports;
                 Restructure.changed r)
           else false

@@ -220,29 +220,23 @@ let m_subgraph_kept = Obs.Metrics.counter "subgraph.kept"
 
 (* --- exhaustive simulation --- *)
 
-(* Enumerate all assignments of [free_inputs]; rows violating a known value
-   of an internal signal are discarded; check whether [target] is constant
-   over the surviving rows. *)
-let simulate_exhaustive (circuit : Circuit.t) (view : Subgraph.view)
-    (known : Inference.known) ~(free_inputs : Bits.bit list)
+(* Enumerate all assignments of [free_inputs] over [cells]; rows violating
+   a fact are discarded; check whether [target] is constant over the
+   surviving rows.  Every fact is written as a lane constant first, so the
+   facts on sources hold in every row; evaluation overwrites the computed
+   ones, which the filter then checks. *)
+let simulate_exhaustive (circuit : Circuit.t) ~(cells : int list)
+    ~(facts : (Bits.bit * bool) list) ~(free_inputs : Bits.bit list)
     ~(target : Bits.bit) : verdict =
   let n = List.length free_inputs in
   let lanes = min Rtl_sim.Vector.lanes_max 62 in
   let total = 1 lsl n in
-  let is_source = Subgraph.is_source view in
-  (* only filter on knowns whose value the simulation reproduces *)
-  let check_bits =
-    Bits.Bit_tbl.fold
-      (fun b v acc ->
-        if Subgraph.computes view b || is_source b then (b, v) :: acc
-        else acc)
-      known []
-  in
   let saw_true = ref false and saw_false = ref false in
   let chunk_start = ref 0 in
   (try
      while !chunk_start < total do
        let lanes_here = min lanes (total - !chunk_start) in
+       let mask = (1 lsl lanes_here) - 1 in
        let env = Rtl_sim.Vector.create ~lanes:lanes_here () in
        (* lane j encodes assignment index chunk_start + j *)
        List.iteri
@@ -255,28 +249,17 @@ let simulate_exhaustive (circuit : Circuit.t) (view : Subgraph.view)
            done;
            Rtl_sim.Vector.write env b !word)
          free_inputs;
-       (* known source values (constants across lanes) *)
-       Bits.Bit_tbl.iter
-         (fun b v ->
-           if
-             is_source b
-             && not (List.exists (Bits.bit_equal b) free_inputs)
-           then
-             Rtl_sim.Vector.write env b
-               (if v then (1 lsl lanes_here) - 1 else 0))
-         known;
-       Rtl_sim.Vector.eval_ordered circuit env view.Subgraph.cells;
-       (* filter lanes violating internal knowns *)
-       let valid = ref ((1 lsl lanes_here) - 1) in
+       List.iter
+         (fun (b, v) -> Rtl_sim.Vector.write env b (if v then mask else 0))
+         facts;
+       Rtl_sim.Vector.eval_ordered circuit env cells;
+       let valid = ref mask in
        List.iter
          (fun (b, v) ->
            let w = Rtl_sim.Vector.read env b in
-           let mask = (1 lsl lanes_here) - 1 in
-           let agree = if v then w else lnot w land mask in
-           valid := !valid land agree)
-         check_bits;
+           valid := !valid land if v then w else lnot w land mask)
+         facts;
        let tv = Rtl_sim.Vector.read env target in
-       let mask = (1 lsl lanes_here) - 1 in
        if !valid land tv <> 0 then saw_true := true;
        if !valid land (lnot tv land mask) <> 0 then saw_false := true;
        if !saw_true && !saw_false then raise Exit;
@@ -301,36 +284,31 @@ let verdict_query_name = function
 (* Encode, query, and log one SAT query; returns the verdict and the
    query id assigned to it.
 
-   With [session], the persistent solver is reused: the view's cells are
-   lazily encoded as guarded clause groups ([Cdcl.Session.prepare]) and
-   this query activates exactly them by assuming their guard literals, so
-   the verdict is identical to a fresh encoding of the view while learned
+   With [session], the persistent solver is reused: [cells] are lazily
+   encoded as guarded clause groups ([Cdcl.Session.prepare]) and this
+   query activates exactly them by assuming their guard literals, so the
+   verdict is identical to a fresh encoding of [cells] while learned
    clauses and the variable map survive to the next query.
 
    The solver polls the pass budget's watchdog at every conflict and
    decision, so a pass that runs out of time stops inside a long SAT
    call instead of after it; the interrupted query is [Unknown]. *)
-let query_sat_how ?stats ?session (circuit : Circuit.t)
-    (view : Subgraph.view) (known : Inference.known) ~budget
-    ~(target : Bits.bit) : verdict * int =
+let query_sat_how ?stats ?session (circuit : Circuit.t) ~(cells : int list)
+    ~(facts : (Bits.bit * bool) list) ~budget ~(target : Bits.bit) :
+    verdict * int =
   let qid = Sat_log.fresh_id () in
   let enc, guards, relevant, mode =
     match session with
     | Some sess ->
-      let guards, relevant =
-        Cdcl.Session.prepare sess circuit view.Subgraph.cells
-      in
+      let guards, relevant = Cdcl.Session.prepare sess circuit cells in
       (Cdcl.Session.encoder sess, guards, Some relevant, "session")
     | None ->
       let enc = Cdcl.Tseitin.create () in
-      Cdcl.Tseitin.encode_cells enc circuit view.Subgraph.cells;
+      Cdcl.Tseitin.encode_cells enc circuit cells;
       (enc, [], None, "fresh")
   in
   let assumptions =
-    guards
-    @ Bits.Bit_tbl.fold
-        (fun b v acc -> Cdcl.Tseitin.assume_lit enc b v :: acc)
-        known []
+    guards @ List.map (fun (b, v) -> Cdcl.Tseitin.assume_lit enc b v) facts
   in
   (* snapshot around the query so a persistent solver's lifetime totals
      don't leak into per-query telemetry (fresh solvers start at zero,
@@ -407,18 +385,23 @@ let query_sat_how ?stats ?session (circuit : Circuit.t)
     | Cdcl.Tseitin.Undetermined -> Unknown),
     qid )
 
-let query_sat ?stats ?session circuit view known ~budget ~target : verdict =
-  fst (query_sat_how ?stats ?session circuit view known ~budget ~target)
+let query_sat ?stats ?session circuit ~cells ~facts ~budget ~target : verdict =
+  fst (query_sat_how ?stats ?session circuit ~cells ~facts ~budget ~target)
 
 (* --- the combined engine --- *)
 
-(* Determine [target] under [known].  A fresh bounded sub-graph is built
-   from the distance-k cones of the target and of every known signal (the
-   only gates Theorem II.1 allows to matter).  [known] is copied; the
-   caller's map is never polluted by inferred values. *)
-let determine_how ?session (cfg : Config.t) (stats : stats)
-    (circuit : Circuit.t) (index : Index.t) (known : Inference.known)
-    ~(target : Bits.bit) : verdict * source =
+let forgo stats =
+  stats.forgone <- stats.forgone + 1;
+  Obs.Metrics.incr m_forgone;
+  (Unknown, Via_forgone)
+
+(* Determine [target] under [known] on the pass's kernel.  The query's
+   sub-graph is the distance-k cones of the target and of every known
+   signal (the only gates Theorem II.1 allows to matter).  The rules run
+   on the kernel's fact store; the caller's map is never polluted by
+   inferred values. *)
+let determine_how ?session (cfg : Config.t) (stats : stats) (sg : Subgraph.t)
+    (known : Inference.known) ~(target : Bits.bit) : verdict * source =
   match Inference.read known target with
   | Some v -> (Forced v, Via_lookup) (* identical-signal case, free *)
   | None when Budget.exhausted () ->
@@ -426,38 +409,35 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
        building the sub-graph.  Sound — Unknown just means "leave the
        mux alone" — so the flow degrades to partial optimization. *)
     Budget.note_truncation ();
-    stats.forgone <- stats.forgone + 1;
-    Obs.Metrics.incr m_forgone;
-    (Unknown, Via_forgone)
+    forgo stats
   | None ->
     Obs.Trace.with_span "engine.determine" @@ fun () ->
-    let sg = Subgraph.create circuit index in
     let k = cfg.Config.distance_k in
+    Subgraph.start sg;
     Subgraph.add_cone sg ~k target;
     Bits.Bit_tbl.iter (fun b _ -> Subgraph.add_cone sg ~k b) known;
-    Obs.Metrics.observe_int h_subgraph_size (Subgraph.size sg);
-    if Subgraph.size sg > cfg.Config.max_subgraph_cells then begin
-      stats.forgone <- stats.forgone + 1;
-      Obs.Metrics.incr m_forgone;
-      (Unknown, Via_forgone)
-    end
+    let size = Subgraph.size sg in
+    Obs.Metrics.observe_int h_subgraph_size size;
+    if size > cfg.Config.max_subgraph_cells then forgo stats
     else begin
-    let view = Subgraph.view sg in
-    stats.subgraph_kept <- stats.subgraph_kept + Subgraph.size sg;
-    Obs.Metrics.add m_subgraph_kept (Subgraph.size sg);
+    stats.subgraph_kept <- stats.subgraph_kept + size;
+    Obs.Metrics.add m_subgraph_kept size;
     (* target not even in the sub-graph (neither computed by it nor one of
        its sources): no relation to knowns, nothing to infer from *)
-    if not (Subgraph.computes view target || Subgraph.is_source view target)
+    if
+      not
+        (Subgraph.computes sg target
+        || List.exists (Bits.bit_equal target) (Subgraph.sources sg))
     then (Unknown, Via_forgone)
     else begin
-      let local = Bits.Bit_tbl.copy known in
-      let track = Bits.Bit_tbl.create 16 in
+      let circuit = Subgraph.circuit sg in
+      let ordered = Subgraph.ordered_cells sg in
+      let store = Subgraph.facts sg in
       match
+        Inference.Dense.load store known;
         if cfg.Config.enable_inference_rules then begin
-          let _sweeps =
-            Inference.propagate ~track circuit local view.Subgraph.cells
-          in
-          Inference.read local target
+          Inference.Dense.propagate store circuit ordered;
+          Inference.Dense.read store target
         end
         else None
       with
@@ -465,30 +445,38 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
         stats.rule_hits <- stats.rule_hits + 1;
         Obs.Metrics.incr m_rule_hits;
         let rule =
-          match Bits.Bit_tbl.find_opt track target with
-          | Some r -> r
-          | None -> "rule"
+          Option.value (Inference.Dense.rule store target) ~default:"rule"
         in
         (Forced v, Via_rule rule)
       | None ->
+        let cells = Array.to_list ordered in
+        let sources = Subgraph.sources sg in
         let free_inputs =
-          List.filter
-            (fun b -> not (Bits.Bit_tbl.mem local b))
-            view.Subgraph.sources
+          List.filter (fun b -> Inference.Dense.read store b = None) sources
+        in
+        (* the facts on the sub-graph's bits: its sources and every
+           output of its cells; a fact on any other bit constrains nothing
+           here *)
+        let fact b =
+          Option.map (fun v -> (b, v)) (Inference.Dense.read store b)
+        in
+        let facts =
+          List.filter_map fact sources
+          @ List.concat_map
+              (fun id ->
+                List.filter_map fact
+                  (Cell.output_bits (Circuit.cell circuit id)))
+              cells
         in
         let n = List.length free_inputs in
         if
           n > cfg.Config.sim_input_threshold
           && n > cfg.Config.sat_input_threshold
-        then begin
-          stats.forgone <- stats.forgone + 1;
-          Obs.Metrics.incr m_forgone;
-          (Unknown, Via_forgone)
-        end
+        then forgo stats
         else begin
           (* rung zero: the abstract-interpretation fixpoint over the
-             view, seeded with every path fact (plus whatever the
-             rules just inferred into [local]).  Sound by construction —
+             sub-graph, seeded with every fact (the path facts plus
+             whatever the rules just inferred).  Sound by construction —
              it only answers when a definite value or a contradiction is
              proven, and falls through on top — and it sits after the
              threshold check so it only ever intercepts queries the
@@ -501,12 +489,7 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
               stats.analysis_queries <- stats.analysis_queries + 1;
               Obs.Metrics.incr m_analysis_queries;
               let t0 = Obs.Clock.now () in
-              let seeds =
-                Bits.Bit_tbl.fold (fun b v acc -> (b, v) :: acc) local []
-              in
-              let r =
-                Analysis.Fixpoint.run ~seeds circuit view.Subgraph.cells
-              in
+              let r = Analysis.Fixpoint.run ~seeds:facts circuit cells in
               Obs.Metrics.observe h_analysis_seconds (Obs.Clock.now () -. t0);
               match r with
               | Analysis.Fixpoint.Contradiction ->
@@ -539,7 +522,7 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
               Obs.Metrics.incr m_sim_queries;
               let t0 = Obs.Clock.now () in
               let v =
-                simulate_exhaustive circuit view local ~free_inputs ~target
+                simulate_exhaustive circuit ~cells ~facts ~free_inputs ~target
               in
               Obs.Metrics.observe h_sim_query_seconds
                 (Obs.Clock.now () -. t0);
@@ -549,7 +532,7 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
               stats.sat_queries <- stats.sat_queries + 1;
               Obs.Metrics.incr m_sat_queries;
               let v, qid =
-                query_sat_how ~stats ?session circuit view local
+                query_sat_how ~stats ?session circuit ~cells ~facts
                   ~budget:cfg.Config.sat_conflict_budget ~target
               in
               (v, Via_sat qid)
@@ -559,5 +542,5 @@ let determine_how ?session (cfg : Config.t) (stats : stats)
     end
     end
 
-let determine ?session cfg stats circuit index known ~target : verdict =
-  fst (determine_how ?session cfg stats circuit index known ~target)
+let determine ?session cfg stats sg known ~target : verdict =
+  fst (determine_how ?session cfg stats sg known ~target)

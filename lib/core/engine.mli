@@ -5,7 +5,7 @@
     abstract-interpretation rung zero ({!Analysis.Fixpoint}: known-bits +
     intervals, answering before the sim/SAT rungs when the target's
     abstract value is definite), exhaustive bit-parallel simulation when
-    the sub-graph view has few free inputs, an incremental SAT query
+    the sub-graph has few free inputs, an incremental SAT query
     otherwise, and a give-up threshold. *)
 
 open Netlist
@@ -25,7 +25,7 @@ type stats = {
   mutable sim_queries : int;
   mutable sat_queries : int;
   mutable forgone : int;
-  mutable subgraph_kept : int;  (** cells over all query views *)
+  mutable subgraph_kept : int;  (** cells over all query sub-graphs *)
   mutable sat_conflicts : int;
       (** solver conflicts accumulated over all SAT queries *)
   mutable sat_decisions : int;
@@ -94,29 +94,20 @@ module Sat_log : sig
       the paths written (easiest first). *)
 end
 
-val simulate_exhaustive :
-  Circuit.t ->
-  Subgraph.view ->
-  Inference.known ->
-  free_inputs:Bits.bit list ->
-  target:Bits.bit ->
-  verdict
-(** Enumerate all assignments of the free sub-graph inputs; rows violating
-    an internal known value are discarded. *)
-
 val query_sat :
   ?stats:stats ->
   ?session:Cdcl.Session.t ->
   Circuit.t ->
-  Subgraph.view ->
-  Inference.known ->
+  cells:int list ->
+  facts:(Bits.bit * bool) list ->
   budget:int ->
   target:Bits.bit ->
   verdict
-(** One forced-value query.  Without [session], a fresh Tseitin encoding
-    and solver; with [session], the persistent solver answers it — the
-    view's cells are lazily encoded as guarded clause groups and activated
-    by assumptions, so the verdict is the same while learned clauses and
+(** One forced-value query over [cells] (drivers first) under the
+    assumed [facts].  Without [session], a fresh Tseitin encoding and
+    solver; with [session], the persistent solver answers it — [cells]
+    are lazily encoded as guarded clause groups and activated by
+    assumptions, so the verdict is the same while learned clauses and
     the variable map carry over to the next query.  When [stats] is given
     the query's conflict/decision/propagation deltas are accumulated into
     it (and into the global {!Obs.Metrics} registry).
@@ -126,28 +117,18 @@ val query_sat :
     [Unknown].  Without a session this is the fresh
     encoding the differential tests use as their oracle. *)
 
-val query_sat_how :
-  ?stats:stats ->
-  ?session:Cdcl.Session.t ->
-  Circuit.t ->
-  Subgraph.view ->
-  Inference.known ->
-  budget:int ->
-  target:Bits.bit ->
-  verdict * int
-(** Like {!query_sat}, also returning the {!Sat_log} query id. *)
-
 val determine :
   ?session:Cdcl.Session.t ->
   Config.t ->
   stats ->
-  Circuit.t ->
-  Index.t ->
+  Subgraph.t ->
   Inference.known ->
   target:Bits.bit ->
   verdict
-(** Build the bounded sub-graph from the cones of the target and the known
-    signals, view it in topological order, and run the ladder.  The caller's
+(** Extract the bounded sub-graph from the cones of the target and the
+    known signals on the kernel, and run the ladder: the rules on the
+    kernel's fact store, then rung zero, simulation or SAT on the cells
+    in rank order and the facts on the sub-graph's bits.  The caller's
     known map is never polluted with inferred values.  [session] routes
     SAT queries through the persistent incremental solver. *)
 
@@ -155,8 +136,7 @@ val determine_how :
   ?session:Cdcl.Session.t ->
   Config.t ->
   stats ->
-  Circuit.t ->
-  Index.t ->
+  Subgraph.t ->
   Inference.known ->
   target:Bits.bit ->
   verdict * source

@@ -19,9 +19,7 @@ let rule_name (cell : Cell.t) =
   | Cell.Dff _ -> "dff"
 
 (* A set of facts about wire bits.  The rules read and extend a store
-   only through these two functions, so one copy of them serves the
-   hash-table store the engine copies per query and the dense store the
-   walk's data-bit folding reuses. *)
+   only through these two functions. *)
 module type STORE = sig
   type t
 
@@ -367,68 +365,14 @@ module Rules (S : STORE) = struct
     !progress
 end
 
-(* Sweep [step i] over cells [0 .. n-1] until no step makes progress
-   (at most 64 sweeps); returns the sweep count. *)
-let sweep n step =
-  let rec loop sweeps =
-    if sweeps > 64 then sweeps
-    else begin
-      let progress = ref false in
-      for i = 0 to n - 1 do
-        if step i then progress := true
-      done;
-      if !progress then loop (sweeps + 1) else sweeps
-    end
-  in
-  loop 0
-
 type known = bool Bits.Bit_tbl.t
 
-(* Optional rule attribution: when a track table is installed, every fact
-   newly derived by [set] is tagged with the rule family of the cell being
-   stepped (e.g. "or", "eq", "mux").  A global pair of refs rather than
-   threading through every helper: [set]/[link] are called from a dozen
-   sites inside [step] which have no cell context of their own. *)
-let track_tbl : string Bits.Bit_tbl.t option ref = ref None
-let track_rule = ref "seed"
-
-module Tbl = Rules (struct
-  type t = known
-
-  let find = Bits.Bit_tbl.find_opt
-
-  let add k b v =
-    Bits.Bit_tbl.replace k b v;
-    match !track_tbl with
-    | Some t -> Bits.Bit_tbl.replace t b !track_rule
-    | None -> ()
-end)
-
-let read = Tbl.read
-let set = Tbl.set
-let step = Tbl.step
-
-(* Propagate to fixpoint over [cells] (any order; we sweep repeatedly).
-   Returns the number of sweeps; raises [Contradiction] when the known
-   values are inconsistent. *)
-let propagate ?track (circuit : Circuit.t) (k : known) (cells : int list) :
-    int =
-  let cells = Array.of_list cells in
-  let step_cell i =
-    match Circuit.cell_opt circuit cells.(i) with
-    | Some cell ->
-      if !track_tbl <> None then track_rule := rule_name cell;
-      step k cell
-    | None -> false
-  in
-  match track with
-  | None -> sweep (Array.length cells) step_cell
-  | Some t ->
-    track_tbl := Some t;
-    (* Contradiction must not leave the recorder installed *)
-    Fun.protect
-      ~finally:(fun () -> track_tbl := None)
-      (fun () -> sweep (Array.length cells) step_cell)
+let read (k : known) (b : Bits.bit) : bool option =
+  match b with
+  | Bits.C0 -> Some false
+  | Bits.C1 -> Some true
+  | Bits.Cx -> None
+  | Bits.Of_wire _ -> Bits.Bit_tbl.find_opt k b
 
 (* One slot per wire bit of a circuit, for the walk's many short-lived
    fact sets.  A slot holds [2 * generation + value] and is known only
@@ -515,15 +459,21 @@ module Dense = struct
         | Bits.C0 | Bits.C1 | Bits.Cx -> ())
       k
 
+  (* sweep the cells until none makes progress, at most 65 times *)
   let propagate t (circuit : Circuit.t) (cells : int array) =
     let cells = Array.map (Circuit.cell_opt circuit) cells in
-    ignore
-      (sweep (Array.length cells) (fun i ->
-           match cells.(i) with
-           | Some cell ->
-             t.rule <- rule_name cell;
-             step t cell
-           | None -> false))
+    let rec loop sweeps =
+      let progress = ref false in
+      Array.iter
+        (function
+          | Some cell ->
+            t.rule <- rule_name cell;
+            if step t cell then progress := true
+          | None -> ())
+        cells;
+      if !progress && sweeps < 64 then loop (sweeps + 1)
+    in
+    loop 0
 
   let rule t = function
     | Bits.Of_wire (w, i) ->

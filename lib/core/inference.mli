@@ -2,9 +2,9 @@
     kind): forward evaluation with partially-known inputs plus backward
     rules such as [a|b = 0 ⊢ a = b = 0] and [a|b = 1, a = 0 ⊢ b = 1].
 
-    One copy of the rules runs over two fact stores: the hash table
-    {!known} that the engine copies per query, and {!Dense}, which the
-    walk's data-bit folding reuses across a whole pass. *)
+    The rules are one functor over a fact store; the walk and the engine
+    run them on {!Dense}, which one pass reuses for every fold and
+    query. *)
 
 open Netlist
 
@@ -12,24 +12,32 @@ exception Contradiction
 (** The known values are inconsistent: the current path is unreachable. *)
 
 type known = bool Bits.Bit_tbl.t
+(** The path facts a walk carries down a muxtree. *)
 
 val read : known -> Bits.bit -> bool option
 (** Constants read as themselves. *)
 
-val set : known -> Bits.bit -> bool -> bool
-(** Record a fact; [true] when it is new information.
-    @raise Contradiction when it conflicts. *)
+(** A set of facts about wire bits.  The rules read and extend a store
+    only through these two functions. *)
+module type STORE = sig
+  type t
 
-val step : known -> Cell.t -> bool
-(** One propagation step through a cell; [true] on progress. *)
+  val find : t -> Bits.bit -> bool option
+  (** The value of a wire bit, if known. *)
 
-val propagate : ?track:string Bits.Bit_tbl.t -> Circuit.t -> known -> int list -> int
-(** Sweep the given cells to fixpoint; returns the sweep count.  When
-    [track] is given, every bit whose value is newly derived during the
-    sweep is mapped to the rule family (the cell kind, e.g. ["or"] or
-    ["mux"]) that derived it — the raw material for provenance rule
-    attribution.
-    @raise Contradiction when the facts are inconsistent. *)
+  val add : t -> Bits.bit -> bool -> unit
+  (** Record a wire bit [find] reports unknown. *)
+end
+
+(** Table I's rules over one store. *)
+module Rules (S : STORE) : sig
+  val read : S.t -> Bits.bit -> bool option
+  (** Constants read as themselves. *)
+
+  val step : S.t -> Cell.t -> bool
+  (** One propagation step through a cell; [true] on progress.
+      @raise Contradiction when the facts are inconsistent. *)
+end
 
 (** A fact store with one slot per wire bit of a circuit.  Starting a
     fresh fact set costs O(1) plus one write per seed, and rule
@@ -48,10 +56,11 @@ module Dense : sig
       rule). *)
 
   val propagate : t -> Circuit.t -> int array -> unit
-  (** {!Inference.propagate} over the given cells, recording the rule
-      family that derives each new fact.  The rules are monotone, so the
-      fixpoint they reach, and with it every value, does not depend on
-      the cells' order.
+  (** Sweep the rules over the given cells until none makes progress (at
+      most 65 sweeps), recording the rule family (the cell kind, e.g.
+      ["or"] or ["mux"]) that derives each new fact.  The rules are
+      monotone, so the fixpoint they reach, and with it every value, does
+      not depend on the cells' order.
       @raise Contradiction when the facts are inconsistent. *)
 
   val read : t -> Bits.bit -> bool option

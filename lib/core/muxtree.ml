@@ -143,11 +143,10 @@ let normalize_cons = function
   | Some l -> Some (List.sort compare l)
 
 (* Flatten the muxtree rooted at [root_id] into priority rows.  Raises
-   [Not_a_tree] when the structure does not match.  [single_ctrl] enforces
-   the paper's SingleCtrl condition (all selector bits from one wire);
-   disabling it is this implementation's extension, allowing rebuilds of
-   priority chains over several independent condition signals. *)
-let flatten ?(single_ctrl = true) deps (root_id : int) : flat option =
+   [Not_a_tree] when the structure does not match.  A tree whose selector
+   bits come from more than one wire fails the paper's SingleCtrl
+   condition and is not flattened. *)
+let flatten deps (root_id : int) : flat option =
   let tree_cells = ref [] in
   let select_cells = ref [] in
   let rec go (id : int) : crow list * Bits.sigspec =
@@ -224,7 +223,7 @@ let flatten ?(single_ctrl = true) deps (root_id : int) : flat option =
           rest
       | _ -> false
     in
-    if single_ctrl && not same_wire then None
+    if not same_wire then None
     else
     let pos b =
       let p = ref (-1) in
@@ -272,14 +271,14 @@ let make_deps (c : Circuit.t) =
   }
 
 (* Re-flatten a single root against the given (current) dependencies. *)
-let flatten_root ?single_ctrl (deps : deps) (root_id : int) : flat option =
+let flatten_root (deps : deps) (root_id : int) : flat option =
   match Circuit.cell_opt deps.circuit root_id with
   | None -> None
-  | Some _ -> flatten ?single_ctrl deps root_id
+  | Some _ -> flatten deps root_id
 
 (* All rebuildable muxtrees of the circuit (roots are muxes that are not
    dedicated children themselves). *)
-let find_all ?single_ctrl (c : Circuit.t) : flat list =
+let find_all (c : Circuit.t) : flat list =
   let deps = make_deps c in
   List.filter_map
     (fun id ->
@@ -288,7 +287,7 @@ let find_all ?single_ctrl (c : Circuit.t) : flat list =
       | Cell.Mux _ | Cell.Pmux _ ->
         if
           Rtl_opt.Opt_muxtree.dedicated_location deps.readers cell = None
-        then flatten ?single_ctrl deps id
+        then flatten deps id
         else None
       | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ -> None)
     (Circuit.cell_ids c)

@@ -29,16 +29,14 @@ type deps = {
 
 val make_deps : Circuit.t -> deps
 
-val flatten : ?single_ctrl:bool -> deps -> int -> flat option
-(** Flatten the tree rooted at the given mux cell.  [single_ctrl]
-    (default [true]) enforces the paper's SingleCtrl condition — all
-    selector bits from one wire; [false] additionally accepts chains over
-    several independent condition signals (this implementation's
-    extension). *)
+val flatten : deps -> int -> flat option
+(** Flatten the tree rooted at the given mux cell.  [None] unless it
+    meets the paper's SingleCtrl condition: all selector bits from one
+    wire. *)
 
-val flatten_root : ?single_ctrl:bool -> deps -> int -> flat option
+val flatten_root : deps -> int -> flat option
 (** Like {!flatten} but tolerates a vanished root (returns [None]). *)
 
-val find_all : ?single_ctrl:bool -> Circuit.t -> flat list
+val find_all : Circuit.t -> flat list
 (** Every rebuildable muxtree (roots = muxes that are not dedicated
     children themselves). *)

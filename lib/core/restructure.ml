@@ -297,13 +297,13 @@ let h_rows = Obs.Metrics.histogram "restructure.rows_per_tree"
 let h_chain_len = Obs.Metrics.histogram "restructure.old_muxes_per_tree"
 let h_height = Obs.Metrics.histogram "restructure.tree_height"
 
-let run_once ?(min_saving = 1) ?(single_ctrl = true) (c : Circuit.t) : report =
+let run_once ?(min_saving = 1) (c : Circuit.t) : report =
   Obs.Trace.with_span "restructure.run_once" @@ fun () ->
   (* candidates are discovered once; each is re-flattened against the
      current circuit just before rebuilding, since rewiring one tree can
      refresh the data leaves of another *)
   let roots =
-    List.map (fun f -> f.Muxtree.root) (Muxtree.find_all ~single_ctrl c)
+    List.map (fun f -> f.Muxtree.root) (Muxtree.find_all c)
   in
   let rebuilt = ref 0 in
   let muxes_before = ref 0 in
@@ -327,7 +327,7 @@ let run_once ?(min_saving = 1) ?(single_ctrl = true) (c : Circuit.t) : report =
         Budget.note_truncation ()
       else
       let deps = get_deps () in
-      match Muxtree.flatten_root ~single_ctrl deps root with
+      match Muxtree.flatten_root deps root with
       | None -> ()
       | Some flat ->
         let d = evaluate c deps.Muxtree.index flat in

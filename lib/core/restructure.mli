@@ -42,6 +42,6 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-val run_once : ?min_saving:int -> ?single_ctrl:bool -> Circuit.t -> report
+val run_once : ?min_saving:int -> Circuit.t -> report
 
 val changed : report -> bool

@@ -6,10 +6,10 @@
    only by identical-signal matching.  Data-port bits determined by the
    inference rules under the path condition are replaced by constants.
 
-   Per query, a bounded sub-graph is built from the distance-k fanin cones
-   of the visited control ports (the paper's incremental accumulation,
-   restricted to the facts on the current path) and handed to the
-   engine. *)
+   Per fold and per query, a bounded sub-graph is extracted from the
+   distance-k fanin cones of the visited control ports (the paper's
+   incremental accumulation, restricted to the facts on the current path)
+   on one kernel that the walk builds over its pass-start circuit. *)
 
 open Netlist
 module OM = Rtl_opt.Opt_muxtree
@@ -33,96 +33,72 @@ let pp_report ppf r =
     r.engine.Engine.sat_conflicts r.engine.Engine.sat_decisions
     r.engine.Engine.sat_propagations
 
-(* The data-bit fold kernel of one walk: the cone index and the fact
-   store, built once over the pass-start circuit.  [replace] is the walk's
-   only mutation. *)
-module Fold = struct
-  type t = {
-    cfg : Config.t;
-    c : Circuit.t;
-    cones : Subgraph.Cones.t;
-    facts : Inference.Dense.t;
-  }
-
-  let create cfg c index =
-    {
-      cfg;
-      c;
-      cones = Subgraph.Cones.create c index;
-      facts = Inference.Dense.create c;
-    }
-
-  let replace t id cell =
-    Circuit.replace_cell t.c id cell;
-    Subgraph.Cones.invalidate t.cones id
-
-  (* Run the rules over the cones of the known bits and the port bits
-     into [t.facts]; [false] when they were not run (no rules, no facts,
-     cones over [max_subgraph_cells]) or contradicted, which leaves
-     [known] alone as the facts. *)
-  let derive t known port =
-    let cfg = t.cfg in
-    cfg.Config.enable_inference_rules
-    && Bits.Bit_tbl.length known > 0
-    &&
-    let cones = t.cones in
-    let k = cfg.Config.distance_k in
-    let add b =
-      Subgraph.Cones.add_cone cones ~k b;
-      (* sets only grow: the cut-off is already decided *)
-      if Subgraph.Cones.size cones > cfg.Config.max_subgraph_cells then
-        raise_notrace Exit
-    in
-    Subgraph.Cones.start cones;
+(* Run the rules over the cones of the known bits and the port bits into
+   the kernel's fact store; [false] when they were not run (no rules, no
+   facts, cones over [max_subgraph_cells]) or contradicted, which leaves
+   [known] alone as the facts. *)
+let derive (cfg : Config.t) sg known port =
+  cfg.Config.enable_inference_rules
+  && Bits.Bit_tbl.length known > 0
+  &&
+  let k = cfg.Config.distance_k in
+  let add b =
+    Subgraph.add_cone sg ~k b;
+    (* sets only grow: the cut-off is already decided *)
+    if Subgraph.size sg > cfg.Config.max_subgraph_cells then
+      raise_notrace Exit
+  in
+  Subgraph.start sg;
+  match
+    Bits.Bit_tbl.iter (fun b _ -> add b) known;
+    Array.iter add port
+  with
+  | exception Exit -> false
+  | () -> (
+    let facts = Subgraph.facts sg in
+    Inference.Dense.load facts known;
     match
-      Bits.Bit_tbl.iter (fun b _ -> add b) known;
-      Array.iter add port
+      Inference.Dense.propagate facts (Subgraph.circuit sg)
+        (Subgraph.ordered_cells sg)
     with
-    | exception Exit -> false
-    | () -> (
-      Inference.Dense.load t.facts known;
-      match
-        Inference.Dense.propagate t.facts t.c
-          (Subgraph.Cones.ordered_cells cones)
-      with
-      | () -> true
-      | exception Inference.Contradiction -> false)
+    | () -> true
+    | exception Inference.Contradiction -> false)
 
-  let port t known ~owner (port : Bits.sigspec) : Bits.sigspec * int =
-    if Bits.is_fully_const port then (port, 0)
-    else
-      Obs.Trace.with_span "sat_elim.fold" @@ fun () ->
-      let derived = derive t known port in
-      let folded = ref 0 in
-      let out =
-        Array.map
-          (fun b ->
-            let value =
-              if derived then Inference.Dense.read t.facts b
-              else Inference.read known b
-            in
-            match value with
-            | Some v ->
-              let nb = Bits.const_of_bool v in
-              if not (Bits.bit_equal nb b) then begin
-                incr folded;
-                (* a bit no rule derived is a path fact itself *)
-                let rule =
-                  if derived then Inference.Dense.rule t.facts b else None
-                in
-                Obs.Provenance.emit ~kind:Obs.Provenance.Const_resolved
-                  ~cell:owner ~pass:"sat_elim"
-                  ~mechanism:
-                    (Obs.Provenance.Rule
-                       (Option.value rule ~default:"identical_signal"))
-                  ~bits:1 ()
-              end;
-              nb
-            | None -> b)
-          port
-      in
-      (out, !folded)
-end
+let fold_port cfg sg known ~owner (port : Bits.sigspec) : Bits.sigspec * int =
+  if Bits.is_fully_const port then (port, 0)
+  else
+    Obs.Trace.with_span "sat_elim.fold" @@ fun () ->
+    let derived = derive cfg sg known port in
+    let facts = Subgraph.facts sg in
+    let folded = ref 0 in
+    let out =
+      Array.map
+        (fun b ->
+          let value =
+            if derived then Inference.Dense.read facts b
+            else Inference.read known b
+          in
+          match value with
+          | Some v ->
+            let nb = Bits.const_of_bool v in
+            if not (Bits.bit_equal nb b) then begin
+              incr folded;
+              (* a bit no rule derived is a path fact itself *)
+              let rule =
+                if derived then Inference.Dense.rule facts b else None
+              in
+              Obs.Provenance.emit ~kind:Obs.Provenance.Const_resolved
+                ~cell:owner ~pass:"sat_elim"
+                ~mechanism:
+                  (Obs.Provenance.Rule
+                     (Option.value rule ~default:"identical_signal"))
+                ~bits:1 ()
+            end;
+            nb
+          | None -> b)
+        port
+    in
+    (out, !folded)
 
 type ctx = {
   cfg : Config.t;
@@ -133,7 +109,7 @@ type ctx = {
   session : Cdcl.Session.t;
       (* one persistent incremental solver for every SAT query of the
          pass *)
-  fold : Fold.t;
+  sg : Subgraph.t; (* the pass's kernel: every fold and every query *)
   edits : (int * Cell.t) list ref option;
       (* (id, new cell) newest-first, recorded when the pass will be
          stored in the {!Replay} cache *)
@@ -146,7 +122,7 @@ let replace ctx id (cell : Cell.t) =
   (match ctx.edits with
   | Some edits -> edits := (id, cell) :: !edits
   | None -> ());
-  Fold.replace ctx.fold id cell
+  Subgraph.replace ctx.sg id cell
 
 let is_mux = function
   | Cell.Mux _ | Cell.Pmux _ -> true
@@ -188,8 +164,8 @@ let resolve_select ctx known (s : Bits.bit) :
            covers those, skip the expensive query *)
         (Engine.Unknown, Engine.Via_forgone)
       else
-        Engine.determine_how ~session:ctx.session ctx.cfg ctx.stats ctx.c
-          ctx.index known ~target:s)
+        Engine.determine_how ~session:ctx.session ctx.cfg ctx.stats ctx.sg
+          known ~target:s)
 
 (* Substitute data-port bits under [known]: direct lookups plus values the
    inference rules derive on the cones of the known signals and of the
@@ -203,7 +179,7 @@ let fold_data_bits ctx known ~owner (port : Bits.sigspec) :
     (port, false)
   end
   else begin
-    let out, folded = Fold.port ctx.fold known ~owner port in
+    let out, folded = fold_port ctx.cfg ctx.sg known ~owner port in
     ctx.folded <- ctx.folded + folded;
     (out, folded > 0)
   end
@@ -352,7 +328,7 @@ let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
       readers = OM.collect_readers c;
       stats = Engine.fresh_stats ();
       session = Cdcl.Session.create ();
-      fold = Fold.create cfg c index;
+      sg = Subgraph.create c index;
       edits;
       bypassed = 0;
       folded = 0;

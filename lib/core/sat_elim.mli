@@ -28,26 +28,17 @@ val run : Config.t -> Circuit.t -> report
 
 val changed : report -> bool
 
-(** The data-bit fold kernel that one walk builds over its pass-start
-    circuit: a {!Subgraph.Cones} index and an {!Inference.Dense} store.
-    Exposed for its differential test against {!Subgraph} and
-    {!Inference.propagate}. *)
-module Fold : sig
-  type t
-
-  val create : Config.t -> Circuit.t -> Index.t -> t
-
-  val replace : t -> int -> Cell.t -> unit
-  (** Replace a cell of the circuit as the walk does (same outputs, each
-      new fanin bit a constant or already in the cell's fanin cone) and
-      forget its cached fanin. *)
-
-  val port :
-    t -> Inference.known -> owner:int -> Bits.sigspec -> Bits.sigspec * int
-  (** The port with each bit that [known] and the rules determine
-      replaced by its constant, and the count of bits replaced.  The
-      rules run over the distance-k cones of the known bits and the port
-      bits, unless those exceed [max_subgraph_cells] or contradict.
-      Emits one [Const_resolved] provenance event per replaced bit, on
-      [owner]. *)
-end
+val fold_port :
+  Config.t ->
+  Subgraph.t ->
+  Inference.known ->
+  owner:int ->
+  Bits.sigspec ->
+  Bits.sigspec * int
+(** The port with each bit that [known] and the rules determine replaced
+    by its constant, and the count of bits replaced: the walk's data-bit
+    fold, on the kernel it builds over its pass-start circuit.  The rules
+    run over the distance-k cones of the known bits and the port bits,
+    unless those exceed [max_subgraph_cells] or contradict.  Emits one
+    [Const_resolved] provenance event per replaced bit, on [owner].
+    Exposed for its differential test. *)

@@ -1,69 +1,55 @@
-(** Bounded sub-graph extraction for the redundancy-elimination queries
-    (paper Section II).
+(** The sub-graph kernel of one pass (paper Section II): bounded cone
+    extraction plus a fact store, serving every data-port fold and every
+    ladder query of a [sat_elim] walk.
 
     Control ports contribute their distance-k fanin cones; sequential cells
     are excluded so the sub-graph stays a DAG.  A query's sub-graph holds
     the cones of exactly its relevant bits, so it is already the gate set
     Theorem II.1 keeps: every cell shares a source with the relevant bit
-    whose cone added it.  No separate pruning step runs. *)
+    whose cone added it.  No separate pruning step runs.
+
+    The kernel is built once over a circuit and answers many extractions
+    from arrays over its cell ids.  The circuit may change while the
+    kernel lives only by {!replace}, with replacements that keep each
+    cell's outputs and kind and substitute fanin bits by constants or by
+    bits already in the cell's transitive fanin; these keep the
+    creation-time rank topological. *)
 
 open Netlist
 
 type t
 
 val create : Circuit.t -> Index.t -> t
+(** Ranks every combinational cell, drivers first (a combinational cycle
+    is cut, never reported), and gives the fact store a slot per wire
+    bit.  [Index] must describe the circuit. *)
+
+val circuit : t -> Circuit.t
+
+val replace : t -> int -> Cell.t -> unit
+(** Replace a cell of the circuit as a walk does (same outputs, each new
+    fanin bit a constant or already in the cell's fanin cone) and forget
+    its cached fanin. *)
+
+val start : t -> unit
+(** Begin a new, empty cell set. *)
 
 val add_cone : t -> k:int -> Bits.bit -> unit
-(** Add the combinational gates within distance [k] above [bit]. *)
+(** Add the combinational gates within distance [k] above [bit] to the
+    current set. *)
 
 val size : t -> int
-(** Accumulated cell count. *)
+(** Cell count of the current set. *)
 
-val ordered_cells : t -> int list
-(** Every accumulated cell, drivers first. *)
+val ordered_cells : t -> int array
+(** The current set by creation-time rank: drivers first. *)
 
-(** A topologically ordered view ready for querying. *)
-type view = {
-  cells : int list;  (** drivers first *)
-  sources : Bits.bit list;  (** bits read but not driven inside *)
-  source_set : unit Bits.Bit_tbl.t;  (** [sources] as a table *)
-  driver : int Bits.Bit_tbl.t;  (** each bit computed inside -> its cell *)
-}
+val computes : t -> Bits.bit -> bool
+(** The bit is an output of a cell of the current set. *)
 
-val view : t -> view
-(** The cells of {!ordered_cells} with their sources and drivers. *)
+val sources : t -> Bits.bit list
+(** The bits the current set reads but does not compute, constants
+    excluded, each once. *)
 
-val is_source : view -> Bits.bit -> bool
-
-val computes : view -> Bits.bit -> bool
-(** The bit is an output of a view cell. *)
-
-(** The cell sets of {!add_cone} for the many extractions of one pass,
-    from arrays built once over the pass-start circuit.  The circuit may
-    change during the pass only by {!Cones.invalidate}d cell
-    replacements that keep each cell's outputs and kind and substitute
-    fanin bits by constants or by bits already in the cell's transitive
-    fanin; these keep the pass-start rank topological. *)
-module Cones : sig
-  type t
-
-  val create : Circuit.t -> Index.t -> t
-  (** Ranks every combinational cell, drivers first (a combinational
-      cycle is cut, never reported).  [Index] must describe the circuit. *)
-
-  val invalidate : t -> int -> unit
-  (** Forget the cached fanin of a cell that was just replaced. *)
-
-  val start : t -> unit
-  (** Begin a new, empty cell set. *)
-
-  val add_cone : t -> k:int -> Bits.bit -> unit
-  (** {!Subgraph.add_cone} into the current set. *)
-
-  val size : t -> int
-  (** {!Subgraph.size} of the current set. *)
-
-  val ordered_cells : t -> int array
-  (** The current set by pass-start rank: drivers first, though not in
-      {!Subgraph.ordered_cells}' order. *)
-end
+val facts : t -> Inference.Dense.t
+(** The kernel's fact store, reused by every fold and query. *)

@@ -5,8 +5,8 @@ open Netlist
 
 let m_cells_removed = Obs.Metrics.counter "flow.cells_removed"
 
-(* One sweep: returns the number of removed cells. *)
-let sweep_once (c : Circuit.t) : int =
+(* One liveness sweep: returns the number of removed cells. *)
+let sweep (c : Circuit.t) : int =
   let index = Index.build c in
   let live = Hashtbl.create 64 in
   let queue = Queue.create () in
@@ -86,13 +86,9 @@ let m_removed = Obs.Metrics.counter "opt_clean.removed"
 
 let run (c : Circuit.t) : int =
   Obs.Trace.with_span "opt_clean.run" @@ fun () ->
-  let total = ref 0 in
-  let rec fix () =
-    let n = sweep_once c in
-    total := !total + n;
-    if n > 0 then fix ()
-  in
-  fix ();
+  (* one sweep suffices: removing the cells outside the fanin closure of
+     the outputs and flip-flops leaves that closure unchanged *)
+  let removed = sweep c in
   ignore (remove_unused_wires c);
-  Obs.Metrics.add m_removed !total;
-  !total
+  Obs.Metrics.add m_removed removed;
+  removed

@@ -1,10 +1,8 @@
 (** Dead-code elimination (Yosys [opt_clean]): cells not reaching a primary
     output or a sequential cell are removed, as are unreferenced wires. *)
 
-val sweep_once : Netlist.Circuit.t -> int
-(** One liveness sweep; returns removed cells. *)
-
 val remove_unused_wires : Netlist.Circuit.t -> int
 
 val run : Netlist.Circuit.t -> int
-(** Sweep to fixpoint; returns total removed cells. *)
+(** One liveness sweep, then {!remove_unused_wires}; returns removed
+    cells. *)

@@ -153,11 +153,14 @@ let resolve_port ctx known ~loc (port : Bits.sigspec) : Bits.sigspec * bool =
   in
   out, !changed
 
+let add_fact known (bit : Bits.bit) (v : bool) =
+  match bit with
+  | Bits.Of_wire _ -> Bits.Bit_tbl.replace known bit v
+  | Bits.C0 | Bits.C1 | Bits.Cx -> ()
+
 let with_fact known (bit : Bits.bit) (v : bool) =
   let known' = Bits.Bit_tbl.copy known in
-  (match bit with
-  | Bits.Of_wire _ -> Bits.Bit_tbl.replace known' bit v
-  | Bits.C0 | Bits.C1 | Bits.Cx -> ());
+  add_fact known' bit v;
   known'
 
 (* Children of a port that we should recurse into. *)
@@ -196,21 +199,24 @@ let rec visit ctx visited known (id : int) =
     | Some (Cell.Pmux { a; b; s; y }) ->
       let w = Bits.width a in
       let n = Bits.width s in
-      (* default branch: every select is 0 *)
-      let known_def = ref (Bits.Bit_tbl.copy known) in
-      Array.iter (fun sb -> known_def := with_fact !known_def sb false) s;
-      let a', ca = resolve_port ctx !known_def ~loc:(id, Side_a) a in
-      (* part branches: s_i = 1, s_j = 0 for j < i (priority) *)
+      (* part branches: s_i = 1, s_j = 0 for j < i (priority), each the
+         prefix of earlier selects at 0 plus s_i = 1; the default branch
+         has every select at 0 *)
+      let known_def = Bits.Bit_tbl.copy known in
+      let part_known =
+        Array.init n (fun i ->
+            let kp = with_fact known_def s.(i) true in
+            add_fact known_def s.(i) false;
+            kp)
+      in
+      let a', ca = resolve_port ctx known_def ~loc:(id, Side_a) a in
       let b' = Array.copy b in
       let changed_b = ref false in
       for i = 0 to n - 1 do
-        let kp = ref (Bits.Bit_tbl.copy known) in
-        for j = 0 to i - 1 do
-          kp := with_fact !kp s.(j) false
-        done;
-        kp := with_fact !kp s.(i) true;
         let part = Bits.slice b ~off:(i * w) ~len:w in
-        let part', cp = resolve_port ctx !kp ~loc:(id, Side_b i) part in
+        let part', cp =
+          resolve_port ctx part_known.(i) ~loc:(id, Side_b i) part
+        in
         if cp then begin
           changed_b := true;
           Array.blit part' 0 b' (i * w) w
@@ -219,17 +225,12 @@ let rec visit ctx visited known (id : int) =
       if ca || !changed_b then
         Circuit.replace_cell ctx.c id (Cell.Pmux { a = a'; b = b'; s; y });
       List.iter
-        (fun cid -> visit ctx visited !known_def cid)
+        (fun cid -> visit ctx visited known_def cid)
         (port_children ctx ~loc:(id, Side_a) a');
       for i = 0 to n - 1 do
-        let kp = ref (Bits.Bit_tbl.copy known) in
-        for j = 0 to i - 1 do
-          kp := with_fact !kp s.(j) false
-        done;
-        kp := with_fact !kp s.(i) true;
         let part = Bits.slice b' ~off:(i * w) ~len:w in
         List.iter
-          (fun cid -> visit ctx visited !kp cid)
+          (fun cid -> visit ctx visited part_known.(i) cid)
           (port_children ctx ~loc:(id, Side_b i) part)
       done
     | Some (Cell.Unary _ | Cell.Binary _ | Cell.Dff _) -> ()

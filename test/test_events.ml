@@ -297,6 +297,37 @@ let test_budget_stops_folding () =
   | Equiv.Inconclusive -> Alcotest.fail "equivalence inconclusive");
   Smartly.Budget.reset ()
 
+(* A sat_elim pass stops soon after its wall-time budget trips: the walk
+   polls the watchdog before each tree, each data-port fold and each
+   ladder query, and the solver at every conflict and decision.  The
+   full-size ind_03 walk takes seconds unbudgeted; at a 200 ms budget its
+   overrun must stay well short of another 400 ms. *)
+let test_budget_bounds_overrun () =
+  Smartly.Budget.reset ();
+  let p =
+    match Workloads.Profiles.by_name "ind_03" with
+    | Some p -> p
+    | None -> Alcotest.fail "no ind_03 profile"
+  in
+  let c = Workloads.Profiles.circuit p in
+  let cfg =
+    { Smartly.Config.default with Smartly.Config.pass_budget_ms = Some 200 }
+  in
+  let r = Smartly.Driver.smartly ~cfg c in
+  let overruns =
+    List.filter
+      (fun (o : Smartly.Budget.overrun) -> o.Smartly.Budget.pass = "sat_elim")
+      r.Smartly.Driver.overruns
+  in
+  check_bool "sat_elim overran" true (overruns <> []);
+  List.iter
+    (fun (o : Smartly.Budget.overrun) ->
+      if o.Smartly.Budget.elapsed_ms >= 600.0 then
+        Alcotest.failf "sat_elim ran %.1f ms on a 200 ms budget"
+          o.Smartly.Budget.elapsed_ms)
+    overruns;
+  Smartly.Budget.reset ()
+
 let test_budget_unarmed_is_free () =
   Smartly.Budget.reset ();
   check_bool "not armed" true (not (Smartly.Budget.armed ()));
@@ -458,6 +489,8 @@ let () =
             test_budget_unarmed_is_free;
           Alcotest.test_case "starved walk stops folding" `Quick
             test_budget_stops_folding;
+          Alcotest.test_case "ind_03 overrun bounded" `Quick
+            test_budget_bounds_overrun;
         ] );
       ( "ledger",
         [

@@ -4,7 +4,9 @@
    observed in a real execution), every value derived by the inference
    rules must hold in every input assignment compatible with the knowns,
    and every Engine verdict must match the brute-force answer.  This is
-   the property that keeps the SAT-elimination pass sound. *)
+   the property that keeps the SAT-elimination pass sound.  The sub-graph
+   kernel is also checked against the reference implementations it
+   replaced. *)
 
 open Netlist
 
@@ -78,17 +80,19 @@ let prop_inference_sound =
       let st = ref (seed + 11) in
       let knowns = pick_knowns st pool env_w k in
       let known : Smartly.Inference.known = Bits.Bit_tbl.create 8 in
-      (try
-         List.iter
-           (fun (b, v) -> ignore (Smartly.Inference.set known b v))
-           knowns
-       with Smartly.Inference.Contradiction -> ());
-      (match Smartly.Inference.propagate c known (Circuit.cell_ids c) with
-      | _ -> ()
+      List.iter (fun (b, v) -> Bits.Bit_tbl.replace known b v) knowns;
+      let facts = Smartly.Inference.Dense.create c in
+      Smartly.Inference.Dense.load facts known;
+      (match
+         Smartly.Inference.Dense.propagate facts c
+           (Array.of_list (Circuit.cell_ids c))
+       with
+      | () -> ()
       | exception Smartly.Inference.Contradiction ->
         (* cannot happen: the knowns have a witness *)
         QCheck.Test.fail_report "contradiction on satisfiable knowns");
-      (* every inferred value must hold in every compatible assignment *)
+      (* every inferred value must hold in every compatible assignment;
+         every cell reads and drives only bits of [pool] *)
       let ok = ref true in
       for a = 0 to (1 lsl n_inputs) - 1 do
         let env = eval_all c ins a in
@@ -96,68 +100,75 @@ let prop_inference_sound =
           List.for_all (fun (b, v) -> bit_value env b = v) knowns
         in
         if compatible then
-          Bits.Bit_tbl.iter
-            (fun b v -> if bit_value env b <> v then ok := false)
-            known
+          List.iter
+            (fun b ->
+              match Smartly.Inference.Dense.read facts b with
+              | Some v -> if bit_value env b <> v then ok := false
+              | None -> ())
+            pool
       done;
       !ok)
 
-let prop_engine_sound =
-  QCheck.Test.make ~count:80 ~name:"engine verdicts match brute force"
-    QCheck.(pair (int_bound 100000) (int_range 1 2))
-    (fun (seed, k) ->
-      let n_inputs = 5 in
-      let c, ins, pool = gen_circuit seed n_inputs 12 in
-      let witness = (seed / 3) land ((1 lsl n_inputs) - 1) in
-      let env_w = eval_all c ins witness in
-      let st = ref (seed + 29) in
-      let knowns = pick_knowns st pool env_w k in
-      let target = List.nth pool (seed mod List.length pool) in
-      let known : Smartly.Inference.known = Bits.Bit_tbl.create 8 in
-      (try
-         List.iter
-           (fun (b, v) -> ignore (Smartly.Inference.set known b v))
-           knowns
-       with Smartly.Inference.Contradiction -> ());
-      if Bits.Bit_tbl.length known = 0 then true
-      else begin
-        let index = Index.build c in
-        let stats = Smartly.Engine.fresh_stats () in
-        let verdict =
-          Smartly.Engine.determine
-            { Smartly.Config.default with Smartly.Config.distance_k = 32 }
-            stats c index known ~target
-        in
-        (* brute force over all assignments compatible with the knowns *)
-        let saw_true = ref false and saw_false = ref false in
-        for a = 0 to (1 lsl n_inputs) - 1 do
-          let env = eval_all c ins a in
-          if List.for_all (fun (b, v) -> bit_value env b = v) knowns then
-            if bit_value env target then saw_true := true
-            else saw_false := true
-        done;
-        match verdict with
-        | Smartly.Engine.Forced true -> !saw_true && not !saw_false
-        | Smartly.Engine.Forced false -> !saw_false && not !saw_true
-        | Smartly.Engine.Free -> !saw_true && !saw_false
-        | Smartly.Engine.Unreachable -> (not !saw_true) && not !saw_false
-        | Smartly.Engine.Unknown -> true (* giving up is always sound *)
-      end)
+(* --- the sub-graph kernel against the reference path ---
 
-(* --- the walk's fold kernel against the reference path ---
+   The walk's kernel ([Subgraph]: a per-pass cone index and the dense
+   fact store [Inference.Dense]) answers every fold and every ladder
+   query.  Its oracles live here: a recursive cone extraction over hash
+   tables, and Table I's rules on a hash-table fact store.  On random circuits with multi-bit, mux, pmux and dff cells,
+   and on known sets that are consistent and sets that are not, both
+   must extract the same cells, derive the same value for every bit, and
+   agree on whether the facts contradict. *)
 
-   [Sat_elim.Fold] answers each data-port fold from a per-pass cone index
-   ([Subgraph.Cones]) and a dense fact store ([Inference.Dense]); the
-   engine keeps the reference path ([Subgraph.create]/[add_cone]/
-   [ordered_cells] plus [Inference.propagate] on a copied table).  On
-   random circuits with multi-bit, mux, pmux and dff cells, and on known
-   sets that are consistent and sets that are not, both must extract the
-   same cells, derive the same value for every bit, and agree on whether
-   the facts contradict. *)
+(* the combinational cells within distance [k] above any of [bits], by
+   id: a cell seen again at a smaller depth is revisited *)
+let reference_cone c index ~k bits =
+  let depth_of = Hashtbl.create 64 in
+  let rec up depth b =
+    if depth < k then
+      match Index.driving_cell index b with
+      | None -> ()
+      | Some (id, _) -> (
+        match Circuit.cell_opt c id with
+        | Some cell when Cell.is_combinational cell ->
+          let seen_better =
+            match Hashtbl.find_opt depth_of id with
+            | Some d -> d <= depth
+            | None -> false
+          in
+          if not seen_better then begin
+            Hashtbl.replace depth_of id depth;
+            List.iter (up (depth + 1)) (Cell.input_bits cell)
+          end
+        | Some _ | None -> ())
+  in
+  List.iter (up 0) bits;
+  List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) depth_of [])
+
+module Ref = Smartly.Inference.Rules (struct
+  type t = Smartly.Inference.known
+
+  let find = Bits.Bit_tbl.find_opt
+  let add = Bits.Bit_tbl.replace
+end)
+
+(* the rules on a copy of [known], swept over [cells] to their fixpoint
+   @raise Smartly.Inference.Contradiction *)
+let reference_propagate c known cells =
+  let local = Bits.Bit_tbl.copy known in
+  let rec sweep () =
+    if
+      List.fold_left
+        (fun progress id -> Ref.step local (Circuit.cell c id) || progress)
+        false cells
+    then sweep ()
+  in
+  sweep ();
+  local
 
 (* random circuit of [n_cells] cells over four inputs of width 1..3, with
-   the multi-bit, pmux and dff cells [gen_circuit] lacks *)
-let gen_wide_circuit seed n_cells =
+   the multi-bit, pmux and (unless [dffs] is false) dff cells
+   [gen_circuit] lacks *)
+let gen_wide_circuit ?(dffs = true) seed n_cells =
   let c = Circuit.create "wide" in
   let st = ref ((seed * 13) + 5) in
   let next () =
@@ -198,7 +209,8 @@ let gen_wide_circuit seed n_cells =
       | 7 | 8 ->
         let n = 1 + (next () mod 3) in
         Circuit.mk_pmux c ~a:(pick w) ~b:(pick (w * n)) ~s:(pick n)
-      | _ -> Circuit.mk_dff c ~d:(pick w)
+      | _ when dffs -> Circuit.mk_dff c ~d:(pick w)
+      | _ -> Circuit.mk_mux c ~a:(pick w) ~b:(pick w) ~s:(pick_bit ())
     in
     sigs := y :: !sigs
   done;
@@ -253,10 +265,10 @@ let prop_cones_and_store_agree =
         else gen_wide_circuit seed 24
       in
       let index = Index.build c in
-      let cones = Smartly.Subgraph.Cones.create c index in
-      let facts = Smartly.Inference.Dense.create c in
+      let sg = Smartly.Subgraph.create c index in
+      let facts = Smartly.Subgraph.facts sg in
       let all = wire_bits bits in
-      (* one index and one store serve every trial, as in a pass *)
+      (* one kernel serves every trial, as in a pass *)
       List.for_all
         (fun trial ->
           let known =
@@ -265,23 +277,20 @@ let prop_cones_and_store_agree =
           in
           let seeds = Bits.Bit_tbl.fold (fun b _ acc -> b :: acc) known [] in
           let extra = List.nth all ((seed + trial) mod List.length all) in
-          let sg = Smartly.Subgraph.create c index in
-          List.iter (Smartly.Subgraph.add_cone sg ~k) (extra :: seeds);
-          Smartly.Subgraph.Cones.start cones;
-          List.iter (Smartly.Subgraph.Cones.add_cone cones ~k)
+          let ref_cells = reference_cone c index ~k (extra :: seeds) in
+          Smartly.Subgraph.start sg;
+          List.iter
+            (Smartly.Subgraph.add_cone sg ~k)
             (List.rev (extra :: seeds));
-          let ref_cells = Smartly.Subgraph.ordered_cells sg in
-          let cells = Smartly.Subgraph.Cones.ordered_cells cones in
-          if Smartly.Subgraph.Cones.size cones <> Smartly.Subgraph.size sg then
+          let cells = Smartly.Subgraph.ordered_cells sg in
+          if Smartly.Subgraph.size sg <> List.length ref_cells then
             QCheck.Test.fail_report "cone sizes differ";
-          let sorted l = List.sort compare l in
-          if sorted (Array.to_list cells) <> sorted ref_cells then
+          if List.sort compare (Array.to_list cells) <> ref_cells then
             QCheck.Test.fail_report "cone cell sets differ";
-          let local = Bits.Bit_tbl.copy known in
-          let ref_ok =
-            match Smartly.Inference.propagate c local ref_cells with
-            | _ -> true
-            | exception Smartly.Inference.Contradiction -> false
+          let local, ref_ok =
+            match reference_propagate c known ref_cells with
+            | local -> (local, true)
+            | exception Smartly.Inference.Contradiction -> (known, false)
           in
           Smartly.Inference.Dense.load facts known;
           let ok =
@@ -294,29 +303,25 @@ let prop_cones_and_store_agree =
           (not ok)
           || List.for_all
                (fun b ->
-                 Smartly.Inference.read local b
-                 = Smartly.Inference.Dense.read facts b)
+                 Ref.read local b = Smartly.Inference.Dense.read facts b)
                all)
         [ 0; 1; 2; 3; 4; 5 ])
 
-(* the fold the walk used to run per port, rebuilt from the reference
-   path *)
+(* the walk's fold of one port, rebuilt from the reference path *)
 let reference_fold (cfg : Smartly.Config.t) c index known port =
-  let k = cfg.Smartly.Config.distance_k in
-  let sg = Smartly.Subgraph.create c index in
-  Bits.Bit_tbl.iter (fun b _ -> Smartly.Subgraph.add_cone sg ~k b) known;
-  Array.iter (Smartly.Subgraph.add_cone sg ~k) port;
+  let cells =
+    reference_cone c index ~k:cfg.Smartly.Config.distance_k
+      (Bits.Bit_tbl.fold (fun b _ acc -> b :: acc) known []
+      @ Array.to_list port)
+  in
   let local =
     if
       Bits.Bit_tbl.length known = 0
-      || Smartly.Subgraph.size sg > cfg.Smartly.Config.max_subgraph_cells
+      || List.length cells > cfg.Smartly.Config.max_subgraph_cells
     then known
     else
-      let local = Bits.Bit_tbl.copy known in
-      match
-        Smartly.Inference.propagate c local (Smartly.Subgraph.ordered_cells sg)
-      with
-      | _ -> local
+      match reference_propagate c known cells with
+      | local -> local
       | exception Smartly.Inference.Contradiction -> known
   in
   Array.map
@@ -352,7 +357,7 @@ let prop_fold_agrees =
           max_subgraph_cells = max_cells;
         }
       in
-      let fold = Smartly.Sat_elim.Fold.create cfg c index in
+      let sg = Smartly.Subgraph.create c index in
       List.for_all
         (fun trial ->
           let known =
@@ -366,7 +371,7 @@ let prop_fold_agrees =
           let expected = reference_fold cfg c index known port in
           let (out, n), evs =
             with_provenance (fun () ->
-                Smartly.Sat_elim.Fold.port fold known ~owner:0 port)
+                Smartly.Sat_elim.fold_port cfg sg known ~owner:0 port)
           in
           let changed = ref 0 in
           Array.iter2
@@ -374,6 +379,75 @@ let prop_fold_agrees =
             port out;
           Bits.equal out expected && n = !changed && const_resolved evs = n)
         [ 0; 1; 2; 3; 4; 5 ])
+
+(* each input assignment of a combinational circuit, as a bit reader *)
+let input_rows c =
+  let ins =
+    List.concat_map
+      (fun w -> Array.to_list (Circuit.sig_of_wire w))
+      (Circuit.inputs c)
+  in
+  List.init
+    (1 lsl List.length ins)
+    (fun a ->
+      bit_value
+        (Rtl_sim.Eval.run c
+           ~inputs:
+             (List.mapi
+                (fun i b -> (b, Rtl_sim.Value.of_bool ((a lsr i) land 1 = 1)))
+                ins)
+           ()))
+
+(* Engine verdicts against brute force over every input assignment, on
+   1-bit gate circuits and on multi-bit circuits of every combinational
+   cell kind.  The wide circuits have no flip-flop: the engine treats a
+   flip-flop output as a free source, which a combinational brute force
+   does not.  One kernel serves a case's queries, as in a pass, and every
+   other query skips simulation so that SAT answers what the rules and
+   rung zero leave open. *)
+let prop_engine_sound =
+  QCheck.Test.make ~count:80 ~name:"engine verdicts match brute force"
+    QCheck.(pair (int_bound 100000) (int_range 1 3))
+    (fun (seed, k) ->
+      let c, bits =
+        if seed mod 2 = 0 then
+          let c, _, pool = gen_circuit seed 5 12 in
+          c, pool
+        else gen_wide_circuit ~dffs:false seed 16
+      in
+      let rows = input_rows c in
+      let all = wire_bits bits in
+      let sg = Smartly.Subgraph.create c (Index.build c) in
+      let cfg =
+        { Smartly.Config.default with Smartly.Config.distance_k = 32 }
+      in
+      let sat_cfg = { cfg with Smartly.Config.sim_input_threshold = 0 } in
+      let stats = Smartly.Engine.fresh_stats () in
+      List.for_all
+        (fun trial ->
+          let cfg = if trial mod 2 = 0 then cfg else sat_cfg in
+          let known =
+            gen_known c bits ~consistent:true ~seed:(seed + trial) k
+          in
+          let target =
+            List.nth all ((seed + (7 * trial)) mod List.length all)
+          in
+          Bits.Bit_tbl.length known = 0
+          ||
+          let verdict = Smartly.Engine.determine cfg stats sg known ~target in
+          let saw_true = ref false and saw_false = ref false in
+          List.iter
+            (fun row ->
+              if Bits.Bit_tbl.fold (fun b v ok -> ok && row b = v) known true
+              then if row target then saw_true := true else saw_false := true)
+            rows;
+          match verdict with
+          | Smartly.Engine.Forced true -> !saw_true && not !saw_false
+          | Smartly.Engine.Forced false -> !saw_false && not !saw_true
+          | Smartly.Engine.Free -> !saw_true && !saw_false
+          | Smartly.Engine.Unreachable -> (not !saw_true) && not !saw_false
+          | Smartly.Engine.Unknown -> true (* giving up is always sound *))
+        [ 0; 1; 2; 3 ])
 
 (* Y = S ? Q : M and M = T ? B : P, with P = R & Q and R = U | V.  The
    walk may bypass P to R, which is already in M's fanin cone.  Under
@@ -396,18 +470,18 @@ let test_fold_forgets_replaced_fanin () =
   ignore y;
   let index = Index.build c in
   let cfg = { Smartly.Config.default with Smartly.Config.distance_k = 2 } in
-  let fold = Smartly.Sat_elim.Fold.create cfg c index in
+  let sg = Smartly.Subgraph.create c index in
   let known : Smartly.Inference.known = Bits.Bit_tbl.create 4 in
   List.iter
     (fun (bit, value) -> Bits.Bit_tbl.replace known bit value)
     [ (s, false); (t, false); (u, true) ];
   let port = [| m_out |] in
-  let before, n0 = Smartly.Sat_elim.Fold.port fold known ~owner:0 port in
+  let before, n0 = Smartly.Sat_elim.fold_port cfg sg known ~owner:0 port in
   Alcotest.(check int) "P is unknown before the edit" 0 n0;
   Alcotest.(check bool) "port unchanged" true (Bits.equal before port);
-  Smartly.Sat_elim.Fold.replace fold m
+  Smartly.Subgraph.replace sg m
     (Cell.Mux { a = [| r |]; b = [| b |]; s = t; y = [| m_out |] });
-  let after, n1 = Smartly.Sat_elim.Fold.port fold known ~owner:0 port in
+  let after, n1 = Smartly.Sat_elim.fold_port cfg sg known ~owner:0 port in
   let expected = reference_fold cfg c index known port in
   Alcotest.(check bool) "reference folds M to 1" true
     (Bits.equal expected [| Bits.C1 |]);
@@ -419,15 +493,14 @@ let test_fold_constant_port () =
   let s = Circuit.bit_of_wire (Circuit.add_input c "S" ~width:1) in
   let y = Circuit.mk_mux c ~a:[| Bits.C0; Bits.Cx |] ~b:[| Bits.C1; s |] ~s in
   ignore y;
-  let fold =
-    Smartly.Sat_elim.Fold.create Smartly.Config.default c (Index.build c)
-  in
+  let sg = Smartly.Subgraph.create c (Index.build c) in
   let known : Smartly.Inference.known = Bits.Bit_tbl.create 4 in
   Bits.Bit_tbl.replace known s true;
   let port = [| Bits.C0; Bits.C1; Bits.Cx |] in
   let (out, n), evs =
     with_provenance (fun () ->
-        Smartly.Sat_elim.Fold.port fold known ~owner:0 port)
+        Smartly.Sat_elim.fold_port Smartly.Config.default sg known ~owner:0
+          port)
   in
   Alcotest.(check bool) "unchanged" true (Bits.equal out port);
   Alcotest.(check int) "nothing folded" 0 n;

@@ -55,8 +55,7 @@ let build_spec (s : spec) : Circuit.t * (Bits.bit * bool) list * Bits.bit =
     s.ops;
   let target = node s.target in
   (* drop facts on the target itself and keep the first value when the
-     generator names one bit twice — Inference.set raises on a
-     contradictory insert, which is the caller's bug, not a query *)
+     generator names one bit twice: a path holds one value per bit *)
   let seen = Hashtbl.create 8 in
   let knowns =
     List.filter_map
@@ -73,13 +72,12 @@ let build_spec (s : spec) : Circuit.t * (Bits.bit * bool) list * Bits.bit =
 
 let mk_known (facts : (Bits.bit * bool) list) : Smartly.Inference.known =
   let k : Smartly.Inference.known = Bits.Bit_tbl.create 8 in
-  List.iter (fun (b, v) -> ignore (Smartly.Inference.set k b v)) facts;
+  List.iter (fun (b, v) -> Bits.Bit_tbl.replace k b v) facts;
   k
 
-let determine ?session cfg c facts target =
-  let index = Index.build c in
+let determine ?session cfg sg facts target =
   let stats = Smartly.Engine.fresh_stats () in
-  Smartly.Engine.determine ?session cfg stats c index (mk_known facts) ~target
+  Smartly.Engine.determine ?session cfg stats sg (mk_known facts) ~target
 
 (* --- the differential property --- *)
 
@@ -124,12 +122,14 @@ let prop_session_matches_fresh =
   QCheck.Test.make ~count:600 ~name:"session = fresh per query" arb_spec
     (fun spec ->
       let c, facts, target = build_spec spec in
+      (* one kernel serves every query on the circuit, as in a pass *)
+      let sg = Smartly.Subgraph.create c (Index.build c) in
       List.for_all
         (fun (_, cfg) ->
-          let fresh = determine cfg c facts target in
-          let sess1 = determine ~session cfg c facts target in
+          let fresh = determine cfg sg facts target in
+          let sess1 = determine ~session cfg sg facts target in
           (* second run: same query again, on warm learned clauses *)
-          let sess2 = determine ~session cfg c facts target in
+          let sess2 = determine ~session cfg sg facts target in
           if sess1 <> fresh || sess2 <> fresh then
             QCheck.Test.fail_reportf
               "verdict mismatch: fresh=%s session1=%s session2=%s"
@@ -150,11 +150,12 @@ let xor3 () =
   let y = Circuit.mk_xor c x1 (Circuit.bit_of_wire d) in
   c, Circuit.bit_of_wire a, y
 
-let subgraph_view c targets knowns =
-  let index = Index.build c in
-  let sg = Smartly.Subgraph.create c index in
-  List.iter (fun t -> Smartly.Subgraph.add_cone sg ~k:6 t) (targets @ knowns);
-  Smartly.Subgraph.view sg
+(* the cells of the distance-6 cones of [bits], drivers first *)
+let cone_cells c bits =
+  let sg = Smartly.Subgraph.create c (Index.build c) in
+  Smartly.Subgraph.start sg;
+  List.iter (Smartly.Subgraph.add_cone sg ~k:6) bits;
+  Array.to_list (Smartly.Subgraph.ordered_cells sg)
 
 (* --- session-mode DIMACS dumps replay round-trip (satellite: the
    sat-dump fix) ---
@@ -177,12 +178,8 @@ let test_session_dump_replays () =
       Smartly.Config.sim_input_threshold = 0 }
   in
   let session = Cdcl.Session.create () in
-  let index = Index.build c in
-  let stats = Smartly.Engine.fresh_stats () in
-  let v =
-    Smartly.Engine.determine ~session cfg stats c index (mk_known [ a, true ])
-      ~target:y
-  in
+  let sg = Smartly.Subgraph.create c (Index.build c) in
+  let v = determine ~session cfg sg [ a, true ] y in
   check_bool "sat resolved it" true (v = Smartly.Engine.Free);
   let entries = Smartly.Engine.Sat_log.hardest () in
   check_bool "queries were logged" true (entries <> []);
@@ -218,10 +215,10 @@ let test_budget_interrupts_sat () =
   Smartly.Budget.reset ();
   Smartly.Engine.Sat_log.reset ();
   let c, a, y = xor3 () in
-  let view = subgraph_view c [ y ] [ a ] in
+  let cells = cone_cells c [ y; a ] in
   let query () =
     verdict_name
-      (Smartly.Engine.query_sat c view (mk_known [ a, true ]) ~budget:4000
+      (Smartly.Engine.query_sat c ~cells ~facts:[ a, true ] ~budget:4000
          ~target:y)
   in
   let expired =

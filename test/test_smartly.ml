@@ -1,5 +1,5 @@
-(* Tests for the smaRTLy core: sub-graph extraction and views, inference
-   rules, the sim/SAT engine, SAT-based redundancy elimination, and muxtree
+(* Tests for the smaRTLy core: the sub-graph kernel, inference rules, the
+   sim/SAT engine, SAT-based redundancy elimination, and muxtree
    restructuring.  Every optimized circuit is CEC'd against the original. *)
 
 open Netlist
@@ -17,14 +17,26 @@ let expose c name (v : Bits.sigspec) =
 
 (* --- inference rules (Table I and friends) --- *)
 
+let known_of knowns : Smartly.Inference.known =
+  let k = Bits.Bit_tbl.create 8 in
+  List.iter (fun (b, v) -> Bits.Bit_tbl.replace k b v) knowns;
+  k
+
+(* the rules on the walk's fact store, swept over every cell *)
+let propagate_all c knowns =
+  let facts = Smartly.Inference.Dense.create c in
+  Smartly.Inference.Dense.load facts (known_of knowns);
+  Smartly.Inference.Dense.propagate facts c
+    (Array.of_list (Circuit.cell_ids c));
+  facts
+
 let infer_1bit build exp_value =
   (* build: c -> (cells-built target bit, known setup) *)
   let c = Circuit.create "inf" in
   let target, knowns = build c in
-  let k : Smartly.Inference.known = Bits.Bit_tbl.create 8 in
-  List.iter (fun (b, v) -> ignore (Smartly.Inference.set k b v)) knowns;
-  ignore (Smartly.Inference.propagate c k (Circuit.cell_ids c));
-  check_bool "inferred" true (Smartly.Inference.read k target = exp_value)
+  let facts = propagate_all c knowns in
+  check_bool "inferred" true
+    (Smartly.Inference.Dense.read facts target = exp_value)
 
 let test_or_rules () =
   (* a=1 -> a|b = 1 *)
@@ -166,15 +178,21 @@ let test_contradiction () =
   let a = Circuit.add_input c "a" ~width:1 in
   let b = Circuit.add_input c "b" ~width:1 in
   let y = Circuit.mk_and c (Circuit.bit_of_wire a) (Circuit.bit_of_wire b) in
-  let k : Smartly.Inference.known = Bits.Bit_tbl.create 8 in
-  ignore (Smartly.Inference.set k y true);
-  ignore (Smartly.Inference.set k (Circuit.bit_of_wire a) false);
   check_bool "contradiction raised" true
-    (match Smartly.Inference.propagate c k (Circuit.cell_ids c) with
+    (match propagate_all c [ y, true; Circuit.bit_of_wire a, false ] with
     | _ -> false
     | exception Smartly.Inference.Contradiction -> true)
 
-(* --- sub-graph extraction and views --- *)
+(* --- the sub-graph kernel --- *)
+
+let kernel c = Smartly.Subgraph.create c (Index.build c)
+
+(* a kernel holding the cones of [bits] *)
+let cones c ~k bits =
+  let sg = kernel c in
+  Smartly.Subgraph.start sg;
+  List.iter (Smartly.Subgraph.add_cone sg ~k) bits;
+  sg
 
 let test_subgraph_cone_depth () =
   (* chain of 5 nots; distance k=3 catches only 3 of them *)
@@ -182,16 +200,15 @@ let test_subgraph_cone_depth () =
   let a = Circuit.add_input c "a" ~width:1 in
   let rec chain b n = if n = 0 then b else chain (Circuit.mk_not c b) (n - 1) in
   let top = chain (Circuit.bit_of_wire a) 5 in
-  let index = Index.build c in
-  let sg = Smartly.Subgraph.create c index in
-  Smartly.Subgraph.add_cone sg ~k:3 top;
+  let sg = cones c ~k:3 [ top ] in
   check_int "3 cells" 3 (Smartly.Subgraph.size sg);
-  let sg5 = Smartly.Subgraph.create c index in
-  Smartly.Subgraph.add_cone sg5 ~k:10 top;
-  check_int "all 5" 5 (Smartly.Subgraph.size sg5)
+  (* a new set on the same kernel starts empty *)
+  Smartly.Subgraph.start sg;
+  Smartly.Subgraph.add_cone sg ~k:10 top;
+  check_int "all 5" 5 (Smartly.Subgraph.size sg)
 
 let test_subgraph_disjoint_cones_kept () =
-  (* two disconnected cones: the view keeps both, because every cell of a
+  (* two disconnected cones: the set keeps both, because every cell of a
      query's sub-graph came from the cone of one of its relevant bits *)
   let c = Circuit.create "two" in
   let a = Circuit.add_input c "a" ~width:1 in
@@ -200,34 +217,26 @@ let test_subgraph_disjoint_cones_kept () =
   let y = Circuit.add_input c "y" ~width:1 in
   let t1 = Circuit.mk_and c (Circuit.bit_of_wire a) (Circuit.bit_of_wire b) in
   let t2 = Circuit.mk_or c (Circuit.bit_of_wire x) (Circuit.bit_of_wire y) in
-  let index = Index.build c in
-  let sg = Smartly.Subgraph.create c index in
-  Smartly.Subgraph.add_cone sg ~k:4 t1;
-  Smartly.Subgraph.add_cone sg ~k:4 t2;
-  let v = Smartly.Subgraph.view sg in
-  check_int "both kept" 2 (List.length v.Smartly.Subgraph.cells);
-  check_bool "t1 computed" true (Smartly.Subgraph.computes v t1);
-  check_bool "t2 computed" true (Smartly.Subgraph.computes v t2)
+  let sg = cones c ~k:4 [ t1; t2 ] in
+  check_int "both kept" 2 (Array.length (Smartly.Subgraph.ordered_cells sg));
+  check_bool "t1 computed" true (Smartly.Subgraph.computes sg t1);
+  check_bool "t2 computed" true (Smartly.Subgraph.computes sg t2)
 
 let test_subgraph_no_common_descendant_link () =
   (* s and t only share a *descendant*: the join is in neither cone, so
-     the view holds the two nots and nothing else *)
+     the set holds the two nots and nothing else *)
   let c = Circuit.create "desc" in
   let s = Circuit.add_input c "s" ~width:1 in
   let t = Circuit.add_input c "t" ~width:1 in
   let join = Circuit.mk_and c (Circuit.bit_of_wire s) (Circuit.bit_of_wire t) in
   let s2 = Circuit.mk_not c (Circuit.bit_of_wire s) in
   let t2 = Circuit.mk_not c (Circuit.bit_of_wire t) in
-  let index = Index.build c in
-  let sg = Smartly.Subgraph.create c index in
-  Smartly.Subgraph.add_cone sg ~k:4 s2;
-  Smartly.Subgraph.add_cone sg ~k:4 t2;
-  let v = Smartly.Subgraph.view sg in
-  check_int "the two nots" 2 (List.length v.Smartly.Subgraph.cells);
-  check_bool "join left out" false (Smartly.Subgraph.computes v join)
+  let sg = cones c ~k:4 [ s2; t2 ] in
+  check_int "the two nots" 2 (Smartly.Subgraph.size sg);
+  check_bool "join left out" false (Smartly.Subgraph.computes sg join)
 
 let test_subgraph_drivers_first () =
-  (* a diamond a -> {n1, n2} -> x -> y: every cell comes after the view
+  (* a diamond a -> {n1, n2} -> x -> y: every cell comes after the set's
      cells that drive its inputs *)
   let c = Circuit.create "diamond" in
   let a = Circuit.bit_of_wire (Circuit.add_input c "a" ~width:1) in
@@ -236,13 +245,9 @@ let test_subgraph_drivers_first () =
   let x = Circuit.mk_xor c n1 n2 in
   let y = Circuit.mk_and c x a in
   let index = Index.build c in
-  let sg = Smartly.Subgraph.create c index in
-  Smartly.Subgraph.add_cone sg ~k:6 y;
-  let v = Smartly.Subgraph.view sg in
-  let cells = v.Smartly.Subgraph.cells in
+  let sg = cones c ~k:6 [ y ] in
+  let cells = Array.to_list (Smartly.Subgraph.ordered_cells sg) in
   check_int "all four cells" 4 (List.length cells);
-  check_bool "ordered_cells agrees" true
-    (Smartly.Subgraph.ordered_cells sg = cells);
   let pos = Hashtbl.create 8 in
   List.iteri (fun i id -> Hashtbl.replace pos id i) cells;
   List.iter
@@ -272,35 +277,29 @@ let test_subgraph_sources_exact () =
   let kc = Circuit.mk_and c Bits.C1 Bits.C0 in
   let ab = Circuit.mk_or c a b in
   let y = Circuit.mk_xor c (Circuit.mk_and c ab kc) cut in
-  let index = Index.build c in
-  let sg = Smartly.Subgraph.create c index in
   (* depths from y: the and and [cut] at 1; [ab], [kc] and [deep] at 2;
      [beyond] at 3, outside k = 3 *)
-  Smartly.Subgraph.add_cone sg ~k:3 y;
-  let v = Smartly.Subgraph.view sg in
-  check_int "six cells" 6 (List.length v.Smartly.Subgraph.cells);
-  check_bool "constant-input cell kept" true (Smartly.Subgraph.computes v kc);
+  let sg = cones c ~k:3 [ y ] in
+  check_int "six cells" 6 (Smartly.Subgraph.size sg);
+  check_bool "constant-input cell kept" true (Smartly.Subgraph.computes sg kc);
   let sorted l = List.sort compare l in
-  check_bool "sources are a, b and the cut bit" true
-    (sorted v.Smartly.Subgraph.sources = sorted [ a; b; beyond ]);
+  check_bool "sources are a, b and the cut bit, each once" true
+    (sorted (Smartly.Subgraph.sources sg) = sorted [ a; b; beyond ]);
   List.iter
     (fun bit ->
-      check_bool "is_source agrees" true (Smartly.Subgraph.is_source v bit))
-    [ a; b; beyond ];
+      check_bool "computed inside" true (Smartly.Subgraph.computes sg bit))
+    [ ab; deep; cut; kc; y ];
   List.iter
     (fun bit ->
-      check_bool "driven, constant or unread bits are not sources" false
-        (Smartly.Subgraph.is_source v bit))
-    [ ab; deep; cut; kc; y; Bits.C1; Bits.C0; d ]
+      check_bool "sources, constants and unread bits are not computed" false
+        (Smartly.Subgraph.computes sg bit))
+    [ a; b; beyond; Bits.C1; Bits.C0; d ]
 
 (* --- engine --- *)
 
 let engine_determine ?(cfg = Smartly.Config.default) c knowns target =
-  let index = Index.build c in
-  let k : Smartly.Inference.known = Bits.Bit_tbl.create 8 in
-  List.iter (fun (b, v) -> ignore (Smartly.Inference.set k b v)) knowns;
   let stats = Smartly.Engine.fresh_stats () in
-  Smartly.Engine.determine cfg stats c index k ~target
+  Smartly.Engine.determine cfg stats (kernel c) (known_of knowns) ~target
 
 let test_engine_fig3 () =
   (* target = s|r under s=1: forced true (paper Fig. 3) *)
