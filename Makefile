@@ -19,19 +19,13 @@ bench: build
 # machines.  The diff table lands in /tmp/smartly_bench_diff.txt for
 # artifact upload.
 #
-# Four legs.  The paper tables (table2 and table3, which share one run
-# of the ten public profiles) and mux_chain run in the default mode
-# (SAT session + value analysis on) and must reproduce every
+# Three legs.  The paper tables (table2 and table3, which share one run
+# of the ten public profiles) and mux_chain must reproduce every
 # deterministic counter exactly, table3's SAT query and effort counts
-# included.  The second leg disables the abstract-interpretation rung
-# zero and gates against bench/baselines/noanalysis, recorded in that
-# mode: areas are byte-identical across the two stores while their
-# sat_queries differ, so the committed diff attributes the query
-# reduction to the rung.
-# The third leg gates the industrial section: on the mux-rich ind_*
-# designs the walk's data-bit folding dominates the run, so a change
-# there must keep their areas and removed-cell counts exactly.  The
-# jobs_per_sec leg gates the warm serve batch.
+# included.  The second leg gates the industrial section: on the
+# mux-rich ind_* designs the walk's data-bit folding dominates the run,
+# so a change there must keep their areas and removed-cell counts
+# exactly.  The third leg, jobs_per_sec, gates the warm serve batch.
 #
 # The last step is a self-test of the gate itself: --pessimize turns
 # the smartly flows into no-ops, so the re-measured areas genuinely
@@ -40,9 +34,6 @@ bench: build
 bench-check: build
 	dune exec bench/main.exe -- table2 table3 mux_chain --check \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff.txt
-	dune exec bench/main.exe -- table2 table3 mux_chain --check \
-	  --no-analysis --baseline-dir bench/baselines/noanalysis \
-	  --threshold-scale 4 --report /tmp/smartly_bench_diff_noanalysis.txt
 	dune exec bench/main.exe -- industrial --check \
 	  --threshold-scale 4 --report /tmp/smartly_bench_diff_industrial.txt
 	dune exec bench/main.exe -- jobs_per_sec --check \
@@ -64,11 +55,6 @@ bench-baselines: build
 	  --update-baselines --reps 3
 	dune exec bench/main.exe -- mux_chain --update-baselines --reps 3
 	dune exec bench/main.exe -- jobs_per_sec --update-baselines --reps 3
-	dune exec bench/main.exe -- table2 table3 industrial \
-	  --update-baselines --no-analysis \
-	  --baseline-dir bench/baselines/noanalysis --reps 3
-	dune exec bench/main.exe -- mux_chain --update-baselines \
-	  --no-analysis --baseline-dir bench/baselines/noanalysis --reps 3
 
 # What CI runs: build, the full test suite, then an end-to-end smoke of
 # the observability surface — optimize the fast mux_chain profile with
@@ -85,8 +71,8 @@ bench-baselines: build
 # JSON report must survive the strict parser.  The analyze step runs
 # the value-analysis fixpoint over the three lint-clean examples and
 # validates each smartly-analysis-v1 report — the same backend the
-# NL010..NL013 rules and the engine's rung zero use, exercised on real
-# sources rather than profiles.  The mux_chain
+# NL010..NL013 rules use, exercised on real sources rather than
+# profiles.  The mux_chain
 # optimization is re-run under --check-invariants, which validates,
 # lints and equivalence-checks the circuit after every pass.  A serve
 # smoke follows: a 4-line JSONL batch (two identical jobs, a riscv job,

@@ -34,12 +34,6 @@
      --pessimize           run the smaRTLy variants as no-ops: a
                            deliberate pessimization that self-tests the
                            regression gate end to end
-     --no-analysis         disable the abstract-interpretation rung zero in
-                           the smaRTLy variants; bench/baselines/noanalysis
-                           is recorded in this mode, so the committed diff
-                           between the two baseline stores documents the
-                           SAT queries the rung eliminates — with the areas
-                           byte-identical
      --no-ledger           don't record this run under .smartly/runs/
      --ledger-root DIR     where the run ledger lives (default
                            .smartly/runs)
@@ -61,7 +55,6 @@ let baseline_dir = ref Perf.Store.default_dir
 let threshold_scale = ref 1.0
 let report_path = ref None
 let pessimize = ref false
-let no_analysis = ref false
 let no_ledger = ref false
 let ledger_root = ref Obs.Ledger.default_root
 let progress = ref false
@@ -130,15 +123,7 @@ let optimized flow (c0 : Circuit.t) =
     (* gate self-test: leave the circuit untouched, so every smaRTLy
        area/cells_removed metric regresses against a real baseline *)
     ()
-  | `Smartly cfg ->
-    (* --no-analysis: the noanalysis baseline store is recorded without
-       the rung, so its gate leg reproduces those counters and the
-       committed diff between the stores is the rung's attribution *)
-    let cfg =
-      if !no_analysis then { cfg with Smartly.Config.enable_analysis = false }
-      else cfg
-    in
-    ignore (Smartly.Driver.smartly ~cfg c));
+  | `Smartly cfg -> ignore (Smartly.Driver.smartly ~cfg c));
   c
 
 (* --- the one statistical case runner every table section shares --- *)
@@ -164,9 +149,6 @@ type case_result = {
   sat_decisions : int;
   sat_propagations : int;
   session_flushes : int;
-  analysis_queries : int;
-  analysis_hits : int;
-  analysis_sweeps : int;
   (* SAT conflicts-per-query percentiles of the full-flow run *)
   conf_p50 : float;
   conf_p90 : float;
@@ -212,9 +194,6 @@ let run_case ?(variants = `All) (p : Workloads.Profiles.profile) : case_result
   let sat_decisions = counter "engine.sat_decisions" in
   let sat_propagations = counter "engine.sat_propagations" in
   let session_flushes = counter "sat_session.flushes" in
-  let analysis_queries = counter "engine.analysis_queries" in
-  let analysis_hits = counter "engine.analysis_hits" in
-  let analysis_sweeps = counter "engine.analysis_sweeps" in
   let conf =
     Obs.Metrics.histogram_stats
       (Obs.Metrics.histogram "engine.conflicts_per_query")
@@ -236,9 +215,6 @@ let run_case ?(variants = `All) (p : Workloads.Profiles.profile) : case_result
     sat_decisions;
     sat_propagations;
     session_flushes;
-    analysis_queries;
-    analysis_hits;
-    analysis_sweeps;
     conf_p50 = conf.Obs.Metrics.p50;
     conf_p90 = conf.Obs.Metrics.p90;
     conf_max = conf.Obs.Metrics.max_v;
@@ -280,33 +256,17 @@ let sat_counter_metrics (r : case_result) =
       scalar ~name:"sat_conflicts" ~kind:Count (f r.sat_conflicts);
       scalar ~name:"sat_decisions" ~kind:Count (f r.sat_decisions);
       scalar ~name:"sat_propagations" ~kind:Count (f r.sat_propagations);
-    ]
-  (* analysis counters only exist when the rung ran: the noanalysis
-     baseline store omits them, so its gate leg sees the rung's metrics
-     as New_metric (ignored), never as an exact-Count mismatch *)
-  @ (if !no_analysis then []
-     else
-       Perf.Schema.
-         [
-           scalar ~name:"analysis_queries" ~kind:Count (f r.analysis_queries);
-           scalar ~direction:Higher_better ~name:"analysis_hits" ~kind:Count
-             (f r.analysis_hits);
-         ])
-  @ [
-      Perf.Schema.scalar ~name:"session_flushes" ~kind:Perf.Schema.Count
-        (f r.session_flushes);
+      scalar ~name:"session_flushes" ~kind:Count (f r.session_flushes);
     ]
 
-(* the per-case rung-zero/session panel of every statistical section *)
+(* the per-case SAT-session panel of every statistical section *)
 let counters_table results =
-  print_endline
-    "Rung-zero analysis and SAT-session counters (full flow):";
+  print_endline "SAT-session counters (full flow):";
   Report.Table.print
     ~columns:
       [
         Report.Table.column ~align:Report.Table.Left "Case";
         Report.Table.column "queries";
-        Report.Table.column "analysis";
         Report.Table.column "flushes";
       ]
     ~rows:
@@ -315,7 +275,6 @@ let counters_table results =
            [
              r.name;
              string_of_int r.sat_queries;
-             Printf.sprintf "%d/%d" r.analysis_hits r.analysis_queries;
              string_of_int r.session_flushes;
            ])
          results)
@@ -918,8 +877,8 @@ let usage () =
     "usage: bench [SECTION...] [--json] [--out DIR] [--reps N]\n\
     \             [--compare | --check] [--update-baselines]\n\
     \             [--baseline-dir DIR] [--threshold-scale X]\n\
-    \             [--report FILE] [--pessimize] [--no-analysis]\n\
-    \             [--no-ledger] [--ledger-root DIR] [--progress]\n\
+    \             [--report FILE] [--pessimize] [--no-ledger]\n\
+    \             [--ledger-root DIR] [--progress]\n\
      sections: table2 table3 industrial mux_chain jobs_per_sec figures\n\
     \          ablation all";
   exit 2
@@ -948,9 +907,6 @@ let () =
       parse sections rest
     | "--pessimize" :: rest ->
       pessimize := true;
-      parse sections rest
-    | "--no-analysis" :: rest ->
-      no_analysis := true;
       parse sections rest
     | "--no-ledger" :: rest ->
       no_ledger := true;

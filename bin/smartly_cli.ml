@@ -140,16 +140,6 @@ let provenance_arg =
            netlist mutation) to FILE; aggregate it with $(b,smartly \
            explain).")
 
-let no_analysis_arg =
-  Arg.(
-    value & flag
-    & info [ "no-analysis" ]
-        ~doc:
-          "Disable the abstract-interpretation rung zero: every query \
-           falls through to the sim/SAT rungs.  The final netlist is \
-           identical either way; this knob exists for benchmarking and \
-           for proving it.")
-
 let sat_dump_arg =
   Arg.(
     value
@@ -438,9 +428,8 @@ let flow_name = function
   | `Sat -> "sat"
   | `Rebuild -> "rebuild"
 
-let run_flow ?after_pass ?(analysis = true)
-    ?(pass_budget_ms = None) ?(pass_alloc_budget_mw = None) flow
-    (c : Netlist.Circuit.t) : outcome =
+let run_flow ?after_pass ?(pass_budget_ms = None)
+    ?(pass_alloc_budget_mw = None) flow (c : Netlist.Circuit.t) : outcome =
   match flow with
   | `None -> O_none
   | `Yosys -> O_yosys (Smartly.Driver.yosys ?after_pass c)
@@ -452,12 +441,7 @@ let run_flow ?after_pass ?(analysis = true)
       | `Smartly -> Smartly.Config.default
     in
     let cfg =
-      {
-        cfg with
-        Smartly.Config.enable_analysis = analysis;
-        pass_budget_ms;
-        pass_alloc_budget_mw;
-      }
+      { cfg with Smartly.Config.pass_budget_ms; pass_alloc_budget_mw }
     in
     O_smartly (Smartly.Driver.smartly ~cfg ?after_pass c)
 
@@ -473,29 +457,6 @@ let print_pass_reports ppf = function
     List.iter
       (fun rr -> Fmt.pf ppf "rebuild:  %a@." Smartly.Restructure.pp_report rr)
       r.Smartly.Driver.rebuild_reports
-
-(* Sum the engine stats over every sat_elim sweep of the run. *)
-let engine_totals (o : outcome) : Smartly.Engine.stats =
-  let acc = Smartly.Engine.fresh_stats () in
-  (match o with
-  | O_none | O_yosys _ -> ()
-  | O_smartly r ->
-    List.iter
-      (fun (rr : Smartly.Sat_elim.report) ->
-        let e = rr.Smartly.Sat_elim.engine in
-        let open Smartly.Engine in
-        acc.rule_hits <- acc.rule_hits + e.rule_hits;
-        acc.analysis_hits <- acc.analysis_hits + e.analysis_hits;
-        acc.analysis_queries <- acc.analysis_queries + e.analysis_queries;
-        acc.sim_queries <- acc.sim_queries + e.sim_queries;
-        acc.sat_queries <- acc.sat_queries + e.sat_queries;
-        acc.forgone <- acc.forgone + e.forgone;
-        acc.subgraph_kept <- acc.subgraph_kept + e.subgraph_kept;
-        acc.sat_conflicts <- acc.sat_conflicts + e.sat_conflicts;
-        acc.sat_decisions <- acc.sat_decisions + e.sat_decisions;
-        acc.sat_propagations <- acc.sat_propagations + e.sat_propagations)
-      r.Smartly.Driver.sat_reports);
-  acc
 
 let iterations_of = function
   | O_none -> 0
@@ -545,27 +506,6 @@ let session_json () : Obs.Json.t =
       "cell_reuses", num_of_int (counter_value "sat_session.cell_reuses");
     ]
 
-(* The rung-zero counters as one JSON object — the [analysis] section of
-   the --json report and of bench per-case output.  [Null] when the rung
-   never ran (--no-analysis, or a flow without the sat pass), so gates
-   diffing reports across configs never see a spurious section. *)
-let analysis_json () : Obs.Json.t =
-  let open Obs.Json in
-  let queries = counter_value "engine.analysis_queries" in
-  if queries = 0 then Null
-  else
-    Obj
-      [
-        "queries", num_of_int queries;
-        "hits", num_of_int (counter_value "engine.analysis_hits");
-        "forced", num_of_int (counter_value "engine.analysis_forced");
-        "unreachable", num_of_int (counter_value "engine.analysis_unreachable");
-        "sim_avoided", num_of_int (counter_value "engine.analysis_sim_avoided");
-        "sat_avoided", num_of_int (counter_value "engine.analysis_sat_avoided");
-        "sweeps", num_of_int (counter_value "engine.analysis_sweeps");
-        "seconds", histogram_percentiles_json "engine.analysis_seconds";
-      ]
-
 let overruns_of = function
   | O_none | O_yosys _ -> []
   | O_smartly r -> r.Smartly.Driver.overruns
@@ -573,7 +513,6 @@ let overruns_of = function
 let stats_report_json ~src ~flow ~area0 ~area1 ~dt ~outcome ~sink ~psink :
     Obs.Json.t =
   let open Obs.Json in
-  let e = engine_totals outcome in
   let passes =
     match sink with
     | None -> []
@@ -602,21 +541,23 @@ let stats_report_json ~src ~flow ~area0 ~area1 ~dt ~outcome ~sink ~psink :
       );
       "wall_seconds", Num dt;
       "iterations", num_of_int (iterations_of outcome);
+      (* the engine's totals over the run, read from the registry [opt]
+         resets before it *)
       ( "sat",
         Obj
-          [
-            "queries", num_of_int e.Smartly.Engine.sat_queries;
-            "conflicts", num_of_int e.Smartly.Engine.sat_conflicts;
-            "decisions", num_of_int e.Smartly.Engine.sat_decisions;
-            "propagations", num_of_int e.Smartly.Engine.sat_propagations;
-            "rule_hits", num_of_int e.Smartly.Engine.rule_hits;
-            "analysis_hits", num_of_int e.Smartly.Engine.analysis_hits;
-            "sim_queries", num_of_int e.Smartly.Engine.sim_queries;
-            "forgone", num_of_int e.Smartly.Engine.forgone;
-            "subgraph_kept", num_of_int e.Smartly.Engine.subgraph_kept;
-          ] );
+          (List.map
+             (fun (key, name) -> key, num_of_int (counter_value name))
+             [
+               "queries", "engine.sat_queries";
+               "conflicts", "engine.sat_conflicts";
+               "decisions", "engine.sat_decisions";
+               "propagations", "engine.sat_propagations";
+               "rule_hits", "engine.rule_hits";
+               "sim_queries", "engine.sim_queries";
+               "forgone", "engine.forgone";
+               "subgraph_kept", "subgraph.kept";
+             ]) );
       "session", session_json ();
-      "analysis", analysis_json ();
       ( "budget",
         List
           (List.map Smartly.Budget.overrun_to_json (overruns_of outcome)) );
@@ -672,7 +613,7 @@ let flight_extra () =
 
 let opt_cmd =
   let run src style flow check verbose trace json provenance sat_dump
-      check_invariants no_analysis no_ledger ledger_root
+      check_invariants no_ledger ledger_root
       pass_budget_ms pass_alloc_budget_mw progress =
     let c = load_circuit ~style src in
     let orig = Netlist.Circuit.copy c in
@@ -756,8 +697,7 @@ let opt_cmd =
     let t0 = Obs.Clock.now () in
     let outcome =
       try
-        run_flow ?after_pass ~analysis:(not no_analysis) ~pass_budget_ms
-          ~pass_alloc_budget_mw flow c
+        run_flow ?after_pass ~pass_budget_ms ~pass_alloc_budget_mw flow c
       with e ->
         (match ledger with
         | Some l ->
@@ -780,7 +720,6 @@ let opt_cmd =
              "iterations", Obs.Json.num_of_int (iterations_of outcome);
              "wall_seconds", Obs.Json.Num dt;
              "session", session_json ();
-             "analysis", analysis_json ();
              "overruns", Obs.Json.num_of_int (List.length overruns);
            ])
       Obs.Event.Run_end;
@@ -825,14 +764,6 @@ let opt_cmd =
     Fmt.pf human "%s: AIG area %d -> %d (%s reduction) in %s@."
       (flow_name flow) area0 area1 (Report.Table.pct red)
       (Report.Table.secs dt);
-    (let e = engine_totals outcome in
-     if e.Smartly.Engine.analysis_queries > 0 then
-       Fmt.pf human "analysis: %d/%d rung-zero hits (%s)@."
-         e.Smartly.Engine.analysis_hits e.Smartly.Engine.analysis_queries
-         (Report.Table.pct
-            (100.0
-            *. float_of_int e.Smartly.Engine.analysis_hits
-            /. float_of_int e.Smartly.Engine.analysis_queries)));
     List.iter
       (fun (o : Smartly.Budget.overrun) ->
         Fmt.pf human
@@ -920,8 +851,7 @@ let opt_cmd =
     Term.(
       const run $ src_arg $ style_arg $ flow_arg $ check_arg $ verbose_arg
       $ trace_arg $ json_arg $ provenance_arg $ sat_dump_arg
-      $ check_invariants_arg $ no_analysis_arg
-      $ no_ledger_arg $ ledger_root_arg $ pass_budget_ms_arg
+      $ check_invariants_arg $ no_ledger_arg $ ledger_root_arg $ pass_budget_ms_arg
       $ pass_alloc_budget_mw_arg $ progress_arg)
 
 let write_verilog_cmd =
@@ -1495,15 +1425,6 @@ let report_cmd =
       Option.bind run_end (fun (e : Obs.Event.t) ->
           Obs.Json.member "session" e.Obs.Event.data)
     in
-    (* only runs with the rung enabled carry a non-null analysis object *)
-    let analysis =
-      match
-        Option.bind run_end (fun (e : Obs.Event.t) ->
-            Obs.Json.member "analysis" e.Obs.Event.data)
-      with
-      | Some (Obs.Json.Obj _ as a) -> Some a
-      | _ -> None
-    in
     let status =
       Option.value
         (Option.bind manifest (Obs.Json.mem_str "status"))
@@ -1545,7 +1466,6 @@ let report_cmd =
                       "after", opt_int area_after ] );
                 "sat_queries", num_of_int sat_queries;
                 "session", Option.value session ~default:Null;
-                "analysis", Option.value analysis ~default:Null;
                 ( "budget",
                   List
                     (List.map
@@ -1620,16 +1540,6 @@ let report_cmd =
       end;
       if sat_queries > 0 then
         Printf.printf "  sat queries: %d\n" sat_queries;
-      (match analysis with
-      | Some a ->
-        Printf.printf
-          "  analysis: hits=%d/%d forced=%d unreachable=%d sweeps=%d\n"
-          (Option.value (Obs.Json.mem_int "hits" a) ~default:0)
-          (Option.value (Obs.Json.mem_int "queries" a) ~default:0)
-          (Option.value (Obs.Json.mem_int "forced" a) ~default:0)
-          (Option.value (Obs.Json.mem_int "unreachable" a) ~default:0)
-          (Option.value (Obs.Json.mem_int "sweeps" a) ~default:0)
-      | None -> ());
       (match session with
       | Some s ->
         Printf.printf "  session: flushes=%d encodes=%d reuses=%d\n"

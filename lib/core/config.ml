@@ -12,10 +12,6 @@ type t = {
   sat_conflict_budget : int; (* conflict cap per SAT query *)
   max_subgraph_cells : int; (* forgo queries on larger sub-graphs *)
   enable_inference_rules : bool; (* Table I propagation *)
-  enable_analysis : bool;
-      (* abstract-interpretation rung zero (known-bits + intervals):
-         answers Forced/Unreachable before the sim/SAT rungs when
-         the dataflow fixpoint pins the target; falls through on top *)
   enable_sat : bool; (* the SAT-based redundancy elimination *)
   enable_rebuild : bool; (* muxtree restructuring *)
   pass_budget_ms : int option;
@@ -35,7 +31,6 @@ let default =
     sat_conflict_budget = 4000;
     max_subgraph_cells = 600;
     enable_inference_rules = true;
-    enable_analysis = true;
     enable_sat = true;
     enable_rebuild = true;
     pass_budget_ms = None;
@@ -48,10 +43,10 @@ let rebuild_only = { default with enable_sat = false }
 (* Stable serialization of every verdict-affecting knob, for composite
    cache keys ({!Replay}). *)
 let fingerprint (t : t) =
-  Printf.sprintf "k%d;si%d;sa%d;cb%d;mx%d;f%b%b%b%b;bm%s;ba%s"
+  Printf.sprintf "k%d;si%d;sa%d;cb%d;mx%d;f%b%b%b;bm%s;ba%s"
     t.distance_k t.sim_input_threshold t.sat_input_threshold
     t.sat_conflict_budget t.max_subgraph_cells t.enable_inference_rules
-    t.enable_analysis t.enable_sat t.enable_rebuild
+    t.enable_sat t.enable_rebuild
     (match t.pass_budget_ms with None -> "-" | Some m -> string_of_int m)
     (match t.pass_alloc_budget_mw with
     | None -> "-"

@@ -10,10 +10,6 @@ type t = {
   sat_conflict_budget : int;  (** conflict cap per SAT query *)
   max_subgraph_cells : int;  (** forgo queries on larger sub-graphs *)
   enable_inference_rules : bool;  (** Table I propagation *)
-  enable_analysis : bool;
-      (** abstract-interpretation rung zero: the known-bits + interval
-          fixpoint answers [Forced]/[Unreachable] before the sim/SAT
-          rungs when it pins the target; falls through on top *)
   enable_sat : bool;  (** the SAT-based redundancy elimination pass *)
   enable_rebuild : bool;  (** the muxtree restructuring pass *)
   pass_budget_ms : int option;

@@ -14,8 +14,6 @@ type verdict =
 
 type stats = {
   mutable rule_hits : int;
-  mutable analysis_hits : int;
-  mutable analysis_queries : int;
   mutable sim_queries : int;
   mutable sat_queries : int;
   mutable forgone : int;
@@ -28,8 +26,6 @@ type stats = {
 let fresh_stats () =
   {
     rule_hits = 0;
-    analysis_hits = 0;
-    analysis_queries = 0;
     sim_queries = 0;
     sat_queries = 0;
     forgone = 0;
@@ -44,18 +40,9 @@ let fresh_stats () =
 type source =
   | Via_lookup (* already known: identical-signal rule *)
   | Via_rule of string (* inference rule family that derived the value *)
-  | Via_analysis (* abstract-interpretation rung zero *)
   | Via_sim (* exhaustive bit-parallel simulation *)
   | Via_sat of int (* SAT query, carrying the query id *)
   | Via_forgone (* thresholds exceeded; verdict is Unknown *)
-
-let source_name = function
-  | Via_lookup -> "lookup"
-  | Via_rule r -> "rule:" ^ r
-  | Via_analysis -> "analysis"
-  | Via_sim -> "sim"
-  | Via_sat id -> Printf.sprintf "sat:%d" id
-  | Via_forgone -> "forgone"
 
 (* Per-SAT-query telemetry with a bounded buffer of the hardest queries
    (by conflicts), each carrying a self-contained DIMACS dump so it can be
@@ -193,19 +180,6 @@ end
 
 (* Global instruments; handles resolved once, bumped per query. *)
 let m_rule_hits = Obs.Metrics.counter "engine.rule_hits"
-let m_analysis_queries = Obs.Metrics.counter "engine.analysis_queries"
-let m_analysis_hits = Obs.Metrics.counter "engine.analysis_hits"
-let m_analysis_forced = Obs.Metrics.counter "engine.analysis_forced"
-
-let m_analysis_unreachable =
-  Obs.Metrics.counter "engine.analysis_unreachable"
-
-(* queries rung zero kept away from the heavier rungs, split by which
-   rung would have answered them *)
-let m_analysis_sim_avoided = Obs.Metrics.counter "engine.analysis_sim_avoided"
-let m_analysis_sat_avoided = Obs.Metrics.counter "engine.analysis_sat_avoided"
-let m_analysis_sweeps = Obs.Metrics.counter "engine.analysis_sweeps"
-let h_analysis_seconds = Obs.Metrics.histogram "engine.analysis_seconds"
 let m_sim_queries = Obs.Metrics.counter "engine.sim_queries"
 let m_sat_queries = Obs.Metrics.counter "engine.sat_queries"
 let m_forgone = Obs.Metrics.counter "engine.forgone"
@@ -473,70 +447,24 @@ let determine_how ?session (cfg : Config.t) (stats : stats) (sg : Subgraph.t)
           n > cfg.Config.sim_input_threshold
           && n > cfg.Config.sat_input_threshold
         then forgo stats
-        else begin
-          (* rung zero: the abstract-interpretation fixpoint over the
-             sub-graph, seeded with every fact (the path facts plus
-             whatever the rules just inferred).  Sound by construction —
-             it only answers when a definite value or a contradiction is
-             proven, and falls through on top — and it sits after the
-             threshold check so it only ever intercepts queries the
-             sim/SAT rungs would have answered identically: final
-             netlists are byte-identical with the rung off, only the
-             query counters move. *)
-          let analysis_verdict =
-            if not cfg.Config.enable_analysis then None
-            else begin
-              stats.analysis_queries <- stats.analysis_queries + 1;
-              Obs.Metrics.incr m_analysis_queries;
-              let t0 = Obs.Clock.now () in
-              let r = Analysis.Fixpoint.run ~seeds:facts circuit cells in
-              Obs.Metrics.observe h_analysis_seconds (Obs.Clock.now () -. t0);
-              match r with
-              | Analysis.Fixpoint.Contradiction ->
-                Obs.Metrics.incr m_analysis_unreachable;
-                Some Unreachable
-              | Analysis.Fixpoint.Converged o -> (
-                Obs.Metrics.add m_analysis_sweeps o.Analysis.Fixpoint.sweeps;
-                match Analysis.Absval.read o.Analysis.Fixpoint.state target with
-                | Analysis.Absval.One ->
-                  Obs.Metrics.incr m_analysis_forced;
-                  Some (Forced true)
-                | Analysis.Absval.Zero ->
-                  Obs.Metrics.incr m_analysis_forced;
-                  Some (Forced false)
-                | Analysis.Absval.Top -> None)
-            end
+        else if n <= cfg.Config.sim_input_threshold then begin
+          stats.sim_queries <- stats.sim_queries + 1;
+          Obs.Metrics.incr m_sim_queries;
+          let t0 = Obs.Clock.now () in
+          let v =
+            simulate_exhaustive circuit ~cells ~facts ~free_inputs ~target
           in
-          match analysis_verdict with
-          | Some v ->
-            stats.analysis_hits <- stats.analysis_hits + 1;
-            Obs.Metrics.incr m_analysis_hits;
-            Obs.Metrics.incr
-              (if n <= cfg.Config.sim_input_threshold then
-                 m_analysis_sim_avoided
-               else m_analysis_sat_avoided);
-            (v, Via_analysis)
-          | None ->
-            if n <= cfg.Config.sim_input_threshold then begin
-              stats.sim_queries <- stats.sim_queries + 1;
-              Obs.Metrics.incr m_sim_queries;
-              let t0 = Obs.Clock.now () in
-              let v =
-                simulate_exhaustive circuit ~cells ~facts ~free_inputs ~target
-              in
-              Obs.Metrics.observe h_sim_query_seconds
-                (Obs.Clock.now () -. t0);
-              (v, Via_sim)
-            end
-            else begin
-              stats.sat_queries <- stats.sat_queries + 1;
-              Obs.Metrics.incr m_sat_queries;
-              let v, qid =
-                query_sat_how ~stats ?session circuit ~cells ~facts
-                  ~budget:cfg.Config.sat_conflict_budget ~target
-              in
-              (v, Via_sat qid)
-            end
+          Obs.Metrics.observe h_sim_query_seconds (Obs.Clock.now () -. t0);
+          (v, Via_sim)
+        end
+        else begin
+          stats.sat_queries <- stats.sat_queries + 1;
+          Obs.Metrics.incr m_sat_queries;
+          let v, qid =
+            query_sat_how ~stats ?session circuit ~cells ~facts
+              ~budget:cfg.Config.sat_conflict_budget ~target
+          in
+          (v, Via_sat qid)
         end
       | exception Inference.Contradiction -> (Unreachable, Via_rule "contradiction")
     end

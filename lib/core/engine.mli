@@ -1,12 +1,9 @@
 (** The combined decision engine: is a signal forced under path facts?
 
-    Resolution ladder, the paper's plus a static rung: direct lookup
-    (the Yosys identical-signal rule), inference rules, the
-    abstract-interpretation rung zero ({!Analysis.Fixpoint}: known-bits +
-    intervals, answering before the sim/SAT rungs when the target's
-    abstract value is definite), exhaustive bit-parallel simulation when
-    the sub-graph has few free inputs, an incremental SAT query
-    otherwise, and a give-up threshold. *)
+    Resolution ladder, as in the paper: direct lookup (the Yosys
+    identical-signal rule), inference rules, exhaustive bit-parallel
+    simulation when the sub-graph has few free inputs, an incremental SAT
+    query otherwise, and a give-up threshold. *)
 
 open Netlist
 
@@ -18,10 +15,6 @@ type verdict =
 
 type stats = {
   mutable rule_hits : int;
-  mutable analysis_hits : int;
-      (** verdicts answered by the abstract-interpretation rung zero *)
-  mutable analysis_queries : int;
-      (** rung-zero attempts (hits + falls through on top) *)
   mutable sim_queries : int;
   mutable sat_queries : int;
   mutable forgone : int;
@@ -39,16 +32,9 @@ val fresh_stats : unit -> stats
 type source =
   | Via_lookup  (** already known: the identical-signal rule *)
   | Via_rule of string  (** inference rule family that derived the value *)
-  | Via_analysis
-      (** abstract-interpretation rung zero: the known-bits + interval
-          fixpoint pinned the target (or proved the path dead) *)
   | Via_sim  (** exhaustive bit-parallel simulation *)
   | Via_sat of int  (** SAT query, carrying the query id *)
   | Via_forgone  (** thresholds exceeded; verdict is [Unknown] *)
-
-val source_name : source -> string
-(** ["lookup"], ["rule:or"], ["analysis"], ["sim"], ["sat:42"],
-    ["forgone"]. *)
 
 (** Per-SAT-query telemetry and a bounded buffer of the hardest queries
     (by conflicts), each with a self-contained DIMACS dump replayable by
@@ -127,10 +113,10 @@ val determine :
   verdict
 (** Extract the bounded sub-graph from the cones of the target and the
     known signals on the kernel, and run the ladder: the rules on the
-    kernel's fact store, then rung zero, simulation or SAT on the cells
-    in rank order and the facts on the sub-graph's bits.  The caller's
-    known map is never polluted with inferred values.  [session] routes
-    SAT queries through the persistent incremental solver. *)
+    kernel's fact store, then simulation or SAT on the cells in rank
+    order and the facts on the sub-graph's bits.  The caller's known map
+    is never polluted with inferred values.  [session] routes SAT queries
+    through the persistent incremental solver. *)
 
 val determine_how :
   ?session:Cdcl.Session.t ->

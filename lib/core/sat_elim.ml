@@ -23,11 +23,10 @@ type report = {
 
 let pp_report ppf r =
   Fmt.pf ppf
-    "bypassed=%d data_folded=%d dead=%d rules=%d analysis=%d sim=%d sat=%d \
-     forgone=%d kept=%d conflicts=%d decisions=%d props=%d"
+    "bypassed=%d data_folded=%d dead=%d rules=%d sim=%d sat=%d forgone=%d \
+     kept=%d conflicts=%d decisions=%d props=%d"
     r.muxes_bypassed r.data_bits_folded r.dead_branches
-    r.engine.Engine.rule_hits r.engine.Engine.analysis_hits
-    r.engine.Engine.sim_queries
+    r.engine.Engine.rule_hits r.engine.Engine.sim_queries
     r.engine.Engine.sat_queries r.engine.Engine.forgone
     r.engine.Engine.subgraph_kept
     r.engine.Engine.sat_conflicts r.engine.Engine.sat_decisions
@@ -134,7 +133,6 @@ let mechanism_of_source (src : Engine.source) :
   match src with
   | Engine.Via_lookup -> (Obs.Provenance.Rule "identical_signal", None)
   | Engine.Via_rule r -> (Obs.Provenance.Rule r, None)
-  | Engine.Via_analysis -> (Obs.Provenance.Analysis, None)
   | Engine.Via_sim -> (Obs.Provenance.Rule "sim", None)
   | Engine.Via_sat qid -> (Obs.Provenance.Sat, Some qid)
   | Engine.Via_forgone -> (Obs.Provenance.Pruned, None)

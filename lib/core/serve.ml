@@ -18,6 +18,7 @@
    Protocol (one JSON object per line):
      {"op":"optimize","id":...,"kind":...,"source":...,
       "budget_ms":B?}               -> smartly-report-v1 job report
+                                       (B a non-negative integer)
      {"op":"ping"}                  -> {"op":"ping","status":"ok"}
      {"op":"stats"}                 -> daemon counters + replay state
      {"op":"shutdown"}              -> {"op":"shutdown","status":"ok"}, stop
@@ -139,13 +140,22 @@ let handle t (line : string) : Obs.Json.t * bool =
     | Some "shutdown" ->
       (Obs.Json.Obj [ ("op", Str "shutdown"); ("status", Str "ok") ], false)
     | Some "optimize" -> (
-      match Obs.Json.mem_str "source" req with
-      | None -> (error_response ~id "optimize: missing \"source\"", true)
-      | Some source ->
+      (* absent is no budget; present, it must be a non-negative integer *)
+      let budget_ms =
+        match Obs.Json.member "budget_ms" req with
+        | None -> Ok None
+        | Some b -> (
+          match Obs.Json.to_int b with
+          | Some ms when ms >= 0 -> Ok (Some ms)
+          | _ -> Error "optimize: \"budget_ms\" must be a non-negative integer")
+      in
+      match Obs.Json.mem_str "source" req, budget_ms with
+      | None, _ -> (error_response ~id "optimize: missing \"source\"", true)
+      | Some _, Error msg -> (error_response ~id msg, true)
+      | Some source, Ok budget_ms ->
         let kind =
           Option.value (Obs.Json.mem_str "kind" req) ~default:"profile"
         in
-        let budget_ms = Obs.Json.mem_int "budget_ms" req in
         (optimize t ~id ~kind ~source ~budget_ms, true))
     | Some op -> (error_response ~id ("unknown op: " ^ op), true)
     | None -> (error_response ~id "missing \"op\"", true))

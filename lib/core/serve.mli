@@ -18,7 +18,9 @@
     {"op":"stats"}                              -> counters + replay state
     {"op":"shutdown"}                           -> ack, then the loop returns
     v}
-    Other fields of an [optimize] request are ignored, so older clients'
+    A [budget_ms] that is not a non-negative integer is answered with an
+    error naming the field.  Other fields of an [optimize] request are
+    ignored, so older clients'
     ["jobs"] and ["portfolio"] fields are accepted and have no effect.
     Malformed lines get [{"status":"error",...}] and the daemon keeps
     serving — one bad job must not take down the batch. *)

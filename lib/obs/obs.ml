@@ -290,8 +290,11 @@ module Json = struct
   let to_str = function Str s -> Some s | _ -> None
   let to_list = function List l -> Some l | _ -> None
 
+  (* [int_of_float] is unspecified outside the int range: [1e300] and
+     [2^62] would decode as garbage instead of being refused. *)
   let to_int = function
-    | Num v when Float.is_integer v -> Some (int_of_float v)
+    | Num v when Float.is_integer v && v >= -0x1p62 && v < 0x1p62 ->
+      Some (int_of_float v)
     | _ -> None
 
   let mem_num key j = Option.bind (member key j) to_num
@@ -838,7 +841,7 @@ module Provenance = struct
      single match on a ref and records nothing, so instrumented passes pay
      nothing in normal runs. *)
 
-  type mechanism = Pruned | Rule of string | Sat | Analysis | Restructure
+  type mechanism = Pruned | Rule of string | Sat | Restructure
 
   type kind =
     | Cell_removed
@@ -908,14 +911,12 @@ module Provenance = struct
     | Pruned -> "pruned"
     | Rule r -> "rule:" ^ r
     | Sat -> "sat"
-    | Analysis -> "analysis"
     | Restructure -> "restructure"
 
   let mechanism_of_name s =
     match s with
     | "pruned" -> Some Pruned
     | "sat" -> Some Sat
-    | "analysis" -> Some Analysis
     | "restructure" -> Some Restructure
     | _ ->
       let prefix = "rule:" in
@@ -942,15 +943,24 @@ module Provenance = struct
       else [])
 
   let event_of_json (j : Json.t) : (event, string) result =
-    let str k =
-      match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
-    in
+    let ( let* ) = Result.bind in
+    (* absent is [None]; present, the field must be an integer *)
     let int_ k =
       match Json.member k j with
-      | Some (Json.Num v) -> Some (int_of_float v)
-      | _ -> None
+      | None -> Ok None
+      | Some v -> (
+        match Json.to_int v with
+        | Some i -> Ok (Some i)
+        | None -> Error (Printf.sprintf "field %S is not an integer" k))
     in
-    match str "kind", str "pass", str "mechanism", int_ "cell" with
+    let* cell = int_ "cell" in
+    let* query = int_ "query" in
+    let* bits = int_ "bits" in
+    let* area_delta = int_ "area_delta" in
+    match
+      Json.mem_str "kind" j, Json.mem_str "pass" j, Json.mem_str "mechanism" j,
+      cell
+    with
     | Some kn, Some pass, Some mn, Some cell -> (
       match kind_of_name kn, mechanism_of_name mn with
       | Some kind, Some mechanism ->
@@ -960,9 +970,9 @@ module Provenance = struct
             cell;
             pass;
             mechanism;
-            query = int_ "query";
-            bits = Option.value (int_ "bits") ~default:0;
-            area_delta = Option.value (int_ "area_delta") ~default:0;
+            query;
+            bits = Option.value bits ~default:0;
+            area_delta = Option.value area_delta ~default:0;
           }
       | None, _ -> Error (Printf.sprintf "unknown event kind %S" kn)
       | _, None -> Error (Printf.sprintf "unknown mechanism %S" mn))

@@ -53,7 +53,7 @@ module Json : sig
 
   (** Shape accessors for schema decoding: the value if it has the asked
       shape, [None] otherwise.  [to_int] additionally requires the number
-      to be integral. *)
+      to be integral and within OCaml's [int] range. *)
 
   val to_num : t -> float option
   val to_int : t -> int option
@@ -288,7 +288,6 @@ module Provenance : sig
     | Pruned  (** reachability pruning / dead-code removal *)
     | Rule of string  (** a named inference or folding rule *)
     | Sat  (** resolved by a SAT query *)
-    | Analysis  (** resolved by the abstract-interpretation rung *)
     | Restructure  (** muxtree restructuring *)
 
   type kind =

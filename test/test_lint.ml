@@ -702,6 +702,19 @@ let test_invariant_clean_flow () =
   check_bool "ok" true (Lint.Invariant.ok t);
   check_bool "checks ran" true (Lint.Invariant.checks_run t >= 4)
 
+(* The smaRTLy flow under the same checker, as `opt --check-invariants`
+   runs it: every sat_elim and restructure pass must leave a valid,
+   lint-clean, equivalent netlist. *)
+let test_invariant_clean_smartly_flow () =
+  let c = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
+  let t = Lint.Invariant.create c in
+  ignore
+    (Smartly.Driver.smartly
+       ~after_pass:(fun name circuit -> Lint.Invariant.after_pass t name circuit)
+       c);
+  check_bool "ok" true (Lint.Invariant.ok t);
+  check_bool "checks ran" true (Lint.Invariant.checks_run t >= 4)
+
 let test_invariant_catches_equiv_break () =
   let c = Hdl.Elaborate.elaborate_string small_module in
   let t = Lint.Invariant.create c in
@@ -889,6 +902,8 @@ let () =
       ( "invariants",
         [
           Alcotest.test_case "clean flow" `Quick test_invariant_clean_flow;
+          Alcotest.test_case "clean smartly flow" `Slow
+            test_invariant_clean_smartly_flow;
           Alcotest.test_case "equivalence break" `Quick
             test_invariant_catches_equiv_break;
           Alcotest.test_case "validation break" `Quick

@@ -57,7 +57,15 @@ let test_json_member () =
   let v = Obj [ "a", num_of_int 1; "b", Str "x" ] in
   check_bool "hit" true (member "b" v = Some (Str "x"));
   check_bool "miss" true (member "c" v = None);
-  check_bool "non-obj" true (member "a" (List []) = None)
+  check_bool "non-obj" true (member "a" (List []) = None);
+  (* integers decode only when integral and within OCaml's int range *)
+  check_bool "int" true (mem_int "a" v = Some 1);
+  check_bool "fraction" true (to_int (Num 2.5) = None);
+  check_bool "huge" true (to_int (Num 1e300) = None);
+  check_bool "2^62" true (to_int (Num 0x1p62) = None);
+  check_bool "-2^62" true (to_int (Num (-0x1p62)) = Some min_int);
+  check_bool "parsed 2^62" true
+    (Result.map to_int (parse "4611686018427387904") = Ok None)
 
 (* --- Trace --- *)
 

@@ -62,6 +62,26 @@ let test_parse_errors () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted unknown mechanism");
+  (* a number that is not an integer fails the line, whether the field
+     is required (cell) or optional (query, bits, area_delta) *)
+  List.iter
+    (fun fields ->
+      match
+        Obs.Provenance.parse_jsonl
+          (Printf.sprintf
+             "{\"kind\":\"mux_bypassed\",\"pass\":\"p\",\"mechanism\":\"sat\",%s}"
+             fields)
+      with
+      | Error msg ->
+        check_bool (fields ^ " names line 1") true
+          (String.starts_with ~prefix:"line 1: " msg)
+      | Ok _ -> Alcotest.failf "accepted %s" fields)
+    [
+      "\"cell\":1.5";
+      "\"cell\":1,\"query\":-0.25";
+      "\"cell\":1,\"bits\":1e300";
+      "\"cell\":1,\"area_delta\":4611686018427387904";
+    ];
   match Obs.Provenance.parse_jsonl "" with
   | Ok [] -> ()
   | Ok _ | Error _ -> Alcotest.fail "empty input should give zero events"
@@ -70,7 +90,7 @@ let test_mechanism_names () =
   let mechs =
     [
       Obs.Provenance.Pruned; Obs.Provenance.Rule "x"; Obs.Provenance.Sat;
-      Obs.Provenance.Restructure; Obs.Provenance.Analysis;
+      Obs.Provenance.Restructure;
     ]
   in
   List.iter

@@ -73,6 +73,21 @@ let test_handle_protocol () =
   check_bool "daemon survives bad job" true cb;
   let unknown, _ = resp {|{"op":"frobnicate"}|} in
   check_string "unknown op errors" "error" (str "status" unknown);
+  (* a budget that is not a non-negative integer is refused, never run
+     as some other budget *)
+  List.iter
+    (fun b ->
+      let r, cr =
+        resp
+          (Printf.sprintf
+             {|{"op":"optimize","source":"mux_chain","budget_ms":%s}|} b)
+      in
+      check_string ("budget " ^ b ^ " errors") "error" (str "status" r);
+      check_string "error names budget_ms"
+        {|optimize: "budget_ms" must be a non-negative integer|}
+        (str "error" r);
+      check_bool "daemon survives bad budget" true cr)
+    [ "1e300"; "2.5"; "-1"; "\"10\"" ];
   let stats, _ = resp {|{"op":"stats"}|} in
   check_int "jobs ok" 1 (int_of_float (num "jobs_ok" stats));
   check_int "jobs failed" 1 (int_of_float (num "jobs_failed" stats));
