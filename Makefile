@@ -82,7 +82,10 @@ bench-baselines: build
 # the run-ledger surface: a deliberately budget-starved run (1 ms per
 # pass) must still exit 0 with its netlist equivalence-checking — the
 # watchdog degrades, never crashes — and `smartly report` must render
-# the ledger it left, with the JSON form surviving validate-json.  The
+# the ledger it left, with the JSON form surviving validate-json.  Its
+# provenance line must count a non-zero number of events, read from the
+# ledger's events.jsonl, and the run directory must hold no separate
+# provenance.jsonl: provenance lives in the event stream.  The
 # bench harness must refuse an unknown section name with exit 2 before
 # running anything: a misspelt section in a bench-check leg would
 # otherwise leave nothing to compare and pass the gate silently.  A
@@ -150,7 +153,12 @@ ci: build
 	  --ledger-root /tmp/smartly_runs --pass-budget-ms 1 \
 	  --check --check-invariants
 	run=$$(ls -d /tmp/smartly_runs/*/); \
-	dune exec bin/smartly_cli.exe -- report "$$run" && \
+	dune exec bin/smartly_cli.exe -- report "$$run" \
+	  > /tmp/smartly_report.txt && cat /tmp/smartly_report.txt && \
+	{ grep -Eq '^  provenance: [1-9][0-9]* events' /tmp/smartly_report.txt \
+	  || { echo "ci: report shows no provenance from events.jsonl"; exit 1; }; } && \
+	{ [ ! -e "$$run/provenance.jsonl" ] \
+	  || { echo "ci: ledger wrote a provenance.jsonl"; exit 1; }; } && \
 	dune exec bin/smartly_cli.exe -- report "$$run" --json \
 	  > /tmp/smartly_report.json && \
 	dune exec bin/smartly_cli.exe -- validate-json /tmp/smartly_report.json

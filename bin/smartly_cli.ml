@@ -155,8 +155,8 @@ let no_ledger_arg =
     & info [ "no-ledger" ]
         ~doc:
           "Do not create a run-ledger directory.  By default every \
-           $(b,opt) run records its manifest, event stream, trace, \
-           provenance, SAT dumps and flight-recorder dump under \
+           $(b,opt) run records its manifest, event stream (provenance \
+           included), trace, SAT dumps and flight-recorder dump under \
            $(b,.smartly/runs/<run-id>/), renderable later with \
            $(b,smartly report).")
 
@@ -673,8 +673,9 @@ let opt_cmd =
       end
       else None
     in
-    (* the provenance sink feeds the --provenance JSONL file, the
-       provenance_summary section of --json, and the ledger *)
+    (* the provenance sink feeds the --provenance JSONL file and the
+       provenance_summary section of --json and of the ledger's
+       stats.json *)
     let psink =
       if provenance <> None || json || ledger <> None then begin
         let s = Obs.Provenance.make_sink () in
@@ -803,12 +804,6 @@ let opt_cmd =
          | Some s ->
            Obs.Trace.write_chrome_json ~path:(Obs.Ledger.path l "trace.json") s
          | None -> ());
-         (match psink with
-         | Some s ->
-           Obs.Provenance.write_jsonl
-             ~path:(Obs.Ledger.path l "provenance.jsonl")
-             s
-         | None -> ());
          let oc = open_out (Obs.Ledger.path l "stats.json") in
          output_string oc
            (Obs.Json.to_string ~pretty:true
@@ -816,7 +811,7 @@ let opt_cmd =
                  ~psink));
          output_char oc '\n';
          close_out oc;
-         if Smartly.Engine.Sat_log.query_count () > 0 then begin
+         if Smartly.Engine.Sat_log.hardest () <> [] then begin
            let dir = Obs.Ledger.path l "sat" in
            if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
            ignore (Smartly.Engine.Sat_log.dump ~dir)
@@ -1331,8 +1326,9 @@ let report_cmd =
       Option.bind (read_opt "manifest.json") (fun text ->
           match Obs.Json.parse text with Ok j -> Some j | Error _ -> None)
     in
+    let events_text = read_opt "events.jsonl" in
     let events, torn =
-      match read_opt "events.jsonl" with
+      match events_text with
       | Some text -> Obs.Event.parse_jsonl_partial text
       | None -> [], None
     in
@@ -1396,12 +1392,10 @@ let report_cmd =
           name, calls, secs, cells)
         !pass_order
     in
-    let prov_events, prov_torn =
-      match read_opt "provenance.jsonl" with
-      | Some text ->
-        let evs, t = Obs.Provenance.parse_jsonl_partial text in
-        Some evs, t
-      | None -> None, None
+    let provenance =
+      Option.map
+        (fun _ -> Obs.Provenance.summary_json (Obs.Provenance.of_events events))
+        events_text
     in
     let flight =
       Option.bind (read_opt "flightrec.json") (fun text ->
@@ -1472,11 +1466,7 @@ let report_cmd =
                        (fun (e : Obs.Event.t) -> e.Obs.Event.data)
                        budget_events) );
                 "flight", Option.value flight ~default:Null;
-                ( "provenance_summary",
-                  match prov_events with
-                  | Some evs -> Obs.Provenance.summary_json evs
-                  | None -> Null );
-                "provenance_torn_at", opt_int prov_torn;
+                "provenance_summary", Option.value provenance ~default:Null;
               ]))
     end
     else begin
@@ -1572,15 +1562,11 @@ let report_cmd =
           (Option.value (Obs.Json.mem_int "retained" f) ~default:0)
           (Option.value (Obs.Json.mem_int "seen" f) ~default:0)
       | None -> ());
-      (match prov_events with
-      | Some evs ->
-        let s = Obs.Provenance.summary_json evs in
-        Printf.printf "  provenance: %d events, %d cells removed%s\n"
+      (match provenance with
+      | Some s ->
+        Printf.printf "  provenance: %d events, %d cells removed\n"
           (Option.value (Obs.Json.mem_int "events" s) ~default:0)
           (Option.value (Obs.Json.mem_int "cells_removed" s) ~default:0)
-          (match prov_torn with
-          | Some off -> Printf.sprintf "  (torn tail at byte %d)" off
-          | None -> "")
       | None -> ())
     end
   in

@@ -36,9 +36,8 @@ let () =
   let kernel = Smartly.Subgraph.create c (Index.build c) in
   let known : Smartly.Inference.known = Bits.Bit_tbl.create 4 in
   Bits.Bit_tbl.replace known sb true;
-  let stats = Smartly.Engine.fresh_stats () in
   let verdict =
-    Smartly.Engine.determine Smartly.Config.default stats kernel known
+    Smartly.Engine.determine Smartly.Config.default kernel known
       ~target:s_or_r
   in
   Printf.printf "engine: under S=1, S|R is %s (rule hits %d)\n"
@@ -48,7 +47,7 @@ let () =
     | Smartly.Engine.Free -> "free"
     | Smartly.Engine.Unreachable -> "on a dead path"
     | Smartly.Engine.Unknown -> "undetermined")
-    stats.Smartly.Engine.rule_hits;
+    (Obs.Metrics.value (Obs.Metrics.counter "engine.rule_hits"));
 
   (* run just the SAT-elimination pass and see the mux disappear *)
   let original = Circuit.copy c in

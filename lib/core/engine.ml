@@ -12,29 +12,6 @@ type verdict =
   | Unreachable (* the known values are contradictory: dead path *)
   | Unknown (* budget exhausted / thresholds exceeded *)
 
-type stats = {
-  mutable rule_hits : int;
-  mutable sim_queries : int;
-  mutable sat_queries : int;
-  mutable forgone : int;
-  mutable subgraph_kept : int;
-  mutable sat_conflicts : int;
-  mutable sat_decisions : int;
-  mutable sat_propagations : int;
-}
-
-let fresh_stats () =
-  {
-    rule_hits = 0;
-    sim_queries = 0;
-    sat_queries = 0;
-    forgone = 0;
-    subgraph_kept = 0;
-    sat_conflicts = 0;
-    sat_decisions = 0;
-    sat_propagations = 0;
-  }
-
 (* Which rung of the ladder produced a verdict — the provenance side of
    {!determine_how}. *)
 type source =
@@ -44,10 +21,24 @@ type source =
   | Via_sat of int (* SAT query, carrying the query id *)
   | Via_forgone (* thresholds exceeded; verdict is Unknown *)
 
+(* Global instruments; handles resolved once, bumped per query. *)
+let m_rule_hits = Obs.Metrics.counter "engine.rule_hits"
+let m_sim_queries = Obs.Metrics.counter "engine.sim_queries"
+let m_sat_queries = Obs.Metrics.counter "engine.sat_queries"
+let m_forgone = Obs.Metrics.counter "engine.forgone"
+let m_sat_conflicts = Obs.Metrics.counter "engine.sat_conflicts"
+let m_sat_decisions = Obs.Metrics.counter "engine.sat_decisions"
+let m_sat_propagations = Obs.Metrics.counter "engine.sat_propagations"
+let h_conflicts_per_query = Obs.Metrics.histogram "engine.conflicts_per_query"
+let h_sat_query_seconds = Obs.Metrics.histogram "engine.sat_query_seconds"
+let h_sim_query_seconds = Obs.Metrics.histogram "engine.sim_query_seconds"
+let h_subgraph_size = Obs.Metrics.histogram "engine.subgraph_cells"
+let m_subgraph_kept = Obs.Metrics.counter "subgraph.kept"
+
 (* Per-SAT-query telemetry with a bounded buffer of the hardest queries
    (by conflicts), each carrying a self-contained DIMACS dump so it can be
    re-run in isolation by [smartly replay].  [reset] scopes the log to one
-   run. *)
+   run; the query count is the [engine.sat_queries] counter. *)
 module Sat_log = struct
   type entry = {
     id : int;
@@ -69,17 +60,15 @@ module Sat_log = struct
   type state = {
     mutable keep : int;
     mutable next_id : int;
-    mutable total : int;
     mutable hardest : entry list; (* hardest first, length <= keep *)
   }
 
-  let state = { keep = default_keep; next_id = 0; total = 0; hardest = [] }
+  let state = { keep = default_keep; next_id = 0; hardest = [] }
 
   let reset ?keep:(k = default_keep) () =
     let s = state in
     s.keep <- k;
     s.next_id <- 0;
-    s.total <- 0;
     s.hardest <- []
 
   let fresh_id () =
@@ -118,7 +107,6 @@ module Sat_log = struct
   let record ~id ~verdict ~solve ~mode ~conflicts ~decisions ~propagations
       ~wall_s ~vars ~clauses ~(dimacs : unit -> unit -> string) =
     let s = state in
-    s.total <- s.total + 1;
     if admits s ~conflicts then
       insert s
         {
@@ -136,7 +124,6 @@ module Sat_log = struct
         }
 
   let hardest () = state.hardest
-  let query_count () = state.total
 
   let solve_name = function
     | Cdcl.Solver.Sat -> "SAT"
@@ -159,11 +146,10 @@ module Sat_log = struct
       ]
 
   let to_json () : Obs.Json.t =
-    let s = state in
     Obs.Json.Obj
       [
-        ("total", Obs.Json.num_of_int s.total);
-        ("hardest", Obs.Json.List (List.map entry_json s.hardest));
+        ("total", Obs.Json.num_of_int (Obs.Metrics.value m_sat_queries));
+        ("hardest", Obs.Json.List (List.map entry_json state.hardest));
       ]
 
   (* One file per hardest query, named by query id. *)
@@ -177,20 +163,6 @@ module Sat_log = struct
         path)
       (List.rev state.hardest)
 end
-
-(* Global instruments; handles resolved once, bumped per query. *)
-let m_rule_hits = Obs.Metrics.counter "engine.rule_hits"
-let m_sim_queries = Obs.Metrics.counter "engine.sim_queries"
-let m_sat_queries = Obs.Metrics.counter "engine.sat_queries"
-let m_forgone = Obs.Metrics.counter "engine.forgone"
-let m_sat_conflicts = Obs.Metrics.counter "engine.sat_conflicts"
-let m_sat_decisions = Obs.Metrics.counter "engine.sat_decisions"
-let m_sat_propagations = Obs.Metrics.counter "engine.sat_propagations"
-let h_conflicts_per_query = Obs.Metrics.histogram "engine.conflicts_per_query"
-let h_sat_query_seconds = Obs.Metrics.histogram "engine.sat_query_seconds"
-let h_sim_query_seconds = Obs.Metrics.histogram "engine.sim_query_seconds"
-let h_subgraph_size = Obs.Metrics.histogram "engine.subgraph_cells"
-let m_subgraph_kept = Obs.Metrics.counter "subgraph.kept"
 
 (* --- exhaustive simulation --- *)
 
@@ -267,7 +239,7 @@ let verdict_query_name = function
    The solver polls the pass budget's watchdog at every conflict and
    decision, so a pass that runs out of time stops inside a long SAT
    call instead of after it; the interrupted query is [Unknown]. *)
-let query_sat_how ?stats ?session (circuit : Circuit.t) ~(cells : int list)
+let query_sat_how ?session (circuit : Circuit.t) ~(cells : int list)
     ~(facts : (Bits.bit * bool) list) ~budget ~(target : Bits.bit) :
     verdict * int =
   let qid = Sat_log.fresh_id () in
@@ -303,12 +275,6 @@ let query_sat_how ?stats ?session (circuit : Circuit.t) ~(cells : int list)
   Obs.Metrics.add m_sat_propagations propagations;
   Obs.Metrics.observe_int h_conflicts_per_query conflicts;
   Obs.Metrics.observe h_sat_query_seconds wall_s;
-  (match stats with
-  | Some s ->
-    s.sat_conflicts <- s.sat_conflicts + conflicts;
-    s.sat_decisions <- s.sat_decisions + decisions;
-    s.sat_propagations <- s.sat_propagations + propagations
-  | None -> ());
   let vars = Cdcl.Solver.num_vars enc.Cdcl.Tseitin.solver in
   let clauses = Cdcl.Solver.num_clauses enc.Cdcl.Tseitin.solver in
   let dimacs () =
@@ -359,13 +325,12 @@ let query_sat_how ?stats ?session (circuit : Circuit.t) ~(cells : int list)
     | Cdcl.Tseitin.Undetermined -> Unknown),
     qid )
 
-let query_sat ?stats ?session circuit ~cells ~facts ~budget ~target : verdict =
-  fst (query_sat_how ?stats ?session circuit ~cells ~facts ~budget ~target)
+let query_sat ?session circuit ~cells ~facts ~budget ~target : verdict =
+  fst (query_sat_how ?session circuit ~cells ~facts ~budget ~target)
 
 (* --- the combined engine --- *)
 
-let forgo stats =
-  stats.forgone <- stats.forgone + 1;
+let forgo () =
   Obs.Metrics.incr m_forgone;
   (Unknown, Via_forgone)
 
@@ -374,7 +339,7 @@ let forgo stats =
    signal (the only gates Theorem II.1 allows to matter).  The rules run
    on the kernel's fact store; the caller's map is never polluted by
    inferred values. *)
-let determine_how ?session (cfg : Config.t) (stats : stats) (sg : Subgraph.t)
+let determine_how ?session (cfg : Config.t) (sg : Subgraph.t)
     (known : Inference.known) ~(target : Bits.bit) : verdict * source =
   match Inference.read known target with
   | Some v -> (Forced v, Via_lookup) (* identical-signal case, free *)
@@ -383,7 +348,7 @@ let determine_how ?session (cfg : Config.t) (stats : stats) (sg : Subgraph.t)
        building the sub-graph.  Sound — Unknown just means "leave the
        mux alone" — so the flow degrades to partial optimization. *)
     Budget.note_truncation ();
-    forgo stats
+    forgo ()
   | None ->
     Obs.Trace.with_span "engine.determine" @@ fun () ->
     let k = cfg.Config.distance_k in
@@ -392,9 +357,8 @@ let determine_how ?session (cfg : Config.t) (stats : stats) (sg : Subgraph.t)
     Bits.Bit_tbl.iter (fun b _ -> Subgraph.add_cone sg ~k b) known;
     let size = Subgraph.size sg in
     Obs.Metrics.observe_int h_subgraph_size size;
-    if size > cfg.Config.max_subgraph_cells then forgo stats
+    if size > cfg.Config.max_subgraph_cells then forgo ()
     else begin
-    stats.subgraph_kept <- stats.subgraph_kept + size;
     Obs.Metrics.add m_subgraph_kept size;
     (* target not even in the sub-graph (neither computed by it nor one of
        its sources): no relation to knowns, nothing to infer from *)
@@ -416,7 +380,6 @@ let determine_how ?session (cfg : Config.t) (stats : stats) (sg : Subgraph.t)
         else None
       with
       | Some v ->
-        stats.rule_hits <- stats.rule_hits + 1;
         Obs.Metrics.incr m_rule_hits;
         let rule =
           Option.value (Inference.Dense.rule store target) ~default:"rule"
@@ -446,9 +409,8 @@ let determine_how ?session (cfg : Config.t) (stats : stats) (sg : Subgraph.t)
         if
           n > cfg.Config.sim_input_threshold
           && n > cfg.Config.sat_input_threshold
-        then forgo stats
+        then forgo ()
         else if n <= cfg.Config.sim_input_threshold then begin
-          stats.sim_queries <- stats.sim_queries + 1;
           Obs.Metrics.incr m_sim_queries;
           let t0 = Obs.Clock.now () in
           let v =
@@ -458,10 +420,9 @@ let determine_how ?session (cfg : Config.t) (stats : stats) (sg : Subgraph.t)
           (v, Via_sim)
         end
         else begin
-          stats.sat_queries <- stats.sat_queries + 1;
           Obs.Metrics.incr m_sat_queries;
           let v, qid =
-            query_sat_how ~stats ?session circuit ~cells ~facts
+            query_sat_how ?session circuit ~cells ~facts
               ~budget:cfg.Config.sat_conflict_budget ~target
           in
           (v, Via_sat qid)
@@ -470,5 +431,5 @@ let determine_how ?session (cfg : Config.t) (stats : stats) (sg : Subgraph.t)
     end
     end
 
-let determine ?session cfg stats sg known ~target : verdict =
-  fst (determine_how ?session cfg stats sg known ~target)
+let determine ?session cfg sg known ~target : verdict =
+  fst (determine_how ?session cfg sg known ~target)

@@ -13,20 +13,6 @@ type verdict =
   | Unreachable  (** the facts are contradictory: dead path *)
   | Unknown  (** thresholds exceeded or budget exhausted *)
 
-type stats = {
-  mutable rule_hits : int;
-  mutable sim_queries : int;
-  mutable sat_queries : int;
-  mutable forgone : int;
-  mutable subgraph_kept : int;  (** cells over all query sub-graphs *)
-  mutable sat_conflicts : int;
-      (** solver conflicts accumulated over all SAT queries *)
-  mutable sat_decisions : int;
-  mutable sat_propagations : int;
-}
-
-val fresh_stats : unit -> stats
-
 (** Which rung of the ladder produced a verdict — the provenance half of
     {!determine_how}. *)
 type source =
@@ -39,7 +25,9 @@ type source =
 (** Per-SAT-query telemetry and a bounded buffer of the hardest queries
     (by conflicts), each with a self-contained DIMACS dump replayable by
     [smartly replay].  Call {!Sat_log.reset} to scope the log to one
-    run. *)
+    run.  The engine's counts (rule hits, simulation and SAT queries,
+    solver effort, forgone queries, sub-graph cells) live in the
+    {!Obs.Metrics} registry under [engine.*] and [subgraph.kept]. *)
 module Sat_log : sig
   type entry = {
     id : int;  (** query id, 0-based per {!reset} *)
@@ -65,15 +53,13 @@ module Sat_log : sig
   val hardest : unit -> entry list
   (** Hardest first. *)
 
-  val query_count : unit -> int
-  (** Total queries recorded since {!reset}. *)
-
   val solve_name : Cdcl.Solver.result -> string
   (** ["SAT" | "UNSAT" | "UNKNOWN"] — matches the [solve=] field of the
       DIMACS metadata comment. *)
 
   val to_json : unit -> Obs.Json.t
-  (** [{"total", "hardest": [...]}] — the [sat_queries] report section. *)
+  (** [{"total", "hardest": [...]}] — the [sat_queries] report section;
+      [total] reads the [engine.sat_queries] counter. *)
 
   val dump : dir:string -> string list
   (** Write each hardest query as [query_NNNN.cnf] under [dir]; returns
@@ -81,7 +67,6 @@ module Sat_log : sig
 end
 
 val query_sat :
-  ?stats:stats ->
   ?session:Cdcl.Session.t ->
   Circuit.t ->
   cells:int list ->
@@ -94,9 +79,9 @@ val query_sat :
     solver; with [session], the persistent solver answers it — [cells]
     are lazily encoded as guarded clause groups and activated by
     assumptions, so the verdict is the same while learned clauses and
-    the variable map carry over to the next query.  When [stats] is given
-    the query's conflict/decision/propagation deltas are accumulated into
-    it (and into the global {!Obs.Metrics} registry).
+    the variable map carry over to the next query.  The query's
+    conflict/decision/propagation deltas are added to the
+    {!Obs.Metrics} registry.
 
     The solver polls {!Budget.exhausted} at every conflict and decision:
     once the armed pass budget trips, a running query stops with
@@ -106,7 +91,6 @@ val query_sat :
 val determine :
   ?session:Cdcl.Session.t ->
   Config.t ->
-  stats ->
   Subgraph.t ->
   Inference.known ->
   target:Bits.bit ->
@@ -121,7 +105,6 @@ val determine :
 val determine_how :
   ?session:Cdcl.Session.t ->
   Config.t ->
-  stats ->
   Subgraph.t ->
   Inference.known ->
   target:Bits.bit ->

@@ -26,7 +26,6 @@ type entry = {
   e_bypassed : int;
   e_folded : int;
   e_dead : int;
-  e_stats : Engine.stats;
 }
 
 type t = {

@@ -9,8 +9,8 @@
     individual queries are always answered afresh by the ladder.
 
     Opt-in: nothing is consulted until {!install} puts a store in place.
-    Replayed passes restore their counters and engine-stat contributions
-    but do not re-emit provenance/metric events for the skipped work. *)
+    Replayed passes restore their report counters but do not re-emit
+    provenance events or engine metrics for the skipped work. *)
 
 open Netlist
 
@@ -21,7 +21,6 @@ type entry = {
   e_bypassed : int;
   e_folded : int;
   e_dead : int;
-  e_stats : Engine.stats;
 }
 
 type t

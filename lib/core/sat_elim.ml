@@ -18,19 +18,11 @@ type report = {
   muxes_bypassed : int;
   data_bits_folded : int;
   dead_branches : int;
-  engine : Engine.stats;
 }
 
 let pp_report ppf r =
-  Fmt.pf ppf
-    "bypassed=%d data_folded=%d dead=%d rules=%d sim=%d sat=%d forgone=%d \
-     kept=%d conflicts=%d decisions=%d props=%d"
-    r.muxes_bypassed r.data_bits_folded r.dead_branches
-    r.engine.Engine.rule_hits r.engine.Engine.sim_queries
-    r.engine.Engine.sat_queries r.engine.Engine.forgone
-    r.engine.Engine.subgraph_kept
-    r.engine.Engine.sat_conflicts r.engine.Engine.sat_decisions
-    r.engine.Engine.sat_propagations
+  Fmt.pf ppf "bypassed=%d data_folded=%d dead=%d" r.muxes_bypassed
+    r.data_bits_folded r.dead_branches
 
 (* Run the rules over the cones of the known bits and the port bits into
    the kernel's fact store; [false] when they were not run (no rules, no
@@ -104,7 +96,6 @@ type ctx = {
   c : Circuit.t;
   index : Index.t;
   readers : OM.readers;
-  stats : Engine.stats;
   session : Cdcl.Session.t;
       (* one persistent incremental solver for every SAT query of the
          pass *)
@@ -162,8 +153,8 @@ let resolve_select ctx known (s : Bits.bit) :
            covers those, skip the expensive query *)
         (Engine.Unknown, Engine.Via_forgone)
       else
-        Engine.determine_how ~session:ctx.session ctx.cfg ctx.stats ctx.sg
-          known ~target:s)
+        Engine.determine_how ~session:ctx.session ctx.cfg ctx.sg known
+          ~target:s)
 
 (* Substitute data-port bits under [known]: direct lookups plus values the
    inference rules derive on the cones of the known signals and of the
@@ -324,7 +315,6 @@ let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
       c;
       index;
       readers = OM.collect_readers c;
-      stats = Engine.fresh_stats ();
       session = Cdcl.Session.create ();
       sg = Subgraph.create c index;
       edits;
@@ -346,7 +336,6 @@ let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
     muxes_bypassed = ctx.bypassed;
     data_bits_folded = ctx.folded;
     dead_branches = ctx.dead;
-    engine = ctx.stats;
   }
 
 (* With a {!Replay} store installed, a pass whose start circuit recurs
@@ -368,7 +357,6 @@ let run (cfg : Config.t) (c : Circuit.t) : report =
           muxes_bypassed = e.Replay.e_bypassed;
           data_bits_folded = e.Replay.e_folded;
           dead_branches = e.Replay.e_dead;
-          engine = e.Replay.e_stats;
         }
       | None ->
         let edits = ref [] in
@@ -379,7 +367,6 @@ let run (cfg : Config.t) (c : Circuit.t) : report =
             e_bypassed = r.muxes_bypassed;
             e_folded = r.data_bits_folded;
             e_dead = r.dead_branches;
-            e_stats = r.engine;
           };
         r)
     | Some _ | None -> walk cfg c ~edits:None

@@ -11,7 +11,6 @@ type report = {
   muxes_bypassed : int;  (** per-bit bypasses of resolved descendants *)
   data_bits_folded : int;
   dead_branches : int;  (** contradictory path conditions found *)
-  engine : Engine.stats;
 }
 
 val pp_report : Format.formatter -> report -> unit

@@ -56,11 +56,14 @@ let error_response ?id msg : Obs.Json.t =
     ((match id with Some i -> [ ("id", Str i) ] | None -> [])
     @ [ ("status", Str "error"); ("error", Str msg) ])
 
+let m_sat_queries = Obs.Metrics.counter "engine.sat_queries"
+
 (* One job: load, scope the per-job telemetry, run the smartly flow
    under the warm store, report.  [Sat_log]/[Budget] are reset per job
-   so the report describes this job alone; the replay section is the
-   warm store's cumulative state — its hit rate rising across jobs is
-   the daemon's reason to exist. *)
+   and the SAT query count is the job's change in the counter, so the
+   report describes this job alone while the registry keeps the batch's
+   totals; the replay section is the warm store's cumulative state — its
+   hit rate rising across jobs is the daemon's reason to exist. *)
 let optimize t ~id ~kind ~source ~budget_ms : Obs.Json.t =
   match t.load ~kind source with
   | Error msg ->
@@ -80,6 +83,7 @@ let optimize t ~id ~kind ~source ~budget_ms : Obs.Json.t =
     Budget.reset ();
     Replay.install t.replays;
     let area0 = Aiger.Aigmap.aig_area c in
+    let queries0 = Obs.Metrics.value m_sat_queries in
     let t0 = Obs.Clock.now () in
     match Driver.smartly ~cfg c with
     | exception e ->
@@ -106,7 +110,8 @@ let optimize t ~id ~kind ~source ~budget_ms : Obs.Json.t =
           );
           ("wall_seconds", Num dt);
           ("iterations", num_of_int result.Driver.iterations);
-          ("sat_queries", num_of_int (Engine.Sat_log.query_count ()));
+          ( "sat_queries",
+            num_of_int (Obs.Metrics.value m_sat_queries - queries0) );
           ("replay", Replay.to_json t.replays);
           ( "budget",
             List (List.map Budget.overrun_to_json result.Driver.overruns) );

@@ -2,9 +2,9 @@
 
    The design constraint is the fast path: instrumented code lives on hot
    loops (every Engine.determine call), so [Trace.with_span] must reduce to
-   a match on one global ref plus a direct call when no sink is installed,
-   and metric bumps must be single field mutations on pre-resolved
-   handles. *)
+   one subscriber check plus a direct call when nothing listens to the
+   event bus, and metric bumps must be single field mutations on
+   pre-resolved handles. *)
 
 module Clock = struct
   (* The C stub prefers CLOCK_MONOTONIC and silently degrades to
@@ -333,7 +333,7 @@ end
    of everything a run does — span boundaries, pass boundaries, SAT
    queries, provenance mutations, budget verdicts — fanned out to
    pluggable subscriber sinks (a JSONL file, the flight-recorder ring, a
-   TTY progress line).  Same fast-path discipline as [Trace]: with no
+   TTY progress line, and the [Trace] and [Provenance] folds).  With no
    subscriber, [emit] is one list check (plus constant-time pass-stack
    upkeep so [current_pass] stays truthful for flight dumps). *)
 module Event = struct
@@ -344,11 +344,9 @@ module Event = struct
     | Pass_end
     | Span_open
     | Span_close
-    | Metric
     | Provenance
     | Sat_query
     | Budget_exceeded
-    | Note
 
   type t = {
     seq : int;
@@ -365,11 +363,9 @@ module Event = struct
     | Pass_end -> "pass_end"
     | Span_open -> "span_open"
     | Span_close -> "span_close"
-    | Metric -> "metric"
     | Provenance -> "provenance"
     | Sat_query -> "sat_query"
     | Budget_exceeded -> "budget_exceeded"
-    | Note -> "note"
 
   let kind_of_name = function
     | "run_start" -> Some Run_start
@@ -378,11 +374,9 @@ module Event = struct
     | "pass_end" -> Some Pass_end
     | "span_open" -> Some Span_open
     | "span_close" -> Some Span_close
-    | "metric" -> Some Metric
     | "provenance" -> Some Provenance
     | "sat_query" -> Some Sat_query
     | "budget_exceeded" -> Some Budget_exceeded
-    | "note" -> Some Note
     | _ -> None
 
   type subscription = {
@@ -551,51 +545,61 @@ module Event = struct
         | _ -> ())
 end
 
+(* [Trace] and [Provenance] each keep at most one installed sink, as a
+   bus subscription that installing replaces and uninstalling drops. *)
+let release installed =
+  Option.iter Event.unsubscribe !installed;
+  installed := None
+
 module Trace = struct
   type event = { name : string; ts_us : float; dur_us : float; depth : int }
 
+  (* A fold over the bus: an open pushes its stamp, a close pops it and
+     records the span at the depth of the spans still open.  A close with
+     nothing open belongs to a span entered before [install]; it is
+     ignored. *)
   type sink = {
-    epoch : float;  (* Clock.now at creation; monotonic, arbitrary origin *)
+    epoch_ns : int64;  (* Clock.now_ns at creation; arbitrary origin *)
     mutable recorded : event list;  (* completion order, reversed *)
-    mutable count : int;
-    mutable depth : int;
+    mutable opened : int64 list;  (* open spans' stamps, innermost first *)
   }
 
-  let make_sink () =
-    { epoch = Clock.now (); recorded = []; count = 0; depth = 0 }
+  let make_sink () = { epoch_ns = Clock.now_ns (); recorded = []; opened = [] }
 
-  let current : sink option ref = ref None
-  let install s = current := Some s
-  let uninstall () = current := None
-  let enabled () = !current <> None
+  let us_between a b = Int64.to_float (Int64.sub b a) /. 1e3
 
-  let record s name t0 =
-    let now = Clock.now () in
-    s.depth <- s.depth - 1;
-    s.recorded <-
-      {
-        name;
-        ts_us = (t0 -. s.epoch) *. 1e6;
-        dur_us = (now -. t0) *. 1e6;
-        depth = s.depth;
-      }
-      :: s.recorded;
-    s.count <- s.count + 1
+  let fold s (e : Event.t) =
+    match e.kind, s.opened with
+    | Event.Span_open, _ -> s.opened <- e.t_ns :: s.opened
+    | Event.Span_close, t0 :: rest ->
+      s.opened <- rest;
+      s.recorded <-
+        {
+          name = e.name;
+          ts_us = us_between s.epoch_ns t0;
+          dur_us = us_between t0 e.t_ns;
+          depth = List.length rest;
+        }
+        :: s.recorded
+    | _ -> ()
+
+  let installed = ref None
+  let uninstall () = release installed
+
+  let install s =
+    release installed;
+    installed := Some (Event.subscribe ~name:"trace" (fold s))
 
   let with_span name f =
-    (* Fast path unchanged: no sink, no bus subscriber — direct call. *)
-    match !current, Event.enabled () with
-    | None, false -> f ()
-    | sink, bus ->
-      if bus then Event.emit ~name Event.Span_open;
+    (* Fast path: no bus subscriber — direct call. *)
+    if not (Event.enabled ()) then f ()
+    else begin
+      Event.emit ~name Event.Span_open;
       let t0 = Clock.now () in
-      (match sink with Some s -> s.depth <- s.depth + 1 | None -> ());
       let finish () =
-        (match sink with Some s -> record s name t0 | None -> ());
-        if bus then
-          Event.emit ~name
-            ~data:(Json.Obj [ "seconds", Json.Num (Clock.now () -. t0) ])
-            Event.Span_close
+        Event.emit ~name
+          ~data:(Json.Obj [ "seconds", Json.Num (Clock.now () -. t0) ])
+          Event.Span_close
       in
       let result =
         try f ()
@@ -605,6 +609,7 @@ module Trace = struct
       in
       finish ();
       result
+    end
 
   let events s =
     (* completion order reversed is end-time descending; for parents-first
@@ -616,7 +621,7 @@ module Trace = struct
         | c -> c)
       s.recorded
 
-  let event_count s = s.count
+  let event_count s = List.length s.recorded
 
   let to_chrome_json s : Json.t =
     let evs =
@@ -836,10 +841,10 @@ module Metrics = struct
 end
 
 module Provenance = struct
-  (* Structured "why did this netlist mutation happen" events.  Same
-     global-sink discipline as [Trace]: with no sink installed, [emit] is a
-     single match on a ref and records nothing, so instrumented passes pay
-     nothing in normal runs. *)
+  (* Structured "why did this netlist mutation happen" events.  [emit]
+     puts each one on the event bus, and only when the bus has a
+     subscriber, so instrumented passes pay nothing in normal runs; a sink
+     is one more subscriber, decoding the stream back into events. *)
 
   type mechanism = Pruned | Rule of string | Sat | Restructure
 
@@ -859,35 +864,6 @@ module Provenance = struct
     bits : int;
     area_delta : int;
   }
-
-  type sink = { mutable recorded : event list; mutable count : int }
-
-  let make_sink () = { recorded = []; count = 0 }
-
-  let current : sink option ref = ref None
-  let install s = current := Some s
-  let uninstall () = current := None
-  let enabled () = !current <> None
-
-  (* Forward declared: the bus payload needs [event_to_json], defined
-     below with the rest of the serialization. *)
-  let to_bus : (event -> unit) ref = ref (fun _ -> ())
-
-  let emit ~kind ~cell ~pass ~mechanism ?query ?(bits = 0) ?(area_delta = 0)
-      () =
-    let cur = !current in
-    if cur <> None || Event.enabled () then begin
-      let ev = { kind; cell; pass; mechanism; query; bits; area_delta } in
-      (match cur with
-      | Some s ->
-        s.recorded <- ev :: s.recorded;
-        s.count <- s.count + 1
-      | None -> ());
-      if Event.enabled () then !to_bus ev
-    end
-
-  let events s = List.rev s.recorded
-  let count s = s.count
 
   let kind_name = function
     | Cell_removed -> "cell_removed"
@@ -921,7 +897,7 @@ module Provenance = struct
     | _ ->
       let prefix = "rule:" in
       let pl = String.length prefix in
-      if String.length s > pl && String.sub s 0 pl = prefix then
+      if String.starts_with ~prefix s then
         Some (Rule (String.sub s pl (String.length s - pl)))
       else None
 
@@ -978,6 +954,37 @@ module Provenance = struct
       | _, None -> Error (Printf.sprintf "unknown mechanism %S" mn))
     | _ -> Error "event missing kind/pass/mechanism/cell"
 
+  let emit ~kind ~cell ~pass ~mechanism ?query ?(bits = 0) ?(area_delta = 0)
+      () =
+    if Event.enabled () then
+      Event.emit ~name:(kind_name kind)
+        ~data:
+          (event_to_json
+             { kind; cell; pass; mechanism; query; bits; area_delta })
+        Event.Provenance
+
+  let decode (e : Event.t) =
+    match e.kind with
+    | Event.Provenance -> Result.to_option (event_of_json e.data)
+    | _ -> None
+
+  let of_events evs = List.filter_map decode evs
+
+  type sink = event list ref (* newest first *)
+
+  let make_sink () = ref []
+  let fold s e = Option.iter (fun ev -> s := ev :: !s) (decode e)
+
+  let installed = ref None
+  let uninstall () = release installed
+
+  let install s =
+    release installed;
+    installed := Some (Event.subscribe ~name:"provenance" (fold s))
+
+  let events s = List.rev !s
+  let count s = List.length !s
+
   (* JSONL: one compact JSON object per line — streamable, greppable, and
      each line is independently checkable by [Json.parse]. *)
   let to_jsonl_string s =
@@ -993,12 +1000,6 @@ module Provenance = struct
     let oc = open_out path in
     output_string oc (to_jsonl_string s);
     close_out oc
-
-  let () =
-    to_bus :=
-      fun ev ->
-        Event.emit ~name:(kind_name ev.kind) ~data:(event_to_json ev)
-          Event.Provenance
 
   let parse_jsonl text : (event list, string) result =
     let lines =
@@ -1016,20 +1017,6 @@ module Provenance = struct
           | Ok ev -> go (ev :: acc) (lineno + 1) rest))
     in
     go [] 1 lines
-
-  (* Tolerant variant for flight-recorder ledgers: a killed writer tears
-     the final line mid-record.  Recover every complete leading record and
-     report the byte offset where the damage starts. *)
-  let parse_jsonl_partial text : event list * int option =
-    let vals, torn = Json.parse_jsonl_partial text in
-    let rec go acc = function
-      | [] -> List.rev acc, torn
-      | (j, off) :: rest -> (
-        match event_of_json j with
-        | Ok ev -> go (ev :: acc) rest
-        | Error _ -> List.rev acc, Some off)
-    in
-    go [] vals
 
   (* --- area attribution --- *)
 

@@ -3,7 +3,7 @@
 
     Everything here is dependency-free (stdlib + unix for the clock) so any
     layer of the system can be instrumented without dune cycles.  The
-    tracer is pay-for-what-you-use: with no sink installed,
+    tracer is pay-for-what-you-use: with no {!Event} subscriber,
     {!Trace.with_span} is a direct call to the thunk and records nothing. *)
 
 (** Monotonic time source for every measurement in the system.
@@ -77,8 +77,8 @@ module Json : sig
 end
 
 (** The unified event bus: one ordered stream of run, pass, span,
-    metric, provenance, SAT-query and budget events, fanned out to
-    pluggable subscriber sinks.
+    provenance, SAT-query and budget events, fanned out to pluggable
+    subscriber sinks.
 
     Two invariants hold by construction over the lifetime of a
     {!reset}: [seq] is gapless and strictly increasing, and [t_ns] is
@@ -92,13 +92,11 @@ module Event : sig
     | Run_end
     | Pass_start  (** [name] = pass; pushes the current-pass stack *)
     | Pass_end  (** pops the current-pass stack *)
-    | Span_open
-    | Span_close
-    | Metric
-    | Provenance
+    | Span_open  (** [name] = span, from {!Trace.with_span} *)
+    | Span_close  (** [data] = [{"seconds"}] *)
+    | Provenance  (** [data] = {!Provenance.event_to_json} *)
     | Sat_query
     | Budget_exceeded
-    | Note
 
   type t = {
     seq : int;  (** gapless, strictly increasing since {!reset} *)
@@ -161,19 +159,19 @@ module Event : sig
       written to [out] (default [stderr]). *)
 end
 
-(** Nested wall-clock spans with a single global sink.
-
-    A span is recorded when it {e completes} (exceptions included), with
-    its start timestamp, duration and nesting depth at entry.  Timestamps
-    are microseconds relative to the sink's creation, which is exactly the
-    [ts] convention of the Chrome [trace_event] format, so a recorded sink
-    exports directly to a file that [chrome://tracing] or Perfetto opens. *)
+(** Nested wall-clock spans, as [Span_open]/[Span_close] bus events that
+    an installed sink pairs into a span when it {e completes} (exceptions
+    included), with start, duration (from the events' stamps) and nesting
+    depth.  Timestamps are microseconds relative to the sink's creation,
+    which is exactly the [ts] convention of the Chrome [trace_event]
+    format, so a recorded sink exports directly to a file that
+    [chrome://tracing] or Perfetto opens. *)
 module Trace : sig
   type event = {
     name : string;
     ts_us : float;  (** start, microseconds since the sink was created *)
     dur_us : float;
-    depth : int;  (** nesting depth at span entry; 0 = top level *)
+    depth : int;  (** enclosing spans opened since {!install}; 0 = top *)
   }
 
   type sink
@@ -181,18 +179,16 @@ module Trace : sig
   val make_sink : unit -> sink
 
   val install : sink -> unit
-  (** Subsequent {!with_span} calls record into this sink. *)
+  (** Subscribe the sink to the bus, replacing any installed one.
+      Subsequent spans record into it; a close whose open came before the
+      install is ignored. *)
 
   val uninstall : unit -> unit
 
-  val enabled : unit -> bool
-  (** [true] iff a sink is installed.  Use to guard construction of
-      dynamic span names, which would otherwise allocate on the fast
-      path. *)
-
   val with_span : string -> (unit -> 'a) -> 'a
-  (** Run the thunk inside a named span.  With no sink installed this is
-      a direct call: no event is allocated or recorded. *)
+  (** Run the thunk inside a named span.  With no bus subscriber this is
+      a direct call: no event is allocated or recorded.  Guard dynamic
+      span names with {!Event.enabled}. *)
 
   val events : sink -> event list
   (** In start order (parents before their children). *)
@@ -278,11 +274,10 @@ end
 (** Optimization provenance: one typed event per netlist mutation, so a run
     can be replayed as "which mechanism removed which cell".
 
-    Same global-sink discipline as {!Trace}: with no sink installed,
-    {!emit} is a single match on a ref and records nothing.  Events are
-    serialized as JSONL (one compact JSON object per line) and aggregated
-    into a per-mechanism area-attribution table mirroring the paper's
-    ablation. *)
+    Events travel on the bus ([Provenance] kind, {!event_to_json}
+    payload); a sink is a subscriber decoding them.  They are serialized
+    as JSONL (one compact JSON object per line) and aggregated into a
+    per-mechanism area-attribution table mirroring the paper's ablation. *)
 module Provenance : sig
   type mechanism =
     | Pruned  (** reachability pruning / dead-code removal *)
@@ -310,9 +305,11 @@ module Provenance : sig
   type sink
 
   val make_sink : unit -> sink
+
   val install : sink -> unit
+  (** As {!Trace.install}; the sink folds through {!of_events}. *)
+
   val uninstall : unit -> unit
-  val enabled : unit -> bool
 
   val emit :
     kind:kind ->
@@ -324,7 +321,12 @@ module Provenance : sig
     ?area_delta:int ->
     unit ->
     unit
-  (** Record one event into the installed sink; no-op without a sink. *)
+  (** Emit one event on the bus; no-op without a bus subscriber. *)
+
+  val of_events : Event.t list -> event list
+  (** The provenance events of a stream, decoded, in stream order — what
+      a sink records, and what [smartly report] reads from a ledger's
+      [events.jsonl]. *)
 
   val events : sink -> event list
   (** In emission order. *)
@@ -336,6 +338,7 @@ module Provenance : sig
   (** [Pruned -> "pruned"], [Rule r -> "rule:" ^ r], ... *)
 
   val mechanism_of_name : string -> mechanism option
+  (** Inverse of {!mechanism_name}, ["rule:"] included. *)
 
   val event_to_json : event -> Json.t
   val event_of_json : Json.t -> (event, string) result
@@ -346,12 +349,6 @@ module Provenance : sig
   val parse_jsonl : string -> (event list, string) result
   (** Strict: every non-blank line must be a well-formed event.  [Error]
       messages carry the 1-based line number. *)
-
-  val parse_jsonl_partial : string -> event list * int option
-  (** Tolerant: recover every complete leading record from a log whose
-      writer may have been killed mid-line, and report the byte offset
-      of the torn tail ([None] when the whole text parsed).  This is
-      what [smartly report] uses on flight-recorder ledgers. *)
 
   (** One row of the area-attribution table. *)
   type attribution = {

@@ -48,11 +48,6 @@ type t = {
   mutable conflicts : int;
   mutable decisions : int;
   mutable propagations : int;
-  (* telemetry of the most recent [solve] call *)
-  mutable last_conflicts : int;
-  mutable last_decisions : int;
-  mutable last_propagations : int;
-  mutable last_wall_s : float;
 }
 
 let create () =
@@ -82,10 +77,6 @@ let create () =
     conflicts = 0;
     decisions = 0;
     propagations = 0;
-    last_conflicts = 0;
-    last_decisions = 0;
-    last_propagations = 0;
-    last_wall_s = 0.0;
   }
 
 let num_vars s = s.num_vars
@@ -504,7 +495,7 @@ let pick_branch_var s =
 
 type solve_outcome = result
 
-(* [budget] here is an absolute conflict count: [solve_raw] has already
+(* [budget] here is an absolute conflict count: [solve] has already
    added the caller's per-call budget to the conflicts accumulated before
    this call, so a long-lived incremental solver (a [Session]) gets a full
    budget on every query instead of starving once its lifetime total
@@ -614,9 +605,7 @@ let search s ~assumptions ~budget ~relevant ~interrupt : solve_outcome =
   in
   loop ()
 
-(* Wrapped so every path through [solve] records the per-call deltas the
-   engine's per-query telemetry reads back via [last_solve_stats]. *)
-let solve_raw ?(assumptions = []) ?budget ?relevant ?interrupt s : result =
+let solve ?(assumptions = []) ?budget ?relevant ?interrupt s : result =
   if not s.ok then Unsat
   else begin
     cancel_until s 0;
@@ -637,31 +626,6 @@ let solve_raw ?(assumptions = []) ?budget ?relevant ?interrupt s : result =
       | Unsat | Unknown -> cancel_until s 0);
       r
   end
-
-type solve_stats = {
-  conflicts : int;
-  decisions : int;
-  propagations : int;
-  wall_s : float;
-}
-
-let solve ?assumptions ?budget ?relevant ?interrupt (s : t) : result =
-  let c0 = s.conflicts and d0 = s.decisions and p0 = s.propagations in
-  let t0 = Obs.Clock.now () in
-  let r = solve_raw ?assumptions ?budget ?relevant ?interrupt s in
-  s.last_conflicts <- s.conflicts - c0;
-  s.last_decisions <- s.decisions - d0;
-  s.last_propagations <- s.propagations - p0;
-  s.last_wall_s <- Obs.Clock.now () -. t0;
-  r
-
-let last_solve_stats (s : t) =
-  {
-    conflicts = s.last_conflicts;
-    decisions = s.last_decisions;
-    propagations = s.last_propagations;
-    wall_s = s.last_wall_s;
-  }
 
 (* Read the model after [solve] returned [Sat]. *)
 let model_value s v =

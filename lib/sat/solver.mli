@@ -69,15 +69,3 @@ val stats : t -> int * int * int
 (** (conflicts, decisions, propagations), cumulative over the solver's
     lifetime. *)
 
-(** Telemetry of one [solve] call, as opposed to the process-lifetime
-    totals of {!stats}. *)
-type solve_stats = {
-  conflicts : int;
-  decisions : int;
-  propagations : int;
-  wall_s : float;
-}
-
-val last_solve_stats : t -> solve_stats
-(** Deltas and wall time of the most recent {!solve} call (all zero before
-    the first call). *)

@@ -43,9 +43,10 @@ let test_bus_ordering_interleaved_spans () =
      the nesting *)
   Obs.Event.emit ~name:"p1" Obs.Event.Pass_start;
   Obs.Trace.with_span "outer" (fun () ->
-      Obs.Event.emit ~name:"m1" Obs.Event.Metric;
+      Obs.Event.emit ~name:"q0" Obs.Event.Sat_query;
       Obs.Trace.with_span "inner" (fun () ->
-          Obs.Event.emit ~name:"note" Obs.Event.Note));
+          Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed ~cell:1
+            ~pass:"p1" ~mechanism:Obs.Provenance.Pruned ()));
   Obs.Event.emit ~name:"p1" Obs.Event.Pass_end;
   let evs = events () in
   check_int "eight events" 8 (List.length evs);
@@ -84,6 +85,35 @@ let test_bus_jsonl_roundtrip () =
   check_bool "no torn tail" true (torn = None);
   check_bool "roundtrips" true (back = evs)
 
+(* The Trace and Provenance sinks are folds over the bus: each records
+   exactly what a raw subscriber sees of its kind. *)
+let test_sinks_fold_the_bus () =
+  with_bus @@ fun () ->
+  let c = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
+  let _, events = collect () in
+  let trace = Obs.Trace.make_sink () in
+  let prov = Obs.Provenance.make_sink () in
+  Obs.Trace.install trace;
+  Obs.Provenance.install prov;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.uninstall ();
+      Obs.Provenance.uninstall ())
+    (fun () -> ignore (Smartly.Driver.smartly c));
+  let evs = events () in
+  let closes =
+    List.length
+      (List.filter
+         (fun (e : Obs.Event.t) -> e.Obs.Event.kind = Obs.Event.Span_close)
+         evs)
+  in
+  check_bool "spans on the bus" true (closes > 0);
+  check_int "one span per close" closes (Obs.Trace.event_count trace);
+  let decoded = Obs.Provenance.of_events evs in
+  check_bool "provenance on the bus" true (decoded <> []);
+  check_bool "sink holds the decoded stream" true
+    (Obs.Provenance.events prov = decoded)
+
 (* --- current-pass stack --- *)
 
 let test_current_pass_stack () =
@@ -111,7 +141,7 @@ let test_sink_failure_isolation () =
   in
   let _c = Obs.Event.subscribe ~name:"c" (fun _ -> incr seen_c) in
   for i = 1 to 3 do
-    Obs.Event.emit ~name:(Printf.sprintf "n%d" i) Obs.Event.Note
+    Obs.Event.emit ~name:(Printf.sprintf "q%d" i) Obs.Event.Sat_query
   done;
   check_int "first sink got every event" 3 !seen_a;
   check_int "third sink got every event" 3 !seen_c;
@@ -131,10 +161,10 @@ let test_ring_wraparound () =
   let r = Obs.Ring.create ~capacity:8 () in
   ignore (Obs.Ring.attach r);
   for i = 1 to 20 do
-    Obs.Event.emit ~name:(Printf.sprintf "e%d" i) Obs.Event.Note
+    Obs.Event.emit ~name:(Printf.sprintf "e%d" i) Obs.Event.Sat_query
   done;
   Obs.Ring.detach r;
-  Obs.Event.emit ~name:"after-detach" Obs.Event.Note;
+  Obs.Event.emit ~name:"after-detach" Obs.Event.Sat_query;
   check_int "capacity" 8 (Obs.Ring.capacity r);
   check_int "seen counts drops" 20 (Obs.Ring.seen r);
   let names =
@@ -173,7 +203,7 @@ let test_event_stream_torn_tail () =
   with_bus @@ fun () ->
   let _, events = collect () in
   for i = 1 to 3 do
-    Obs.Event.emit ~name:(Printf.sprintf "n%d" i) Obs.Event.Note
+    Obs.Event.emit ~name:(Printf.sprintf "q%d" i) Obs.Event.Sat_query
   done;
   let lines =
     List.map
@@ -191,22 +221,32 @@ let test_event_stream_torn_tail () =
   check_bool "tear at the last record" true (off = Some expected_off);
   assert_stream_ordered evs
 
+(* Provenance lives in the event stream: a torn events.jsonl keeps every
+   provenance event before the tear. *)
 let test_provenance_torn_tail () =
   with_bus @@ fun () ->
-  let sink = Obs.Provenance.make_sink () in
-  Obs.Provenance.install sink;
-  Fun.protect ~finally:Obs.Provenance.uninstall (fun () ->
-      Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed ~cell:1
-        ~pass:"test" ~mechanism:Obs.Provenance.Pruned ();
-      Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed ~cell:2
-        ~pass:"test" ~mechanism:Obs.Provenance.Pruned ());
-  let text = Obs.Provenance.to_jsonl_string sink in
-  let evs, torn = Obs.Provenance.parse_jsonl_partial text in
-  check_int "both parse" 2 (List.length evs);
+  let _, events = collect () in
+  Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed ~cell:1
+    ~pass:"test" ~mechanism:Obs.Provenance.Pruned ();
+  Obs.Event.emit ~name:"q0" Obs.Event.Sat_query;
+  Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed ~cell:2
+    ~pass:"test" ~mechanism:Obs.Provenance.Pruned ();
+  let text =
+    String.concat ""
+      (List.map
+         (fun e -> Obs.Json.to_string (Obs.Event.to_json e) ^ "\n")
+         (events ()))
+  in
+  let evs, torn = Obs.Event.parse_jsonl_partial text in
+  check_int "both decode" 2 (List.length (Obs.Provenance.of_events evs));
   check_bool "clean" true (torn = None);
   let cut = String.sub text 0 (String.length text - 3) in
-  let evs', torn' = Obs.Provenance.parse_jsonl_partial cut in
-  check_int "first survives" 1 (List.length evs');
+  let evs', torn' = Obs.Event.parse_jsonl_partial cut in
+  check_bool "first survives" true
+    (List.map
+       (fun (e : Obs.Provenance.event) -> e.Obs.Provenance.cell)
+       (Obs.Provenance.of_events evs')
+    = [ 1 ]);
   check_bool "tear reported" true (torn' <> None)
 
 (* --- budget watchdog e2e --- *)
@@ -410,6 +450,8 @@ let test_sabotaged_run_flight_dump () =
   in
   check_int "sat_elim opened" 1 (count Obs.Event.Pass_start "sat_elim");
   check_int "sat_elim never closed" 0 (count Obs.Event.Pass_end "sat_elim");
+  check_bool "provenance in the event stream" true
+    (Obs.Provenance.of_events evs <> []);
   let flight =
     match
       Obs.Json.parse (read_file (Filename.concat dir "flightrec.json"))
@@ -471,6 +513,8 @@ let () =
             test_current_pass_stack;
           Alcotest.test_case "sink failure isolation" `Quick
             test_sink_failure_isolation;
+          Alcotest.test_case "sinks fold the bus" `Quick
+            test_sinks_fold_the_bus;
         ] );
       ( "ring",
         [ Alcotest.test_case "wraparound" `Quick test_ring_wraparound ] );

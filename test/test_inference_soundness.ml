@@ -422,7 +422,6 @@ let prop_engine_sound =
         { Smartly.Config.default with Smartly.Config.distance_k = 32 }
       in
       let sat_cfg = { cfg with Smartly.Config.sim_input_threshold = 0 } in
-      let stats = Smartly.Engine.fresh_stats () in
       List.for_all
         (fun trial ->
           let cfg = if trial mod 2 = 0 then cfg else sat_cfg in
@@ -434,7 +433,7 @@ let prop_engine_sound =
           in
           Bits.Bit_tbl.length known = 0
           ||
-          let verdict = Smartly.Engine.determine cfg stats sg known ~target in
+          let verdict = Smartly.Engine.determine cfg sg known ~target in
           let saw_true = ref false and saw_false = ref false in
           List.iter
             (fun row ->

@@ -89,7 +89,25 @@ let test_span_nesting () =
   check_int "leaf depth" 2 (find "leaf").Obs.Trace.depth;
   (* events come back in start order: parents before children *)
   check_string "first is outer" "outer"
-    (List.hd evs).Obs.Trace.name
+    (List.hd evs).Obs.Trace.name;
+  (* a sink installed inside an open span records the inner spans from
+     depth 0 and ignores the close of the span it never saw open *)
+  let late = Obs.Trace.make_sink () in
+  let bus = Obs.Event.subscribe (fun _ -> ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.uninstall ();
+      Obs.Event.unsubscribe bus)
+    (fun () ->
+      Obs.Trace.with_span "before-install" (fun () ->
+          Obs.Trace.install late;
+          Obs.Trace.with_span "inner" (fun () ->
+              Obs.Trace.with_span "leaf" (fun () -> ()))));
+  let evs = Obs.Trace.events late in
+  check_bool "outer close ignored" true
+    (List.map (fun (e : Obs.Trace.event) -> e.name, e.depth) evs
+    = [ "inner", 0; "leaf", 1 ]);
+  check_int "late count" 2 (Obs.Trace.event_count late)
 
 let test_span_timing_monotone () =
   let s = Obs.Trace.make_sink () in
@@ -145,7 +163,7 @@ let test_no_sink_fast_path () =
   Obs.Trace.install s;
   Obs.Trace.with_span "while-installed" (fun () -> ());
   Obs.Trace.uninstall ();
-  check_bool "disabled" true (not (Obs.Trace.enabled ()));
+  check_bool "no bus subscriber" true (not (Obs.Event.enabled ()));
   let n = Obs.Trace.event_count s in
   let r = Obs.Trace.with_span "while-uninstalled" (fun () -> 17) in
   check_int "thunk result passes through" 17 r;
@@ -161,7 +179,15 @@ let test_no_sink_fast_path () =
   let dw = Gc.minor_words () -. w0 in
   (* allow a little slack for instrumentation noise; a per-call event
      record would cost thousands of words *)
-  check_bool "fast path allocation-free" true (dw < 256.0)
+  check_bool "fast path allocation-free" true (dw < 256.0);
+  (* provenance emission with no subscriber builds no event either *)
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed ~cell:1 ~pass:"p"
+      ~mechanism:Obs.Provenance.Pruned ~bits:2 ()
+  done;
+  let dw = Gc.minor_words () -. w0 in
+  check_bool "provenance fast path allocation-free" true (dw < 256.0)
 
 let test_chrome_trace_json () =
   let s = Obs.Trace.make_sink () in

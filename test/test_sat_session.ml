@@ -76,8 +76,7 @@ let mk_known (facts : (Bits.bit * bool) list) : Smartly.Inference.known =
   k
 
 let determine ?session cfg sg facts target =
-  let stats = Smartly.Engine.fresh_stats () in
-  Smartly.Engine.determine ?session cfg stats sg (mk_known facts) ~target
+  Smartly.Engine.determine ?session cfg sg (mk_known facts) ~target
 
 (* --- the differential property --- *)
 

@@ -298,8 +298,7 @@ let test_subgraph_sources_exact () =
 (* --- engine --- *)
 
 let engine_determine ?(cfg = Smartly.Config.default) c knowns target =
-  let stats = Smartly.Engine.fresh_stats () in
-  Smartly.Engine.determine cfg stats (kernel c) (known_of knowns) ~target
+  Smartly.Engine.determine cfg (kernel c) (known_of knowns) ~target
 
 let test_engine_fig3 () =
   (* target = s|r under s=1: forced true (paper Fig. 3) *)
