@@ -75,9 +75,11 @@ bench-baselines: build
 # profiles.  The mux_chain
 # optimization is re-run under --check-invariants, which validates,
 # lints and equivalence-checks the circuit after every pass.  A serve
-# smoke follows: a 4-line JSONL batch (two identical jobs, a riscv job,
-# one shutdown) through the stdio daemon, with the per-job
-# smartly-report-v1 stream kept as an artifact and parse-validated.
+# smoke follows: a 5-line JSONL batch (two identical jobs, a job on a
+# latch-inferring source, a riscv job, one shutdown) through the stdio
+# daemon, with the per-job smartly-report-v1 stream kept as an artifact
+# and parse-validated; the latch job must answer an error line and the
+# riscv job after it must still answer ok.
 # Finally
 # the run-ledger surface: a deliberately budget-starved run (1 ms per
 # pass) must still exit 0 with its netlist equivalence-checking — the
@@ -91,8 +93,12 @@ bench-baselines: build
 # otherwise leave nothing to compare and pass the gate silently.  A
 # source that does not load must end in a located error and exit 2,
 # never an uncaught exception: `opt` on a Verilog file with a syntax
-# error must name its line and column, and `opt` on an unknown profile
-# name must exit 2 as well.
+# error must name its line and column, `opt` on an unknown profile
+# name must exit 2 as well, and so must `opt` on a latch-inferring
+# source (a case with no default in always @*), naming its
+# combinational cycle.  `cec` must exit 1 on two different designs
+# and 0 on a design against itself: a verdict other than `equivalent`
+# fails the command, and with it the budget-starved `--check` run.
 ci: build
 	dune runtest
 	dune exec bench/main.exe -- nosuch --no-ledger 2>/dev/null; \
@@ -110,6 +116,20 @@ ci: build
 	  2>/dev/null; \
 	  status=$$?; [ "$$status" -eq 2 ] || { \
 	  echo "ci: unknown profile gave exit $$status"; exit 1; }
+	printf 'module latch(input [1:0] s, input a, input b, output reg y);\nalways @* case (s) 0: y = a; 1: y = b; endcase\nendmodule\n' \
+	  > /tmp/smartly_latch.v
+	dune exec bin/smartly_cli.exe -- opt /tmp/smartly_latch.v --no-ledger \
+	  2> /tmp/smartly_latch.err; \
+	  status=$$?; [ "$$status" -eq 2 ] \
+	  && grep -q '^/tmp/smartly_latch.v: combinational cycle' \
+	    /tmp/smartly_latch.err \
+	  || { echo "ci: latch-inferring Verilog gave exit $$status:"; \
+	  cat /tmp/smartly_latch.err; exit 1; }
+	dune exec bin/smartly_cli.exe -- cec examples/alu.v \
+	  examples/priority_select.v; \
+	  status=$$?; [ "$$status" -eq 1 ] || { \
+	  echo "ci: cec of two different designs gave exit $$status"; exit 1; }
+	dune exec bin/smartly_cli.exe -- cec mux_chain mux_chain
 	dune exec bin/smartly_cli.exe -- lint examples/*.v mux_chain riscv
 	dune exec bin/smartly_cli.exe -- lint examples/*.v mux_chain riscv \
 	  --json > /tmp/smartly_lint.json
@@ -128,12 +148,18 @@ ci: build
 	printf '%s\n' \
 	  '{"op":"optimize","id":"ci-1","kind":"profile","source":"mux_chain"}' \
 	  '{"op":"optimize","id":"ci-2","kind":"profile","source":"mux_chain"}' \
+	  '{"op":"optimize","id":"ci-latch","kind":"verilog","source":"/tmp/smartly_latch.v"}' \
 	  '{"op":"optimize","id":"ci-3","kind":"profile","source":"riscv"}' \
 	  '{"op":"shutdown"}' \
 	  | dune exec bin/smartly_cli.exe -- serve \
 	  > /tmp/smartly_serve_reports.jsonl
 	dune exec bin/smartly_cli.exe -- validate-json \
 	  /tmp/smartly_serve_reports.jsonl
+	grep -q '"id":"ci-latch","status":"error"' \
+	  /tmp/smartly_serve_reports.jsonl \
+	  && grep -q '"id":"ci-3","status":"ok"' /tmp/smartly_serve_reports.jsonl \
+	  || { echo "ci: serve did not answer the latch job with an error" \
+	  "and the next job ok"; exit 1; }
 	dune exec bin/smartly_cli.exe -- opt mux_chain --flow smartly \
 	  --json --trace /tmp/smartly_trace.json \
 	  --provenance /tmp/smartly_prov.jsonl \

@@ -64,14 +64,36 @@ let try_load_circuit ~style src : (Netlist.Circuit.t, string) result =
     | exception Hdl.Elaborate.Elab_error (msg, span) ->
       located "elaboration error" msg span)
 
+(* opt, stats, cec and serve need an acyclic netlist with one driver per
+   bit: a latch or a shorted net is one "SRC: MSG" line naming the
+   Validate finding, not an exception out of the flow.  dump, write-verilog, lint and analyze take
+   any netlist, since lint is how a user locates the latch. *)
+let try_load_checked ~style src : (Netlist.Circuit.t, string) result =
+  Result.bind (try_load_circuit ~style src) (fun c ->
+      match
+        List.find_opt
+          (function
+            | Netlist.Validate.Cyclic _ | Netlist.Validate.Multiple_drivers _
+              -> true
+            | Netlist.Validate.Dangling_wire_bit _
+            | Netlist.Validate.Width_violation _
+            | Netlist.Validate.Unknown_wire _ -> false)
+          (Netlist.Validate.check c)
+      with
+      | None -> Ok c
+      | Some issue ->
+        Error (Fmt.str "%s: %a" src Netlist.Validate.pp_issue issue))
+
 (* The one-shot subcommands: print the message and exit 2, lint's code
    for a source it cannot read. *)
-let load_circuit ~style src : Netlist.Circuit.t =
-  match try_load_circuit ~style src with
+let exit_on_error = function
   | Ok c -> c
   | Error msg ->
     prerr_endline msg;
     exit 2
+
+let load_circuit ~style src = exit_on_error (try_load_circuit ~style src)
+let load_checked ~style src = exit_on_error (try_load_checked ~style src)
 
 (* --- arguments --- *)
 
@@ -108,7 +130,10 @@ let flow_arg =
 let check_arg =
   Arg.(
     value & flag
-    & info [ "check" ] ~doc:"Equivalence-check the result against the input.")
+    & info [ "check" ]
+        ~doc:
+          "Equivalence-check the result against the input; exit 1 unless \
+           it is proven equivalent.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print pass reports.")
@@ -256,7 +281,7 @@ let generate_cmd =
 
 let stats_cmd =
   let run src style json =
-    let c = load_circuit ~style src in
+    let c = load_checked ~style src in
     let st = Netlist.Stats.of_circuit c in
     let depth = Netlist.Topo.logic_depth c in
     let area = Aiger.Aigmap.aig_area c in
@@ -615,7 +640,7 @@ let opt_cmd =
   let run src style flow check verbose trace json provenance sat_dump
       check_invariants no_ledger ledger_root
       pass_budget_ms pass_alloc_budget_mw progress =
-    let c = load_circuit ~style src in
+    let c = load_checked ~style src in
     let orig = Netlist.Circuit.copy c in
     let invariants =
       if check_invariants then Some (Lint.Invariant.create c) else None
@@ -781,8 +806,14 @@ let opt_cmd =
         (Obs.Json.to_string ~pretty:true
            (stats_report_json ~src ~flow ~area0 ~area1 ~dt ~outcome ~sink
               ~psink));
-    if check then
-      Fmt.pf human "equivalence: %a@." Equiv.pp_verdict (Equiv.check orig c);
+    (* only a proven equivalence passes: inconclusive proves nothing *)
+    let not_equivalent =
+      check
+      &&
+      let verdict = Equiv.check orig c in
+      Fmt.pf human "equivalence: %a@." Equiv.pp_verdict verdict;
+      verdict <> Equiv.Equivalent
+    in
     let invariant_failed = ref false in
     (match invariants with
     | None -> ()
@@ -821,7 +852,11 @@ let opt_cmd =
       if overruns <> [] then
         ignore
           (Obs.Ledger.dump_flight ~extra:(flight_extra ()) ~reason:"budget" l);
-      let status = if !invariant_failed then "invariant-failed" else "ok" in
+      let status =
+        if !invariant_failed then "invariant-failed"
+        else if not_equivalent then "not-equivalent"
+        else "ok"
+      in
       Obs.Ledger.finish ~status
         ~extra:
           [
@@ -839,7 +874,7 @@ let opt_cmd =
     (match !trace_error with
     | None -> ()
     | Some msg -> Printf.eprintf "trace: cannot write: %s\n%!" msg);
-    if !trace_error <> None || !invariant_failed then exit 1
+    if !trace_error <> None || !invariant_failed || not_equivalent then exit 1
   in
   Cmd.v
     (Cmd.info "opt" ~doc:"Optimize a circuit and report the AIG area.")
@@ -889,12 +924,17 @@ let cec_cmd =
       & info [] ~docv:"SRC2" ~doc:"Second profile or Verilog file.")
   in
   let run src1 src2 style =
-    let c1 = load_circuit ~style src1 in
-    let c2 = load_circuit ~style src2 in
-    Fmt.pr "%a@." Equiv.pp_verdict (Equiv.check c1 c2)
+    let c1 = load_checked ~style src1 in
+    let c2 = load_checked ~style src2 in
+    let verdict = Equiv.check c1 c2 in
+    Fmt.pr "%a@." Equiv.pp_verdict verdict;
+    if verdict <> Equiv.Equivalent then exit 1
   in
   Cmd.v
-    (Cmd.info "cec" ~doc:"Combinational equivalence check of two circuits.")
+    (Cmd.info "cec"
+       ~doc:
+         "Combinational equivalence check of two circuits; exits 1 unless \
+          they are proven equivalent.")
     Term.(const run $ src_arg $ src2_arg $ style_arg)
 
 let explain_cmd =
@@ -1608,7 +1648,7 @@ let serve_cmd =
     let load ~kind source =
       match kind with
       | "profile" | "verilog" | "auto" -> (
-        try try_load_circuit ~style source
+        try try_load_checked ~style source
         with e -> Error (Printexc.to_string e))
       | k -> Error (Printf.sprintf "unknown kind %S" k)
     in

@@ -108,26 +108,15 @@ let rec recognize_select (c : Circuit.t) (index : Index.t) (s : Bits.bit) :
 
 (* --- tree flattening --- *)
 
-type deps = {
-  circuit : Circuit.t;
-  index : Index.t;
-  readers : Rtl_opt.Opt_muxtree.readers;
-}
-
-(* Is [cell] a dedicated child of the given location? *)
-let dedicated_to deps loc cell =
-  match Rtl_opt.Opt_muxtree.dedicated_location deps.readers cell with
-  | Some l -> l = loc
-  | None -> false
-
 (* The mux driving all bits of [port] as a dedicated child at [loc]. *)
-let child_mux deps ~loc (port : Bits.sigspec) : int option =
-  match Index.driving_cell deps.index port.(0) with
+let child_mux c index ~loc (port : Bits.sigspec) : int option =
+  match Index.driving_cell index port.(0) with
   | None -> None
   | Some (id, _) -> (
-    match Circuit.cell_opt deps.circuit id with
+    match Circuit.cell_opt c id with
     | Some (Cell.Mux { y; _ } as cell) ->
-      if Bits.equal y port && dedicated_to deps loc cell then Some id
+      if Bits.equal y port && Index.dedicated_location index cell = Some loc
+      then Some id
       else None
     | Some
         (Cell.Pmux _ | Cell.Unary _ | Cell.Binary _ | Cell.Dff _)
@@ -146,20 +135,20 @@ let normalize_cons = function
    [Not_a_tree] when the structure does not match.  A tree whose selector
    bits come from more than one wire fails the paper's SingleCtrl
    condition and is not flattened. *)
-let flatten deps (root_id : int) : flat option =
+let flatten (c : Circuit.t) (index : Index.t) (root_id : int) : flat option =
   let tree_cells = ref [] in
   let select_cells = ref [] in
   let rec go (id : int) : crow list * Bits.sigspec =
-    match Circuit.cell_opt deps.circuit id with
+    match Circuit.cell_opt c id with
     | Some (Cell.Mux { a; b; s; _ }) -> (
       tree_cells := id :: !tree_cells;
-      match recognize_select deps.circuit deps.index s with
+      match recognize_select c index s with
       | None -> raise Not_a_tree
       | Some info ->
         select_cells := info.cells @ !select_cells;
         (* rows for the b side (taken when a pattern matches) *)
         let rows_b =
-          match child_mux deps ~loc:(id, Rtl_opt.Opt_muxtree.Side_b 0) b with
+          match child_mux c index ~loc:(id, Index.Side_b 0) b with
           | Some cid ->
             let sub_rows, _sub_default = go cid in
             (* sound only if the subtree's patterns exactly cover this
@@ -176,7 +165,7 @@ let flatten deps (root_id : int) : flat option =
             List.map (fun cons -> { cons; cvalue = b }) info.patterns
         in
         let rows_a, default =
-          match child_mux deps ~loc:(id, Rtl_opt.Opt_muxtree.Side_a) a with
+          match child_mux c index ~loc:(id, Index.Side_a) a with
           | Some cid -> go cid
           | None -> [], a
         in
@@ -187,7 +176,7 @@ let flatten deps (root_id : int) : flat option =
       let rows =
         List.concat
           (List.init (Bits.width s) (fun i ->
-               match recognize_select deps.circuit deps.index s.(i) with
+               match recognize_select c index s.(i) with
                | None -> raise Not_a_tree
                | Some info ->
                  select_cells := info.cells @ !select_cells;
@@ -248,7 +237,7 @@ let flatten deps (root_id : int) : flat option =
     if n = 0 || n > 24 || List.length rows < 2 then None
     else begin
       let width =
-        Bits.width (Cell.output (Circuit.cell deps.circuit root_id))
+        Bits.width (Cell.output (Circuit.cell c root_id))
       in
       Some
         {
@@ -263,31 +252,24 @@ let flatten deps (root_id : int) : flat option =
     end
   | exception Not_a_tree -> None
 
-let make_deps (c : Circuit.t) =
-  {
-    circuit = c;
-    index = Index.build c;
-    readers = Rtl_opt.Opt_muxtree.collect_readers c;
-  }
-
-(* Re-flatten a single root against the given (current) dependencies. *)
-let flatten_root (deps : deps) (root_id : int) : flat option =
-  match Circuit.cell_opt deps.circuit root_id with
+(* Re-flatten a single root against the given (current) index. *)
+let flatten_root (c : Circuit.t) (index : Index.t) (root_id : int) :
+    flat option =
+  match Circuit.cell_opt c root_id with
   | None -> None
-  | Some _ -> flatten deps root_id
+  | Some _ -> flatten c index root_id
 
 (* All rebuildable muxtrees of the circuit (roots are muxes that are not
    dedicated children themselves). *)
 let find_all (c : Circuit.t) : flat list =
-  let deps = make_deps c in
+  let index = Index.build c in
   List.filter_map
     (fun id ->
       let cell = Circuit.cell c id in
       match cell with
       | Cell.Mux _ | Cell.Pmux _ ->
-        if
-          Rtl_opt.Opt_muxtree.dedicated_location deps.readers cell = None
-        then flatten deps id
+        if Index.dedicated_location index cell = None then
+          flatten c index id
         else None
       | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ -> None)
     (Circuit.cell_ids c)

@@ -21,20 +21,13 @@ type flat = {
   width : int;  (** data width *)
 }
 
-type deps = {
-  circuit : Circuit.t;
-  index : Index.t;
-  readers : Rtl_opt.Opt_muxtree.readers;
-}
+val flatten : Circuit.t -> Index.t -> int -> flat option
+(** Flatten the tree rooted at the given mux cell, reading drivers and
+    dedicated children from an index of the circuit's current state.
+    [None] unless it meets the paper's SingleCtrl condition: all selector
+    bits from one wire. *)
 
-val make_deps : Circuit.t -> deps
-
-val flatten : deps -> int -> flat option
-(** Flatten the tree rooted at the given mux cell.  [None] unless it
-    meets the paper's SingleCtrl condition: all selector bits from one
-    wire. *)
-
-val flatten_root : deps -> int -> flat option
+val flatten_root : Circuit.t -> Index.t -> int -> flat option
 (** Like {!flatten} but tolerates a vanished root (returns [None]). *)
 
 val find_all : Circuit.t -> flat list

@@ -162,7 +162,7 @@ let removable_selects (c : Circuit.t) (index : Index.t)
   List.filter
     (fun id ->
       let y = Cell.output (Circuit.cell c id) in
-      (not (Array.exists (Rewire.is_port_bit c) y))
+      (not (Array.exists (Index.is_exported index) y))
       && Array.for_all
            (fun b ->
              List.for_all
@@ -174,6 +174,7 @@ let removable_selects (c : Circuit.t) (index : Index.t)
 type decision = {
   flat : Muxtree.flat;
   tree : tree;
+  terminals : Bits.sigspec array; (* leaf sigspecs by terminal id *)
   new_muxes : int;
   old_muxes : int;
   removable : int list;
@@ -209,7 +210,7 @@ let evaluate (c : Circuit.t) (index : Index.t) (flat : Muxtree.flat) :
   let removable = removable_selects c index flat in
   let width = flat.Muxtree.width in
   let old_cost =
-    (old_mux_count c flat * mux_cost ~width)
+    (old_muxes * mux_cost ~width)
     + List.fold_left
         (fun acc id -> acc + select_cell_cost (Circuit.cell c id))
         0 removable
@@ -218,6 +219,7 @@ let evaluate (c : Circuit.t) (index : Index.t) (flat : Muxtree.flat) :
   {
     flat;
     tree;
+    terminals = Array.of_list !terminals;
     new_muxes;
     old_muxes;
     removable;
@@ -232,21 +234,6 @@ let m_cells_removed = Obs.Metrics.counter "flow.cells_removed"
 (* Terminal sigspecs are captured before rewiring. *)
 let rebuild (c : Circuit.t) (d : decision) =
   let flat = d.flat in
-  (* recompute terminal list exactly as [evaluate] did *)
-  let terminals = ref [ flat.Muxtree.default ] in
-  let term_of (s : Bits.sigspec) =
-    let rec find i = function
-      | [] ->
-        terminals := !terminals @ [ s ];
-        i
-      | t :: rest -> if Bits.equal t s then i else find (i + 1) rest
-    in
-    find 0 !terminals
-  in
-  List.iter
-    (fun (r : Muxtree.row) -> ignore (term_of r.Muxtree.value))
-    flat.Muxtree.rows;
-  let term_sig i = List.nth !terminals i in
   let memo = Hashtbl.create 64 in
   let rec emit (t : tree) : Bits.sigspec =
     match Hashtbl.find_opt memo t.tid with
@@ -254,7 +241,7 @@ let rebuild (c : Circuit.t) (d : decision) =
     | None ->
       let s =
         match t.tnode with
-        | T_leaf term -> term_sig term
+        | T_leaf term -> d.terminals.(term)
         | T_node { var; lo; hi } ->
           let lo_s = emit lo and hi_s = emit hi in
           Circuit.mk_mux c ~a:lo_s ~b:hi_s ~s:flat.Muxtree.selector.(var)
@@ -309,35 +296,34 @@ let run_once ?(min_saving = 1) (c : Circuit.t) : report =
   let muxes_before = ref 0 in
   let muxes_after = ref 0 in
   let eq_removed = ref 0 in
-  let dirty = ref false in
-  let cached_deps = ref None in
-  let get_deps () =
-    match !cached_deps with
-    | Some d when not !dirty -> d
-    | Some _ | None ->
-      let d = Muxtree.make_deps c in
-      cached_deps := Some d;
-      dirty := false;
-      d
-  in
+  (* built when missing, dropped after each rebuilt tree: a rebuilt root
+     may have been the other reader of a shared select *)
+  let index = ref None in
   List.iter
     (fun root ->
       if Budget.exhausted () then
         (* pass budget blown: leave the remaining trees as they are *)
         Budget.note_truncation ()
       else
-      let deps = get_deps () in
-      match Muxtree.flatten_root deps root with
+      let idx =
+        match !index with
+        | Some idx -> idx
+        | None ->
+          let idx = Index.build c in
+          index := Some idx;
+          idx
+      in
+      match Muxtree.flatten_root c idx root with
       | None -> ()
       | Some flat ->
-        let d = evaluate c deps.Muxtree.index flat in
+        let d = evaluate c idx flat in
         Obs.Metrics.observe_int h_rows (List.length flat.Muxtree.rows);
         Obs.Metrics.observe_int h_chain_len d.old_muxes;
         Obs.Metrics.observe_int h_height d.height;
         muxes_before := !muxes_before + d.old_muxes;
         if d.saved_cost >= min_saving then begin
           rebuild c d;
-          dirty := true;
+          index := None;
           incr rebuilt;
           muxes_after := !muxes_after + d.new_muxes;
           eq_removed := !eq_removed + List.length d.removable

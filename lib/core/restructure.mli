@@ -18,6 +18,8 @@ val tree_height : tree -> int
 type decision = {
   flat : Muxtree.flat;
   tree : tree;
+  terminals : Bits.sigspec array;
+      (** leaf sigspecs by terminal id; id 0 is the default *)
   new_muxes : int;  (** shared nodes of the rebuilt tree *)
   old_muxes : int;  (** post-techmap muxes of the existing tree *)
   removable : int list;  (** select cells read only inside the tree *)

@@ -12,7 +12,6 @@
    on one kernel that the walk builds over its pass-start circuit. *)
 
 open Netlist
-module OM = Rtl_opt.Opt_muxtree
 
 type report = {
   muxes_bypassed : int;
@@ -95,7 +94,6 @@ type ctx = {
   cfg : Config.t;
   c : Circuit.t;
   index : Index.t;
-  readers : OM.readers;
   session : Cdcl.Session.t;
       (* one persistent incremental solver for every SAT query of the
          pass *)
@@ -183,7 +181,7 @@ let rec chase ctx known ~cache ~loc (bit : Bits.bit) : Bits.bit =
   | Some (child_id, off) -> (
     match Circuit.cell_opt ctx.c child_id with
     | Some (Cell.Mux { a; b; s; _ } as child)
-      when OM.dedicated_location ctx.readers child = Some loc -> (
+      when Index.dedicated_location ctx.index child = Some loc -> (
       let verdict, src =
         match Bits.Bit_tbl.find_opt cache s with
         | Some vs -> vs
@@ -233,7 +231,7 @@ let port_children ctx ~loc (port : Bits.sigspec) : int list =
            match Circuit.cell_opt ctx.c id with
            | Some child
              when is_mux child
-                  && OM.dedicated_location ctx.readers child = Some loc ->
+                  && Index.dedicated_location ctx.index child = Some loc ->
              Some id
            | Some _ | None -> None)
          | None -> None)
@@ -250,21 +248,21 @@ let rec visit ctx visited known (id : int) =
     | Some (Cell.Mux { a; b; s; y }) ->
       let known_a = with_fact known s false in
       let known_b = with_fact known s true in
-      let a', ca = resolve_port ctx known_a ~loc:(id, OM.Side_a) a in
-      let b', cb = resolve_port ctx known_b ~loc:(id, OM.Side_b 0) b in
+      let a', ca = resolve_port ctx known_a ~loc:(id, Index.Side_a) a in
+      let b', cb = resolve_port ctx known_b ~loc:(id, Index.Side_b 0) b in
       if ca || cb then replace ctx id (Cell.Mux { a = a'; b = b'; s; y });
       List.iter
         (fun cid -> visit ctx visited known_a cid)
-        (port_children ctx ~loc:(id, OM.Side_a) a');
+        (port_children ctx ~loc:(id, Index.Side_a) a');
       List.iter
         (fun cid -> visit ctx visited known_b cid)
-        (port_children ctx ~loc:(id, OM.Side_b 0) b')
+        (port_children ctx ~loc:(id, Index.Side_b 0) b')
     | Some (Cell.Pmux { a; b; s; y }) ->
       let w = Bits.width a in
       let n = Bits.width s in
       let known_def = ref (Bits.Bit_tbl.copy known) in
       Array.iter (fun sb -> known_def := with_fact !known_def sb false) s;
-      let a', ca = resolve_port ctx !known_def ~loc:(id, OM.Side_a) a in
+      let a', ca = resolve_port ctx !known_def ~loc:(id, Index.Side_a) a in
       let b' = Array.copy b in
       let changed_b = ref false in
       let part_known i =
@@ -280,7 +278,7 @@ let rec visit ctx visited known (id : int) =
       for i = 0 to n - 1 do
         let part = Bits.slice b ~off:(i * w) ~len:w in
         let part', cp =
-          resolve_port ctx (part_known i) ~loc:(id, OM.Side_b i) part
+          resolve_port ctx (part_known i) ~loc:(id, Index.Side_b i) part
         in
         if cp then begin
           changed_b := true;
@@ -291,12 +289,12 @@ let rec visit ctx visited known (id : int) =
         replace ctx id (Cell.Pmux { a = a'; b = b'; s; y });
       List.iter
         (fun cid -> visit ctx visited !known_def cid)
-        (port_children ctx ~loc:(id, OM.Side_a) a');
+        (port_children ctx ~loc:(id, Index.Side_a) a');
       for i = 0 to n - 1 do
         let part = Bits.slice b' ~off:(i * w) ~len:w in
         List.iter
           (fun cid -> visit ctx visited (part_known i) cid)
-          (port_children ctx ~loc:(id, OM.Side_b i) part)
+          (port_children ctx ~loc:(id, Index.Side_b i) part)
       done
     | Some (Cell.Unary _ | Cell.Binary _ | Cell.Dff _) -> ()
   end
@@ -314,7 +312,6 @@ let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
       cfg;
       c;
       index;
-      readers = OM.collect_readers c;
       session = Cdcl.Session.create ();
       sg = Subgraph.create c index;
       edits;
@@ -328,7 +325,7 @@ let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
     List.filter
       (fun id ->
         let cell = Circuit.cell c id in
-        is_mux cell && OM.dedicated_location ctx.readers cell = None)
+        is_mux cell && Index.dedicated_location ctx.index cell = None)
       (Circuit.cell_ids c)
   in
   List.iter (fun id -> visit ctx visited (Bits.Bit_tbl.create 8) id) roots;

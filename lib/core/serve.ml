@@ -82,16 +82,20 @@ let optimize t ~id ~kind ~source ~budget_ms : Obs.Json.t =
     Engine.Sat_log.reset ();
     Budget.reset ();
     Replay.install t.replays;
-    let area0 = Aiger.Aigmap.aig_area c in
     let queries0 = Obs.Metrics.value m_sat_queries in
-    let t0 = Obs.Clock.now () in
-    match Driver.smartly ~cfg c with
+    (* the whole job runs under the guard: a netlist the loader let
+       through can still fail the area measurement, not only the flow *)
+    match
+      let area0 = Aiger.Aigmap.aig_area c in
+      let t0 = Obs.Clock.now () in
+      let result = Driver.smartly ~cfg c in
+      let dt = Obs.Clock.now () -. t0 in
+      (area0, result, dt, Aiger.Aigmap.aig_area c)
+    with
     | exception e ->
       t.jobs_failed <- t.jobs_failed + 1;
       error_response ~id ("job failed: " ^ Printexc.to_string e)
-    | result ->
-      let dt = Obs.Clock.now () -. t0 in
-      let area1 = Aiger.Aigmap.aig_area c in
+    | area0, result, dt, area1 ->
       t.jobs_ok <- t.jobs_ok + 1;
       let open Obs.Json in
       Obj

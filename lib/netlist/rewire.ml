@@ -10,8 +10,7 @@ let is_port_bit (c : Circuit.t) (b : Bits.bit) =
   match b with
   | Bits.C0 | Bits.C1 | Bits.Cx -> false
   | Bits.Of_wire (wid, _) ->
-    List.exists (fun w -> w.Circuit.wire_id = wid) (Circuit.outputs c)
-    || List.exists (fun w -> w.Circuit.wire_id = wid) (Circuit.inputs c)
+    List.exists (fun (_, w) -> w.Circuit.wire_id = wid) c.Circuit.ports
 
 let replace_sig (c : Circuit.t) ~(from_ : Bits.sigspec) ~(to_ : Bits.sigspec) =
   if Bits.width from_ <> Bits.width to_ then

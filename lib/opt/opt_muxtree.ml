@@ -16,76 +16,9 @@
 
 open Netlist
 
-type side = Side_a | Side_b of int (* pmux part index; Mux's b = part 0 *)
-
-(* (mux id, side) pairs reading each bit, plus non-mux/port readers. *)
-type readers = {
-  mux_reads : (int * side) list Bits.Bit_tbl.t;
-  other_read : unit Bits.Bit_tbl.t; (* read by non-mux cell / select port *)
-}
-
-let collect_readers (c : Circuit.t) : readers =
-  let mux_reads = Bits.Bit_tbl.create 64 in
-  let other_read = Bits.Bit_tbl.create 64 in
-  let mark_other b =
-    if not (Bits.is_const b) then Bits.Bit_tbl.replace other_read b ()
-  in
-  let mark_mux b entry =
-    if not (Bits.is_const b) then
-      Bits.Bit_tbl.replace mux_reads b
-        (entry
-        ::
-        (match Bits.Bit_tbl.find_opt mux_reads b with
-        | Some l -> l
-        | None -> []))
-  in
-  Circuit.iter_cells
-    (fun id cell ->
-      match cell with
-      | Cell.Mux { a; b; s; _ } ->
-        Array.iter (fun bit -> mark_mux bit (id, Side_a)) a;
-        Array.iter (fun bit -> mark_mux bit (id, Side_b 0)) b;
-        mark_other s
-      | Cell.Pmux { a; b; s; _ } ->
-        let w = Bits.width a in
-        Array.iter (fun bit -> mark_mux bit (id, Side_a)) a;
-        Array.iteri
-          (fun i bit -> mark_mux bit (id, Side_b (i / w))) b;
-        Array.iter mark_other s
-      | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ ->
-        List.iter mark_other (Cell.input_bits cell))
-    c;
-  (* output ports count as other readers *)
-  List.iter mark_other (Circuit.output_bits c);
-  { mux_reads; other_read }
-
-(* A mux is a dedicated child of (parent, side) if every read of every
-   output bit is from that one location. *)
-let dedicated_location (r : readers) (cell : Cell.t) : (int * side) option =
-  let y = Cell.output cell in
-  let locations = ref [] in
-  let ok =
-    Array.for_all
-      (fun b ->
-        if Bits.Bit_tbl.mem r.other_read b then false
-        else begin
-          (match Bits.Bit_tbl.find_opt r.mux_reads b with
-          | Some l -> locations := l @ !locations
-          | None -> ());
-          true
-        end)
-      y
-  in
-  if not ok then None
-  else
-    match List.sort_uniq compare !locations with
-    | [ loc ] -> Some loc
-    | [] | _ :: _ -> None
-
 type ctx = {
   c : Circuit.t;
   index : Index.t;
-  readers : readers;
   mutable eliminated : int; (* muxes bypassed *)
   mutable const_bits : int; (* data bits replaced by constants *)
 }
@@ -108,7 +41,7 @@ let rec resolve ctx known ~loc (bit : Bits.bit) : Bits.bit =
       | None -> bit
       | Some child when not (is_mux child) -> bit
       | Some child -> (
-        match dedicated_location ctx.readers child with
+        match Index.dedicated_location ctx.index child with
         | Some l when l = loc -> (
           match child with
           | Cell.Mux { a; b; s; _ } -> (
@@ -171,7 +104,7 @@ let port_children ctx ~loc (port : Bits.sigspec) : int list =
          | Some (id, _) -> (
            match Circuit.cell_opt ctx.c id with
            | Some child when is_mux child -> (
-             match dedicated_location ctx.readers child with
+             match Index.dedicated_location ctx.index child with
              | Some l when l = loc -> Some id
              | Some _ | None -> None)
            | Some _ | None -> None)
@@ -186,16 +119,16 @@ let rec visit ctx visited known (id : int) =
     | Some (Cell.Mux { a; b; s; y }) ->
       let known_a = with_fact known s false in
       let known_b = with_fact known s true in
-      let a', ca = resolve_port ctx known_a ~loc:(id, Side_a) a in
-      let b', cb = resolve_port ctx known_b ~loc:(id, Side_b 0) b in
+      let a', ca = resolve_port ctx known_a ~loc:(id, Index.Side_a) a in
+      let b', cb = resolve_port ctx known_b ~loc:(id, Index.Side_b 0) b in
       if ca || cb then
         Circuit.replace_cell ctx.c id (Cell.Mux { a = a'; b = b'; s; y });
       List.iter
         (fun cid -> visit ctx visited known_a cid)
-        (port_children ctx ~loc:(id, Side_a) a');
+        (port_children ctx ~loc:(id, Index.Side_a) a');
       List.iter
         (fun cid -> visit ctx visited known_b cid)
-        (port_children ctx ~loc:(id, Side_b 0) b')
+        (port_children ctx ~loc:(id, Index.Side_b 0) b')
     | Some (Cell.Pmux { a; b; s; y }) ->
       let w = Bits.width a in
       let n = Bits.width s in
@@ -209,13 +142,13 @@ let rec visit ctx visited known (id : int) =
             add_fact known_def s.(i) false;
             kp)
       in
-      let a', ca = resolve_port ctx known_def ~loc:(id, Side_a) a in
+      let a', ca = resolve_port ctx known_def ~loc:(id, Index.Side_a) a in
       let b' = Array.copy b in
       let changed_b = ref false in
       for i = 0 to n - 1 do
         let part = Bits.slice b ~off:(i * w) ~len:w in
         let part', cp =
-          resolve_port ctx part_known.(i) ~loc:(id, Side_b i) part
+          resolve_port ctx part_known.(i) ~loc:(id, Index.Side_b i) part
         in
         if cp then begin
           changed_b := true;
@@ -226,12 +159,12 @@ let rec visit ctx visited known (id : int) =
         Circuit.replace_cell ctx.c id (Cell.Pmux { a = a'; b = b'; s; y });
       List.iter
         (fun cid -> visit ctx visited known_def cid)
-        (port_children ctx ~loc:(id, Side_a) a');
+        (port_children ctx ~loc:(id, Index.Side_a) a');
       for i = 0 to n - 1 do
         let part = Bits.slice b' ~off:(i * w) ~len:w in
         List.iter
           (fun cid -> visit ctx visited part_known.(i) cid)
-          (port_children ctx ~loc:(id, Side_b i) part)
+          (port_children ctx ~loc:(id, Index.Side_b i) part)
       done
     | Some (Cell.Unary _ | Cell.Binary _ | Cell.Dff _) -> ()
   end
@@ -242,7 +175,6 @@ let run_once (c : Circuit.t) : int * int =
     {
       c;
       index = Index.build c;
-      readers = collect_readers c;
       eliminated = 0;
       const_bits = 0;
     }
@@ -253,7 +185,7 @@ let run_once (c : Circuit.t) : int * int =
     List.filter
       (fun id ->
         let cell = Circuit.cell c id in
-        is_mux cell && dedicated_location ctx.readers cell = None)
+        is_mux cell && Index.dedicated_location ctx.index cell = None)
       (Circuit.cell_ids c)
   in
   let empty_known () = Bits.Bit_tbl.create 8 in

@@ -5,20 +5,10 @@
     and 2): a descendant mux with an already-known *identical* control bit
     is bypassed, and data bits equal to a known control bit become
     constants.  A descendant is eliminable only when all reads of its
-    output come from one data-port side of one mux. *)
+    output come from one data-port side of one mux
+    ({!Netlist.Index.dedicated_location}). *)
 
 open Netlist
-
-type side = Side_a | Side_b of int  (** pmux part index; a Mux's b-side is part 0 *)
-
-type readers
-(** Who reads each bit: mux data ports (with location) vs everything else. *)
-
-val collect_readers : Circuit.t -> readers
-
-val dedicated_location : readers -> Cell.t -> (int * side) option
-(** The unique (mux id, side) reading every output bit of the cell, if the
-    cell is dedicated to a single tree location. *)
 
 val run_once : Circuit.t -> int * int
 (** One traversal; returns (bypassed mux-bits, constant-folded data bits). *)

@@ -109,6 +109,210 @@ let test_index () =
   check_bool "input is PI" true (Index.driver idx ab = Index.Primary_input);
   check_int "a read by 1 cell" 1 (List.length (Index.readers idx ab))
 
+(* One muxtree netlist with a child mux per kind of read: the index must
+   name the (parent, side) of a child read only on one data-port side of
+   one mux, and nothing for every other kind of read. *)
+let test_index_dedicated_location () =
+  let c = Circuit.create "readers" in
+  let s = Circuit.sig_of_wire (Circuit.add_input c "s" ~width:12) in
+  let d = Circuit.sig_of_wire (Circuit.add_input c "d" ~width:2) in
+  let e = Circuit.sig_of_wire (Circuit.add_input c "e" ~width:2) in
+  let mux ?y ~a ~b sel =
+    let y =
+      match y with
+      | Some y -> y
+      | None -> Circuit.fresh_sig c ~width:(Bits.width a)
+    in
+    (Circuit.add_cell c (Cell.Mux { a; b; s = sel; y }), y)
+  in
+  let child i = mux ~a:d ~b:e s.(i) in
+  let on_a, ya = child 0 in
+  let on_b, yb = child 1 in
+  let parent, _ = mux ~a:ya ~b:yb s.(2) in
+  let on_part, ypart = child 3 in
+  let pmux =
+    Circuit.add_cell c
+      (Cell.Pmux
+         { a = d; b = Bits.concat [ e; ypart ];
+           s = [| s.(4); s.(5) |]; y = Circuit.fresh_sig c ~width:2 })
+  in
+  let as_select, ysel = mux ~a:[| d.(0) |] ~b:[| e.(0) |] s.(6) in
+  ignore (mux ~a:d ~b:e ysel.(0));
+  let by_logic, ylog = child 7 in
+  let logic =
+    Circuit.add_cell c
+      (Cell.Binary
+         { op = Cell.And; a = ylog; b = ylog; y = Circuit.fresh_sig c ~width:2 })
+  in
+  (* an output port, otherwise read only on one parent's a side *)
+  let o = Circuit.sig_of_wire (Circuit.add_output c "o" ~width:2) in
+  let exported, _ = mux ~y:o ~a:d ~b:e s.(8) in
+  ignore (mux ~a:o ~b:e s.(9));
+  let twice, ytw = child 10 in
+  ignore (mux ~a:ytw ~b:e s.(11));
+  ignore (mux ~a:ytw ~b:e s.(11));
+  let unread, _ = child 11 in
+  let idx = Index.build c in
+  let location =
+    let pp_side ppf = function
+      | Index.Side_a -> Fmt.string ppf "a"
+      | Index.Side_b i -> Fmt.pf ppf "b%d" i
+    in
+    Alcotest.(option (pair int (testable pp_side ( = ))))
+  in
+  let loc id = Index.dedicated_location idx (Circuit.cell c id) in
+  Alcotest.check location "read on a" (Some (parent, Index.Side_a)) (loc on_a);
+  Alcotest.check location "read on b" (Some (parent, Index.Side_b 0)) (loc on_b);
+  Alcotest.check location "read on pmux part 1"
+    (Some (pmux, Index.Side_b 1)) (loc on_part);
+  List.iter
+    (fun (what, id) -> Alcotest.check location what None (loc id))
+    [ "read as a select", as_select; "read by a non-mux cell", by_logic;
+      "exported", exported; "read at two locations", twice;
+      "never read", unread ];
+  Alcotest.(check (list int)) "a cell reading a bit twice is one reader"
+    [ logic ] (Index.readers idx ylog.(0));
+  let dr = Index.readers idx d.(0) in
+  check_bool "readers distinct, ascending" true
+    (dr = List.sort_uniq compare dr && List.length dr > 1);
+  check_bool "output port exported" true (Index.is_exported idx o.(1));
+  check_bool "inner bit not exported" false (Index.is_exported idx ya.(0));
+  check_bool "input port not exported" false (Index.is_exported idx d.(0))
+
+(* A random netlist of every cell kind.  Cells read input ports,
+   constants, earlier outputs and a bit of a wire id the circuit never
+   issued; some drive an output port or bits another cell drives too; one
+   wire is mentioned by nothing and one read wire leaves the wire table. *)
+let random_netlist seed =
+  let rs = Random.State.make [| seed |] in
+  let int n = Random.State.int rs n in
+  let pick a = a.(int (Array.length a)) in
+  let c = Circuit.create "random" in
+  let port add i = Circuit.sig_of_wire (add c (Fmt.str "p%d" i) ~width:(1 + int 3)) in
+  let inputs = List.init (1 + int 3) (port Circuit.add_input) in
+  let outputs = Array.init (1 + int 2) (fun i -> port Circuit.add_output (10 + i)) in
+  ignore (Circuit.add_wire c ~width:2 ());
+  let stray = Bits.Of_wire (c.Circuit.next_wire_id + 3, 1) in
+  let pool =
+    Bits.C0 :: Bits.C1 :: stray :: List.concat_map Array.to_list inputs
+    |> Array.of_list |> ref
+  in
+  let driven = ref [||] in
+  let bits w = Array.init w (fun _ -> pick !pool) in
+  for _ = 1 to 4 + int 14 do
+    let y =
+      match int 8 with
+      | 0 -> pick outputs
+      | 1 when !driven <> [||] -> pick !driven
+      | _ -> Circuit.fresh_sig c ~width:(1 + int 2)
+    in
+    let w = Bits.width y in
+    let cell =
+      match int 5 with
+      | 0 -> Cell.Mux { a = bits w; b = bits w; s = pick !pool; y }
+      | 1 ->
+        let n = 1 + int 3 in
+        Cell.Pmux { a = bits w; b = bits (n * w); s = bits n; y }
+      | 2 -> Cell.Binary { op = Cell.And; a = bits w; b = bits w; y }
+      | 3 -> Cell.Unary { op = Cell.Not; a = bits w; y }
+      | _ -> Cell.Dff { d = bits w; q = y }
+    in
+    ignore (Circuit.add_cell c cell);
+    driven := Array.append !driven [| y |];
+    pool := Array.append !pool y
+  done;
+  (match Array.to_list !pool |> List.rev with
+  | Bits.Of_wire (w, _) :: _ when int 2 = 0 -> Circuit.remove_wire c w
+  | _ -> ());
+  (c, stray)
+
+(* The index answers what a scan of every cell and port answers. *)
+let prop_index_matches_scan =
+  QCheck.Test.make ~count:300 ~name:"index matches a scan"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let c, stray = random_netlist seed in
+      let idx = Index.build c in
+      let cells = Circuit.fold_cells (fun id cell l -> (id, cell) :: l) c [] in
+      let cell_reads cell =
+        let port side s = List.map (fun bit -> (bit, side)) (Array.to_list s) in
+        match cell with
+        | Cell.Mux { a; b; s; _ } ->
+          port (Some Index.Side_a) a @ port (Some (Index.Side_b 0)) b
+          @ [ (s, None) ]
+        | Cell.Pmux { a; b; s; _ } ->
+          let w = Bits.width a in
+          port (Some Index.Side_a) a
+          @ List.mapi
+              (fun i bit -> (bit, Some (Index.Side_b (i / w))))
+              (Array.to_list b)
+          @ port None s
+        | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ ->
+          List.map (fun bit -> (bit, None)) (Cell.input_bits cell)
+      in
+      let reads b =
+        if Bits.is_const b then []
+        else
+          List.concat_map
+            (fun (id, cell) ->
+              List.filter_map
+                (fun (bit, side) ->
+                  if Bits.bit_equal bit b then Some (id, side) else None)
+                (cell_reads cell))
+            cells
+      in
+      let exported b = List.exists (Bits.bit_equal b) (Circuit.output_bits c) in
+      let driver b =
+        let d = ref Index.Undriven in
+        if not (Bits.is_const b) then begin
+          if List.exists (Bits.bit_equal b) (Circuit.input_bits c) then
+            d := Index.Primary_input;
+          (* cells in table order, the last writer of a bit wins *)
+          Circuit.iter_cells
+            (fun id cell ->
+              Array.iteri
+                (fun off y ->
+                  if Bits.bit_equal y b then d := Index.Driven_by (id, off))
+                (Cell.output cell))
+            c
+        end;
+        !d
+      in
+      let location cell =
+        let all = Array.to_list (Cell.output cell) |> List.concat_map reads in
+        if Array.exists exported (Cell.output cell)
+           || List.exists (fun (_, side) -> side = None) all
+        then None
+        else
+          match List.sort_uniq compare all with
+          | [ (id, Some side) ] -> Some (id, side)
+          | _ -> None
+      in
+      let universe =
+        [ Bits.Cx; Bits.Of_wire (-1, 0); stray ]
+        @ List.concat_map
+            (fun (_, cell) -> Array.to_list (Cell.output cell) @ Cell.input_bits cell)
+            cells
+        @ List.init c.Circuit.next_wire_id (fun w -> Bits.Of_wire (w, 0))
+        @ List.init c.Circuit.next_wire_id (fun w -> Bits.Of_wire (w, 2))
+      in
+      List.iter
+        (fun b ->
+          let ids = List.sort_uniq compare (List.map fst (reads b)) in
+          if Index.driver idx b <> driver b then
+            QCheck.Test.fail_reportf "driver of %a" Bits.pp_bit b;
+          if Index.readers idx b <> ids then
+            QCheck.Test.fail_reportf "readers of %a" Bits.pp_bit b;
+          if Index.is_exported idx b <> exported b then
+            QCheck.Test.fail_reportf "is_exported %a" Bits.pp_bit b)
+        universe;
+      List.iter
+        (fun (id, cell) ->
+          if Index.dedicated_location idx cell <> location cell then
+            QCheck.Test.fail_reportf "dedicated_location of cell %d" id)
+        cells;
+      true)
+
 let test_topo_and_depth () =
   let c = build_simple () in
   let order = Topo.sort c in
@@ -278,6 +482,9 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_circuit_basics;
           Alcotest.test_case "index" `Quick test_index;
+          Alcotest.test_case "index dedicated location" `Quick
+            test_index_dedicated_location;
+          QCheck_alcotest.to_alcotest prop_index_matches_scan;
           Alcotest.test_case "topo + depth" `Quick test_topo_and_depth;
           Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
           Alcotest.test_case "dff breaks cycle" `Quick test_dff_breaks_cycle;

@@ -6,12 +6,26 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
+(* Two inverters in a loop driving the output: what a latch-inferring
+   [always @*] block elaborates to, handed over by a loader that does not
+   validate. *)
+let cyclic () =
+  let open Netlist in
+  let c = Circuit.create "cyclic" in
+  let y = Circuit.bit_of_wire (Circuit.add_output c "y" ~width:1) in
+  let w = Circuit.fresh_bit c in
+  let inv a y = Cell.Unary { op = Cell.Not; a = [| a |]; y = [| y |] } in
+  ignore (Circuit.add_cell c (inv y w));
+  ignore (Circuit.add_cell c (inv w y));
+  c
+
 let load ~kind source =
   match kind with
   | "profile" -> (
     match Workloads.Profiles.by_name source with
     | Some p -> Ok (Workloads.Profiles.circuit p)
     | None -> Error (Printf.sprintf "unknown profile %s" source))
+  | "cyclic" -> Ok (cyclic ())
   | k -> Error (Printf.sprintf "unknown kind %s" k)
 
 let daemon () = Smartly.Serve.create ~load ()
@@ -71,6 +85,17 @@ let test_handle_protocol () =
   let bad, cb = resp {|{"op":"optimize","source":"no_such_profile"}|} in
   check_string "bad job errors" "error" (str "status" bad);
   check_bool "daemon survives bad job" true cb;
+  (* a netlist that fails inside the job, not in the loader, is answered
+     with an error too, and the next job still runs *)
+  let cyc, cc =
+    resp {|{"op":"optimize","id":"c","kind":"cyclic","source":"loop"}|}
+  in
+  check_string "cyclic job errors" "error" (str "status" cyc);
+  check_bool "daemon survives cyclic job" true cc;
+  let r2, _ =
+    resp {|{"op":"optimize","id":"d","kind":"profile","source":"mux_chain"}|}
+  in
+  validate_report r2;
   let unknown, _ = resp {|{"op":"frobnicate"}|} in
   check_string "unknown op errors" "error" (str "status" unknown);
   (* a budget that is not a non-negative integer is refused, never run
@@ -89,8 +114,8 @@ let test_handle_protocol () =
       check_bool "daemon survives bad budget" true cr)
     [ "1e300"; "2.5"; "-1"; "\"10\"" ];
   let stats, _ = resp {|{"op":"stats"}|} in
-  check_int "jobs ok" 1 (int_of_float (num "jobs_ok" stats));
-  check_int "jobs failed" 1 (int_of_float (num "jobs_failed" stats));
+  check_int "jobs ok" 2 (int_of_float (num "jobs_ok" stats));
+  check_int "jobs failed" 2 (int_of_float (num "jobs_failed" stats));
   let _, cs = resp {|{"op":"shutdown"}|} in
   check_bool "shutdown stops" false cs
 
