@@ -72,10 +72,11 @@ bench-baselines: build
 # the value-analysis fixpoint over the three lint-clean examples and
 # validates each smartly-analysis-v1 report — the same backend the
 # NL010..NL013 rules use, exercised on real sources rather than
-# profiles.  The mux_chain
-# optimization is re-run under --check-invariants, which validates,
-# lints and equivalence-checks the circuit after every pass.  A serve
-# smoke follows: a 5-line JSONL batch (two identical jobs, a job on a
+# profiles.  The mux_chain optimization is re-run under
+# --check-invariants, which validates, lints and equivalence-checks the
+# circuit after every pass, once per flow; the Yosys run, which goes
+# through the same driver loop as smaRTLy's, is also checked end to end
+# with --check.  A serve smoke follows: a 5-line JSONL batch (two identical jobs, a job on a
 # latch-inferring source, a riscv job, one shutdown) through the stdio
 # daemon, with the per-job smartly-report-v1 stream kept as an artifact
 # and parse-validated; the latch job must answer an error line and the
@@ -94,10 +95,11 @@ bench-baselines: build
 # source that does not load must end in a located error and exit 2,
 # never an uncaught exception: `opt` on a Verilog file with a syntax
 # error must name its line and column, `opt` on an unknown profile
-# name must exit 2 as well, and so must `opt` on a latch-inferring
-# source (a case with no default in always @*), naming its
-# combinational cycle.  `cec` must exit 1 on two different designs
-# and 0 on a design against itself: a verdict other than `equivalent`
+# name must exit 2 as well, and so must `generate` of an unknown
+# profile and `opt` on a latch-inferring source (a case with no default
+# in always @*), naming its combinational cycle; `analyze` on that
+# source must name the cycle the same way and exit 2.  `cec` must exit
+# 1 on two different designs and 0 on a design against itself: a verdict other than `equivalent`
 # fails the command, and with it the budget-starved `--check` run.
 ci: build
 	dune runtest
@@ -116,6 +118,9 @@ ci: build
 	  2>/dev/null; \
 	  status=$$?; [ "$$status" -eq 2 ] || { \
 	  echo "ci: unknown profile gave exit $$status"; exit 1; }
+	dune exec bin/smartly_cli.exe -- generate nosuch_profile 2>/dev/null; \
+	  status=$$?; [ "$$status" -eq 2 ] || { \
+	  echo "ci: generate of an unknown profile gave exit $$status"; exit 1; }
 	printf 'module latch(input [1:0] s, input a, input b, output reg y);\nalways @* case (s) 0: y = a; 1: y = b; endcase\nendmodule\n' \
 	  > /tmp/smartly_latch.v
 	dune exec bin/smartly_cli.exe -- opt /tmp/smartly_latch.v --no-ledger \
@@ -125,6 +130,13 @@ ci: build
 	    /tmp/smartly_latch.err \
 	  || { echo "ci: latch-inferring Verilog gave exit $$status:"; \
 	  cat /tmp/smartly_latch.err; exit 1; }
+	dune exec bin/smartly_cli.exe -- analyze /tmp/smartly_latch.v \
+	  2> /tmp/smartly_latch_analyze.err; \
+	  status=$$?; [ "$$status" -eq 2 ] \
+	  && grep -q '^/tmp/smartly_latch.v: combinational cycle' \
+	    /tmp/smartly_latch_analyze.err \
+	  || { echo "ci: analyze of latch-inferring Verilog gave exit $$status:"; \
+	  cat /tmp/smartly_latch_analyze.err; exit 1; }
 	dune exec bin/smartly_cli.exe -- cec examples/alu.v \
 	  examples/priority_select.v; \
 	  status=$$?; [ "$$status" -eq 1 ] || { \
@@ -145,6 +157,8 @@ ci: build
 	  /tmp/smartly_analysis_priority_select.json
 	dune exec bin/smartly_cli.exe -- opt mux_chain --flow smartly \
 	  --check-invariants
+	dune exec bin/smartly_cli.exe -- opt mux_chain --flow yosys --check \
+	  --check-invariants --no-ledger
 	printf '%s\n' \
 	  '{"op":"optimize","id":"ci-1","kind":"profile","source":"mux_chain"}' \
 	  '{"op":"optimize","id":"ci-2","kind":"profile","source":"mux_chain"}' \

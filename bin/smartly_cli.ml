@@ -66,15 +66,17 @@ let try_load_circuit ~style src : (Netlist.Circuit.t, string) result =
 
 (* opt, stats, cec and serve need an acyclic netlist with one driver per
    bit: a latch or a shorted net is one "SRC: MSG" line naming the
-   Validate finding, not an exception out of the flow.  dump, write-verilog, lint and analyze take
-   any netlist, since lint is how a user locates the latch. *)
-let try_load_checked ~style src : (Netlist.Circuit.t, string) result =
+   Validate finding, not an exception out of the flow.  analyze refuses
+   only the cycle; dump, write-verilog and lint take any netlist, since
+   lint is how a user locates the latch. *)
+let try_load_checked ?(single_driver = true) ~style src :
+    (Netlist.Circuit.t, string) result =
   Result.bind (try_load_circuit ~style src) (fun c ->
       match
         List.find_opt
           (function
-            | Netlist.Validate.Cyclic _ | Netlist.Validate.Multiple_drivers _
-              -> true
+            | Netlist.Validate.Cyclic _ -> true
+            | Netlist.Validate.Multiple_drivers _ -> single_driver
             | Netlist.Validate.Dangling_wire_bit _
             | Netlist.Validate.Width_violation _
             | Netlist.Validate.Unknown_wire _ -> false)
@@ -93,7 +95,8 @@ let exit_on_error = function
     exit 2
 
 let load_circuit ~style src = exit_on_error (try_load_circuit ~style src)
-let load_checked ~style src = exit_on_error (try_load_checked ~style src)
+let load_checked ?single_driver ~style src =
+  exit_on_error (try_load_checked ?single_driver ~style src)
 
 (* --- arguments --- *)
 
@@ -258,7 +261,9 @@ let generate_cmd =
   in
   let run name out =
     match Workloads.Profiles.by_name name with
-    | None -> Printf.eprintf "unknown profile %s\n" name
+    | None ->
+      Printf.eprintf "unknown profile %s\n" name;
+      exit 2
     | Some p -> (
       let src = Workloads.Profiles.source p in
       match out with
@@ -325,15 +330,8 @@ let stats_cmd =
    derived cell facts that back the NL010..NL013 lint rules. *)
 let analyze_cmd =
   let run src style json =
-    let c = load_circuit ~style src in
-    let cells =
-      try Netlist.Topo.sort c
-      with Netlist.Topo.Combinational_cycle ids ->
-        Printf.eprintf "analyze: combinational cycle through cells %s\n%!"
-          (String.concat ", " (List.map string_of_int ids));
-        exit 1
-    in
-    match Analysis.Fixpoint.run c cells with
+    let c = load_checked ~single_driver:false ~style src in
+    match Analysis.Fixpoint.run c (Netlist.Topo.sort c) with
     | Analysis.Fixpoint.Contradiction ->
       (* unseeded, this would mean the circuit itself is inconsistent —
          impossible for a well-formed netlist, but report it rather than
@@ -443,7 +441,7 @@ let analyze_cmd =
 
 type outcome =
   | O_none
-  | O_yosys of Rtl_opt.Flow.report
+  | O_yosys of Smartly.Driver.yosys_report
   | O_smartly of Smartly.Driver.result
 
 let flow_name = function
@@ -474,7 +472,7 @@ let run_flow ?after_pass ?(pass_budget_ms = None)
    the same whether the flow is none/yosys/sat/rebuild/smartly. *)
 let print_pass_reports ppf = function
   | O_none -> ()
-  | O_yosys r -> Fmt.pf ppf "baseline: %a@." Rtl_opt.Flow.pp_report r
+  | O_yosys r -> Fmt.pf ppf "baseline: %a@." Smartly.Driver.pp_yosys_report r
   | O_smartly r ->
     List.iter
       (fun rr -> Fmt.pf ppf "sat_elim: %a@." Smartly.Sat_elim.pp_report rr)
@@ -485,7 +483,7 @@ let print_pass_reports ppf = function
 
 let iterations_of = function
   | O_none -> 0
-  | O_yosys r -> r.Rtl_opt.Flow.iterations
+  | O_yosys r -> r.Smartly.Driver.iterations
   | O_smartly r -> r.Smartly.Driver.iterations
 
 (* Per-span-name wall-time totals from the recorded trace.  Durations are

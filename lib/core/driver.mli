@@ -3,9 +3,22 @@
     {!yosys} is the baseline [opt] loop with [opt_muxtree]; {!smartly}
     replaces [opt_muxtree] with SAT-based redundancy elimination and
     muxtree restructuring, keeping everything else identical — exactly the
-    paper's experimental setup. *)
+    paper's experimental setup.  Both run their passes through one loop:
+    each pass is bracketed by [Pass_start]/[Pass_end] events on
+    {!Obs.Event} and armed with the {!Config} budgets through {!Budget},
+    each iteration is a [driver.iteration] span, and the loop stops after
+    an iteration in which no pass made progress. *)
 
 open Netlist
+
+type yosys_report = {
+  iterations : int;
+  expr_folded : int;  (** opt_expr and opt_merge changes *)
+  muxtree_changes : int;  (** {!Rtl_opt.Opt_muxtree.run}'s total *)
+  cells_removed : int;  (** by opt_clean *)
+}
+
+val pp_yosys_report : Format.formatter -> yosys_report -> unit
 
 type result = {
   iterations : int;
@@ -18,7 +31,11 @@ type result = {
 }
 
 val yosys :
-  ?after_pass:(string -> Circuit.t -> unit) -> Circuit.t -> Rtl_opt.Flow.report
+  ?after_pass:(string -> Circuit.t -> unit) -> Circuit.t -> yosys_report
+(** opt_expr, opt_merge, opt_muxtree and opt_clean to fixpoint (capped at
+    16 iterations).  [after_pass] runs after each sub-pass with its name
+    and the circuit as that pass left it; the invariant checker hooks in
+    here.  No budget is armed. *)
 
 val smartly :
   ?cfg:Config.t ->
@@ -32,12 +49,6 @@ val smartly :
     ["opt_clean"]) with the circuit as that pass left it; the lint
     subsystem's invariant checker hooks in here.
 
-    Each sub-pass is bracketed by [Pass_start]/[Pass_end] events on
-    {!Obs.Event} and armed with the {!Config} budgets through
-    {!Budget}: a pass that exceeds its budget is truncated (its inner
+    A pass that exceeds its {!Config} budget is truncated (its inner
     loops poll the watchdog), reported via [Budget_exceeded], and
     skipped on subsequent iterations. *)
-
-val optimize_and_measure :
-  [ `None | `Yosys | `Smartly of Config.t ] -> Circuit.t -> int
-(** Run the flow in place and return the resulting AIG area. *)

@@ -252,24 +252,8 @@ let flatten (c : Circuit.t) (index : Index.t) (root_id : int) : flat option =
     end
   | exception Not_a_tree -> None
 
-(* Re-flatten a single root against the given (current) index. *)
-let flatten_root (c : Circuit.t) (index : Index.t) (root_id : int) :
-    flat option =
-  match Circuit.cell_opt c root_id with
-  | None -> None
-  | Some _ -> flatten c index root_id
-
 (* All rebuildable muxtrees of the circuit (roots are muxes that are not
    dedicated children themselves). *)
 let find_all (c : Circuit.t) : flat list =
   let index = Index.build c in
-  List.filter_map
-    (fun id ->
-      let cell = Circuit.cell c id in
-      match cell with
-      | Cell.Mux _ | Cell.Pmux _ ->
-        if Index.dedicated_location index cell = None then
-          flatten c index id
-        else None
-      | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ -> None)
-    (Circuit.cell_ids c)
+  List.filter_map (flatten c index) (Rtl_opt.Opt_muxtree.roots c index)

@@ -24,12 +24,8 @@ type flat = {
 val flatten : Circuit.t -> Index.t -> int -> flat option
 (** Flatten the tree rooted at the given mux cell, reading drivers and
     dedicated children from an index of the circuit's current state.
-    [None] unless it meets the paper's SingleCtrl condition: all selector
-    bits from one wire. *)
-
-val flatten_root : Circuit.t -> Index.t -> int -> flat option
-(** Like {!flatten} but tolerates a vanished root (returns [None]). *)
+    [None] for a vanished root and for a tree that fails the paper's
+    SingleCtrl condition: all selector bits from one wire. *)
 
 val find_all : Circuit.t -> flat list
-(** Every rebuildable muxtree (roots = muxes that are not dedicated
-    children themselves). *)
+(** Every rebuildable muxtree, from {!Rtl_opt.Opt_muxtree.roots}. *)

@@ -313,7 +313,7 @@ let run_once ?(min_saving = 1) (c : Circuit.t) : report =
           index := Some idx;
           idx
       in
-      match Muxtree.flatten_root c idx root with
+      match Muxtree.flatten c idx root with
       | None -> ()
       | Some flat ->
         let d = evaluate c idx flat in

@@ -1,10 +1,11 @@
 (* SAT-based redundancy elimination (Section II of the paper).
 
-   The traversal mirrors the Yosys opt_muxtree baseline, but a descendant
-   mux's control is resolved with the full inference engine (known-value
-   lookup -> inference rules -> exhaustive simulation -> SAT) instead of
-   only by identical-signal matching.  Data-port bits determined by the
-   inference rules under the path condition are replaced by constants.
+   The traversal is the Yosys opt_muxtree walk ({!Rtl_opt.Opt_muxtree}),
+   but a descendant mux's control is resolved with the full inference
+   engine (known-value lookup -> inference rules -> exhaustive simulation
+   -> SAT) instead of only by identical-signal matching.  Data-port bits
+   determined by the inference rules under the path condition are replaced
+   by constants before the walk chases them.
 
    Per fold and per query, a bounded sub-graph is extracted from the
    distance-k fanin cones of the visited control ports (the paper's
@@ -92,8 +93,6 @@ let fold_port cfg sg known ~owner (port : Bits.sigspec) : Bits.sigspec * int =
 
 type ctx = {
   cfg : Config.t;
-  c : Circuit.t;
-  index : Index.t;
   session : Cdcl.Session.t;
       (* one persistent incremental solver for every SAT query of the
          pass *)
@@ -101,9 +100,6 @@ type ctx = {
   edits : (int * Cell.t) list ref option;
       (* (id, new cell) newest-first, recorded when the pass will be
          stored in the {!Replay} cache *)
-  mutable bypassed : int;
-  mutable folded : int;
-  mutable dead : int;
 }
 
 let replace ctx id (cell : Cell.t) =
@@ -111,10 +107,6 @@ let replace ctx id (cell : Cell.t) =
   | Some edits -> edits := (id, cell) :: !edits
   | None -> ());
   Subgraph.replace ctx.sg id cell
-
-let is_mux = function
-  | Cell.Mux _ | Cell.Pmux _ -> true
-  | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ -> false
 
 (* Provenance mechanism of an engine verdict; [Some qid] for SAT. *)
 let mechanism_of_source (src : Engine.source) :
@@ -125,13 +117,6 @@ let mechanism_of_source (src : Engine.source) :
   | Engine.Via_sim -> (Obs.Provenance.Rule "sim", None)
   | Engine.Via_sat qid -> (Obs.Provenance.Sat, Some qid)
   | Engine.Via_forgone -> (Obs.Provenance.Pruned, None)
-
-let with_fact known (bit : Bits.bit) v =
-  let known' = Bits.Bit_tbl.copy known in
-  (match bit with
-  | Bits.Of_wire _ -> Bits.Bit_tbl.replace known' bit v
-  | Bits.C0 | Bits.C1 | Bits.Cx -> ());
-  known'
 
 (* Resolve the select bit of a descendant mux under [known]:
    1. direct lookup (identical signal, the Yosys rule)
@@ -154,185 +139,70 @@ let resolve_select ctx known (s : Bits.bit) :
         Engine.determine_how ~session:ctx.session ctx.cfg ctx.sg known
           ~target:s)
 
+let select ctx known s : Rtl_opt.Opt_muxtree.select =
+  match resolve_select ctx known s with
+  | Engine.Forced v, src ->
+    let mechanism, query = mechanism_of_source src in
+    Rtl_opt.Opt_muxtree.Take (v, mechanism, query)
+  | Engine.Unreachable, _ -> Rtl_opt.Opt_muxtree.Dead
+  | (Engine.Free | Engine.Unknown), _ -> Rtl_opt.Opt_muxtree.Keep
+
 (* Substitute data-port bits under [known]: direct lookups plus values the
    inference rules derive on the cones of the known signals and of the
    port bits themselves.  [owner] is the mux cell whose port is being
    folded, for provenance.  Once the pass budget trips, the port stays as
    it is. *)
-let fold_data_bits ctx known ~owner (port : Bits.sigspec) :
-    Bits.sigspec * bool =
+let fold_data_bits ctx known ~owner (port : Bits.sigspec) : Bits.sigspec * int
+    =
   if Budget.exhausted () then begin
     Budget.note_truncation ();
-    (port, false)
+    (port, 0)
   end
-  else begin
-    let out, folded = fold_port ctx.cfg ctx.sg known ~owner port in
-    ctx.folded <- ctx.folded + folded;
-    (out, folded > 0)
-  end
+  else fold_port ctx.cfg ctx.sg known ~owner port
 
-(* Chase a data bit through dedicated descendant muxes whose selects the
-   engine can resolve.  [cache] memoizes select verdicts for the duration
-   of one port resolution: a 16-bit port driven by one child mux asks one
-   engine query, not sixteen. *)
-let rec chase ctx known ~cache ~loc (bit : Bits.bit) : Bits.bit =
-  match Index.driving_cell ctx.index bit with
-  | None -> bit
-  | Some (child_id, off) -> (
-    match Circuit.cell_opt ctx.c child_id with
-    | Some (Cell.Mux { a; b; s; _ } as child)
-      when Index.dedicated_location ctx.index child = Some loc -> (
-      let verdict, src =
-        match Bits.Bit_tbl.find_opt cache s with
-        | Some vs -> vs
-        | None ->
-          let vs = resolve_select ctx known s in
-          Bits.Bit_tbl.replace cache s vs;
-          vs
-      in
-      match verdict with
-      | Engine.Forced v ->
-        ctx.bypassed <- ctx.bypassed + 1;
-        let mechanism, query = mechanism_of_source src in
-        Obs.Provenance.emit ~kind:Obs.Provenance.Mux_bypassed
-          ~cell:child_id ~pass:"sat_elim" ~mechanism ?query ();
-        chase ctx known ~cache ~loc (if v then b.(off) else a.(off))
-      | Engine.Unreachable ->
-        (* dead path: the value is never observed; pick branch a *)
-        ctx.dead <- ctx.dead + 1;
-        Obs.Provenance.emit ~kind:Obs.Provenance.Dead_branch
-          ~cell:child_id ~pass:"sat_elim"
-          ~mechanism:Obs.Provenance.Pruned ();
-        chase ctx known ~cache ~loc a.(off)
-      | Engine.Free | Engine.Unknown -> bit)
-    | Some _ | None -> bit)
-
-let resolve_port ctx known ~loc (port : Bits.sigspec) : Bits.sigspec * bool =
-  let folded, changed_f = fold_data_bits ctx known ~owner:(fst loc) port in
-  let changed = ref changed_f in
-  let cache : (Engine.verdict * Engine.source) Bits.Bit_tbl.t =
-    Bits.Bit_tbl.create 8
-  in
-  let out =
-    Array.map
-      (fun b ->
-        let nb = chase ctx known ~cache ~loc b in
-        if not (Bits.bit_equal nb b) then changed := true;
-        nb)
-      folded
-  in
-  out, !changed
-
-let port_children ctx ~loc (port : Bits.sigspec) : int list =
-  Array.to_list port
-  |> List.filter_map (fun bit ->
-         match Index.driving_cell ctx.index bit with
-         | Some (id, _) -> (
-           match Circuit.cell_opt ctx.c id with
-           | Some child
-             when is_mux child
-                  && Index.dedicated_location ctx.index child = Some loc ->
-             Some id
-           | Some _ | None -> None)
-         | None -> None)
-  |> List.sort_uniq compare
-
-(* Walk the tree rooted at [id].  Once the pass budget trips, every tree
-   entered from here on, root or child, is left as it is. *)
-let rec visit ctx visited known (id : int) =
-  if not (Hashtbl.mem visited id) then begin
-    Hashtbl.replace visited id ();
-    match Circuit.cell_opt ctx.c id with
-    | None -> ()
-    | Some _ when Budget.exhausted () -> Budget.note_truncation ()
-    | Some (Cell.Mux { a; b; s; y }) ->
-      let known_a = with_fact known s false in
-      let known_b = with_fact known s true in
-      let a', ca = resolve_port ctx known_a ~loc:(id, Index.Side_a) a in
-      let b', cb = resolve_port ctx known_b ~loc:(id, Index.Side_b 0) b in
-      if ca || cb then replace ctx id (Cell.Mux { a = a'; b = b'; s; y });
-      List.iter
-        (fun cid -> visit ctx visited known_a cid)
-        (port_children ctx ~loc:(id, Index.Side_a) a');
-      List.iter
-        (fun cid -> visit ctx visited known_b cid)
-        (port_children ctx ~loc:(id, Index.Side_b 0) b')
-    | Some (Cell.Pmux { a; b; s; y }) ->
-      let w = Bits.width a in
-      let n = Bits.width s in
-      let known_def = ref (Bits.Bit_tbl.copy known) in
-      Array.iter (fun sb -> known_def := with_fact !known_def sb false) s;
-      let a', ca = resolve_port ctx !known_def ~loc:(id, Index.Side_a) a in
-      let b' = Array.copy b in
-      let changed_b = ref false in
-      let part_known i =
-        (* priority facts: s_i = 1 and the nearest earlier selects = 0
-           (capped to bound the sub-graph cones on very wide pmuxes) *)
-        let kp = ref (Bits.Bit_tbl.copy known) in
-        for j = max 0 (i - 12) to i - 1 do
-          kp := with_fact !kp s.(j) false
-        done;
-        kp := with_fact !kp s.(i) true;
-        !kp
-      in
-      for i = 0 to n - 1 do
-        let part = Bits.slice b ~off:(i * w) ~len:w in
-        let part', cp =
-          resolve_port ctx (part_known i) ~loc:(id, Index.Side_b i) part
-        in
-        if cp then begin
-          changed_b := true;
-          Array.blit part' 0 b' (i * w) w
-        end
-      done;
-      if ca || !changed_b then
-        replace ctx id (Cell.Pmux { a = a'; b = b'; s; y });
-      List.iter
-        (fun cid -> visit ctx visited !known_def cid)
-        (port_children ctx ~loc:(id, Index.Side_a) a');
-      for i = 0 to n - 1 do
-        let part = Bits.slice b' ~off:(i * w) ~len:w in
-        List.iter
-          (fun cid -> visit ctx visited (part_known i) cid)
-          (port_children ctx ~loc:(id, Index.Side_b i) part)
-      done
-    | Some (Cell.Unary _ | Cell.Binary _ | Cell.Dff _) -> ()
-  end
+(* Once the pass budget trips, every tree node entered from here on, root
+   or child, is left as it is. *)
+let stop () =
+  Budget.exhausted ()
+  && begin
+       Budget.note_truncation ();
+       true
+     end
 
 let m_bypassed = Obs.Metrics.counter "sat_elim.muxes_bypassed"
 let m_folded = Obs.Metrics.counter "sat_elim.data_bits_folded"
 let m_dead = Obs.Metrics.counter "sat_elim.dead_branches"
 
-(* One in-place traversal of every muxtree, in the Yosys opt_muxtree
-   order: each tree sees the rewrites of the trees walked before it. *)
+(* The muxtree walk of {!Rtl_opt.Opt_muxtree} with the engine as its
+   resolver, over one kernel and one SAT session for the pass. *)
 let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
   let index = Index.build c in
   let ctx =
     {
       cfg;
-      c;
-      index;
       session = Cdcl.Session.create ();
       sg = Subgraph.create c index;
       edits;
-      bypassed = 0;
-      folded = 0;
-      dead = 0;
     }
   in
-  let visited = Hashtbl.create 64 in
-  let roots =
-    List.filter
-      (fun id ->
-        let cell = Circuit.cell c id in
-        is_mux cell && Index.dedicated_location ctx.index cell = None)
-      (Circuit.cell_ids c)
+  let n =
+    Rtl_opt.Opt_muxtree.walk
+      {
+        Rtl_opt.Opt_muxtree.pass = "sat_elim";
+        (* priority facts: the nearest 12 earlier selects, capped to bound
+           the sub-graph cones on very wide pmuxes *)
+        window = 12;
+        fold = fold_data_bits ctx;
+        select = select ctx;
+        replace = replace ctx;
+        stop;
+      }
+      c index
   in
-  List.iter (fun id -> visit ctx visited (Bits.Bit_tbl.create 8) id) roots;
   {
-    muxes_bypassed = ctx.bypassed;
-    data_bits_folded = ctx.folded;
-    dead_branches = ctx.dead;
+    muxes_bypassed = n.Rtl_opt.Opt_muxtree.bypassed;
+    data_bits_folded = n.Rtl_opt.Opt_muxtree.folded;
+    dead_branches = n.Rtl_opt.Opt_muxtree.dead;
   }
 
 (* With a {!Replay} store installed, a pass whose start circuit recurs

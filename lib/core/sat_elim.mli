@@ -1,9 +1,10 @@
 (** SAT-based redundancy elimination (paper Section II).
 
-    The traversal mirrors the Yosys opt_muxtree baseline, but descendant
-    controls are resolved with the full {!Engine} ladder instead of only by
-    identical-signal matching, and data-port bits determined by the
-    inference rules under the path condition become constants. *)
+    The traversal is the Yosys opt_muxtree walk
+    ({!Rtl_opt.Opt_muxtree.walk}), but descendant controls are resolved
+    with the full {!Engine} ladder instead of only by identical-signal
+    matching, and data-port bits determined by the inference rules under
+    the path condition become constants. *)
 
 open Netlist
 

@@ -1,100 +1,117 @@
-(* The Yosys `opt_muxtree` baseline.
+(* The muxtree walk, and the Yosys `opt_muxtree` baseline built on it.
 
    Muxtrees are traversed from their roots; along each branch the values of
-   the control bits taken so far are known.  Two rules are applied, exactly
-   the ones Yosys implements (paper Figs. 1 and 2):
+   the control bits taken so far are known.  Two rules apply (paper Figs. 1
+   and 2):
 
-   1. a descendant mux whose control bit is already known is bypassed
-      (its selected input replaces its output), and
-   2. data-port bits equal to a known control bit are replaced by the known
-      constant.
+   1. a descendant mux whose control the resolver decides under the known
+      values is bypassed (its selected input replaces its output), and
+   2. data-port bits whose value is known become constants.
 
-   Only *identical* control bits are recognized — no logic inference.  A
-   descendant mux is part of the tree (and thus eliminable) only when every
-   read of its output comes from a single data-port side of a single mux,
-   so rewriting it cannot affect other paths. *)
+   A descendant mux is part of the tree (and thus eliminable) only when
+   every read of its output comes from a single data-port side of a single
+   mux, so rewriting it cannot affect other paths.
+
+   The walk is the same for both flows; a resolver says how a child's
+   select is decided.  Yosys recognizes only *identical* control bits
+   ({!identical_signal}); smaRTLy's [Sat_elim] asks the inference engine
+   and folds each data port by the rules before chasing. *)
 
 open Netlist
 
+type select =
+  | Take of bool * Obs.Provenance.mechanism * int option
+  | Dead
+  | Keep
+
+type resolver = {
+  pass : string;
+  window : int;
+  fold : bool Bits.Bit_tbl.t -> owner:int -> Bits.sigspec -> Bits.sigspec * int;
+  select : bool Bits.Bit_tbl.t -> Bits.bit -> select;
+  replace : int -> Cell.t -> unit;
+  stop : unit -> bool;
+}
+
+type counts = { bypassed : int; folded : int; dead : int }
+
 type ctx = {
+  r : resolver;
   c : Circuit.t;
   index : Index.t;
-  mutable eliminated : int; (* muxes bypassed *)
-  mutable const_bits : int; (* data bits replaced by constants *)
+  cache : select Bits.Bit_tbl.t; (* select verdicts of the current port *)
+  mutable n_bypassed : int;
+  mutable n_folded : int;
+  mutable n_dead : int;
 }
 
 let is_mux = function
   | Cell.Mux _ | Cell.Pmux _ -> true
   | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ -> false
 
-(* Resolve a bit under the known control values: constant substitution plus
-   bypassing dedicated child muxes with known selects. *)
-let rec resolve ctx known ~loc (bit : Bits.bit) : Bits.bit =
-  match Bits.Bit_tbl.find_opt known bit with
-  | Some true -> Bits.C1
-  | Some false -> Bits.C0
-  | None -> (
-    match Index.driving_cell ctx.index bit with
-    | None -> bit
-    | Some (child_id, off) -> (
-      match Circuit.cell_opt ctx.c child_id with
-      | None -> bit
-      | Some child when not (is_mux child) -> bit
-      | Some child -> (
-        match Index.dedicated_location ctx.index child with
-        | Some l when l = loc -> (
-          match child with
-          | Cell.Mux { a; b; s; _ } -> (
-            let sv =
-              match Bits.Bit_tbl.find_opt known s with
-              | Some v -> Some v
-              | None -> (
-                match s with
-                | Bits.C0 -> Some false
-                | Bits.C1 -> Some true
-                | Bits.Cx | Bits.Of_wire _ -> None)
-            in
-            match sv with
-            | Some v ->
-              ctx.eliminated <- ctx.eliminated + 1;
-              Obs.Provenance.emit ~kind:Obs.Provenance.Mux_bypassed
-                ~cell:child_id ~pass:"opt_muxtree"
-                ~mechanism:(Obs.Provenance.Rule "identical_signal") ();
-              resolve ctx known ~loc (if v then b.(off) else a.(off))
-            | None -> bit)
-          | Cell.Pmux _ | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ -> bit)
-        | Some _ | None -> bit)))
-
-(* Substitute one data-port sigspec under [known]. *)
-let resolve_port ctx known ~loc (port : Bits.sigspec) : Bits.sigspec * bool =
-  let changed = ref false in
-  let out =
-    Array.map
-      (fun bit ->
-        let nb = resolve ctx known ~loc bit in
-        if not (Bits.bit_equal nb bit) then begin
-          changed := true;
-          if Bits.is_const nb then begin
-            ctx.const_bits <- ctx.const_bits + 1;
-            Obs.Provenance.emit ~kind:Obs.Provenance.Const_resolved
-              ~cell:(fst loc) ~pass:"opt_muxtree"
-              ~mechanism:(Obs.Provenance.Rule "identical_signal") ~bits:1 ()
-          end
-        end;
-        nb)
-      port
-  in
-  out, !changed
-
 let add_fact known (bit : Bits.bit) (v : bool) =
   match bit with
   | Bits.Of_wire _ -> Bits.Bit_tbl.replace known bit v
   | Bits.C0 | Bits.C1 | Bits.Cx -> ()
 
-let with_fact known (bit : Bits.bit) (v : bool) =
-  let known' = Bits.Bit_tbl.copy known in
-  add_fact known' bit v;
-  known'
+let select ctx known (s : Bits.bit) =
+  match Bits.Bit_tbl.find_opt ctx.cache s with
+  | Some v -> v
+  | None ->
+    let v = ctx.r.select known s in
+    Bits.Bit_tbl.replace ctx.cache s v;
+    v
+
+(* Resolve a bit under the known control values: a known bit becomes its
+   constant, and a dedicated child mux whose select the resolver decides
+   is bypassed. *)
+let rec resolve ctx known ~loc (bit : Bits.bit) : Bits.bit =
+  match Bits.Bit_tbl.find_opt known bit with
+  | Some v ->
+    ctx.n_folded <- ctx.n_folded + 1;
+    Obs.Provenance.emit ~kind:Obs.Provenance.Const_resolved ~cell:(fst loc)
+      ~pass:ctx.r.pass
+      ~mechanism:(Obs.Provenance.Rule "identical_signal") ~bits:1 ();
+    Bits.const_of_bool v
+  | None -> (
+    match Index.driving_cell ctx.index bit with
+    | None -> bit
+    | Some (child_id, off) -> (
+      match Circuit.cell_opt ctx.c child_id with
+      | Some (Cell.Mux { a; b; s; _ } as child)
+        when Index.dedicated_location ctx.index child = Some loc -> (
+        match select ctx known s with
+        | Take (v, mechanism, query) ->
+          ctx.n_bypassed <- ctx.n_bypassed + 1;
+          Obs.Provenance.emit ~kind:Obs.Provenance.Mux_bypassed
+            ~cell:child_id ~pass:ctx.r.pass ~mechanism ?query ();
+          resolve ctx known ~loc (if v then b.(off) else a.(off))
+        | Dead ->
+          (* dead path: the value is never observed; pick branch a *)
+          ctx.n_dead <- ctx.n_dead + 1;
+          Obs.Provenance.emit ~kind:Obs.Provenance.Dead_branch
+            ~cell:child_id ~pass:ctx.r.pass
+            ~mechanism:Obs.Provenance.Pruned ();
+          resolve ctx known ~loc a.(off)
+        | Keep -> bit)
+      | Some _ | None -> bit))
+
+(* Fold one data-port sigspec, then resolve each of its bits under
+   [known]. *)
+let resolve_port ctx known ~loc (port : Bits.sigspec) : Bits.sigspec * bool =
+  let folded, n = ctx.r.fold known ~owner:(fst loc) port in
+  ctx.n_folded <- ctx.n_folded + n;
+  Bits.Bit_tbl.clear ctx.cache;
+  let changed = ref (n > 0) in
+  let out =
+    Array.map
+      (fun bit ->
+        let nb = resolve ctx known ~loc bit in
+        if not (Bits.bit_equal nb bit) then changed := true;
+        nb)
+      folded
+  in
+  out, !changed
 
 (* Children of a port that we should recurse into. *)
 let port_children ctx ~loc (port : Bits.sigspec) : int list =
@@ -103,96 +120,123 @@ let port_children ctx ~loc (port : Bits.sigspec) : int list =
          match Index.driving_cell ctx.index bit with
          | Some (id, _) -> (
            match Circuit.cell_opt ctx.c id with
-           | Some child when is_mux child -> (
-             match Index.dedicated_location ctx.index child with
-             | Some l when l = loc -> Some id
-             | Some _ | None -> None)
+           | Some child
+             when is_mux child
+                  && Index.dedicated_location ctx.index child = Some loc ->
+             Some id
            | Some _ | None -> None)
          | None -> None)
   |> List.sort_uniq compare
 
+(* Walk the tree rooted at [id].  A mux is the one-part pmux: its a side
+   is the default, taken with the select at 0, and its b side is part 0.
+   Part i assumes s_i = 1 and the nearest [window] earlier selects = 0
+   (priority); the default assumes every select = 0.  Once [stop] says so,
+   every node entered from here on is left as it is. *)
 let rec visit ctx visited known (id : int) =
   if not (Hashtbl.mem visited id) then begin
     Hashtbl.replace visited id ();
     match Circuit.cell_opt ctx.c id with
     | None -> ()
+    | Some _ when ctx.r.stop () -> ()
     | Some (Cell.Mux { a; b; s; y }) ->
-      let known_a = with_fact known s false in
-      let known_b = with_fact known s true in
-      let a', ca = resolve_port ctx known_a ~loc:(id, Index.Side_a) a in
-      let b', cb = resolve_port ctx known_b ~loc:(id, Index.Side_b 0) b in
-      if ca || cb then
-        Circuit.replace_cell ctx.c id (Cell.Mux { a = a'; b = b'; s; y });
-      List.iter
-        (fun cid -> visit ctx visited known_a cid)
-        (port_children ctx ~loc:(id, Index.Side_a) a');
-      List.iter
-        (fun cid -> visit ctx visited known_b cid)
-        (port_children ctx ~loc:(id, Index.Side_b 0) b')
+      node ctx visited known id ~a ~b ~s:[| s |] (fun a b ->
+          Cell.Mux { a; b; s; y })
     | Some (Cell.Pmux { a; b; s; y }) ->
-      let w = Bits.width a in
-      let n = Bits.width s in
-      (* part branches: s_i = 1, s_j = 0 for j < i (priority), each the
-         prefix of earlier selects at 0 plus s_i = 1; the default branch
-         has every select at 0 *)
-      let known_def = Bits.Bit_tbl.copy known in
-      let part_known =
-        Array.init n (fun i ->
-            let kp = with_fact known_def s.(i) true in
-            add_fact known_def s.(i) false;
-            kp)
-      in
-      let a', ca = resolve_port ctx known_def ~loc:(id, Index.Side_a) a in
-      let b' = Array.copy b in
-      let changed_b = ref false in
-      for i = 0 to n - 1 do
-        let part = Bits.slice b ~off:(i * w) ~len:w in
-        let part', cp =
-          resolve_port ctx part_known.(i) ~loc:(id, Index.Side_b i) part
-        in
-        if cp then begin
-          changed_b := true;
-          Array.blit part' 0 b' (i * w) w
-        end
-      done;
-      if ca || !changed_b then
-        Circuit.replace_cell ctx.c id (Cell.Pmux { a = a'; b = b'; s; y });
-      List.iter
-        (fun cid -> visit ctx visited known_def cid)
-        (port_children ctx ~loc:(id, Index.Side_a) a');
-      for i = 0 to n - 1 do
-        let part = Bits.slice b' ~off:(i * w) ~len:w in
-        List.iter
-          (fun cid -> visit ctx visited part_known.(i) cid)
-          (port_children ctx ~loc:(id, Index.Side_b i) part)
-      done
+      node ctx visited known id ~a ~b ~s (fun a b -> Cell.Pmux { a; b; s; y })
     | Some (Cell.Unary _ | Cell.Binary _ | Cell.Dff _) -> ()
   end
 
-(* One full traversal; returns (eliminated muxes, constant-folded bits). *)
-let run_once (c : Circuit.t) : int * int =
+and node ctx visited known id ~a ~b ~s rebuild =
+  let w = Bits.width a in
+  (* the default's facts grow one select at a time, and a part whose
+     window reaches s_0 copies them as they stand *)
+  let known_def = Bits.Bit_tbl.copy known in
+  let part_known =
+    Array.mapi
+      (fun i si ->
+        let kp =
+          if i <= ctx.r.window then Bits.Bit_tbl.copy known_def
+          else begin
+            let kp = Bits.Bit_tbl.copy known in
+            for j = i - ctx.r.window to i - 1 do
+              add_fact kp s.(j) false
+            done;
+            kp
+          end
+        in
+        add_fact kp si true;
+        add_fact known_def si false;
+        kp)
+      s
+  in
+  let a', ca = resolve_port ctx known_def ~loc:(id, Index.Side_a) a in
+  let parts =
+    Array.mapi
+      (fun i kp ->
+        resolve_port ctx kp ~loc:(id, Index.Side_b i)
+          (Bits.slice b ~off:(i * w) ~len:w))
+      part_known
+  in
+  if ca || Array.exists snd parts then
+    ctx.r.replace id
+      (rebuild a' (Bits.concat (Array.to_list (Array.map fst parts))));
+  List.iter
+    (fun cid -> visit ctx visited known_def cid)
+    (port_children ctx ~loc:(id, Index.Side_a) a');
+  Array.iteri
+    (fun i (part, _) ->
+      List.iter
+        (fun cid -> visit ctx visited part_known.(i) cid)
+        (port_children ctx ~loc:(id, Index.Side_b i) part))
+    parts
+
+let roots (c : Circuit.t) (index : Index.t) : int list =
+  List.filter
+    (fun id ->
+      let cell = Circuit.cell c id in
+      is_mux cell && Index.dedicated_location index cell = None)
+    (Circuit.cell_ids c)
+
+(* One in-place traversal of every muxtree: each tree sees the rewrites of
+   the trees walked before it.  Dedicated children never reached from a
+   root (e.g. cyclic weirdness) are left untouched. *)
+let walk (r : resolver) (c : Circuit.t) (index : Index.t) : counts =
   let ctx =
     {
+      r;
       c;
-      index = Index.build c;
-      eliminated = 0;
-      const_bits = 0;
+      index;
+      cache = Bits.Bit_tbl.create 8;
+      n_bypassed = 0;
+      n_folded = 0;
+      n_dead = 0;
     }
   in
   let visited = Hashtbl.create 64 in
-  (* roots: muxes that are not dedicated children of another mux *)
-  let roots =
-    List.filter
-      (fun id ->
-        let cell = Circuit.cell c id in
-        is_mux cell && Index.dedicated_location ctx.index cell = None)
-      (Circuit.cell_ids c)
-  in
-  let empty_known () = Bits.Bit_tbl.create 8 in
-  List.iter (fun id -> visit ctx visited (empty_known ()) id) roots;
-  (* dedicated children never reached from a root (e.g. cyclic weirdness)
-     are left untouched *)
-  ctx.eliminated, ctx.const_bits
+  List.iter
+    (fun id -> visit ctx visited (Bits.Bit_tbl.create 8) id)
+    (roots c index);
+  { bypassed = ctx.n_bypassed; folded = ctx.n_folded; dead = ctx.n_dead }
+
+let identical_signal (c : Circuit.t) : resolver =
+  let take v = Take (v, Obs.Provenance.Rule "identical_signal", None) in
+  {
+    pass = "opt_muxtree";
+    window = max_int;
+    fold = (fun _ ~owner:_ port -> (port, 0));
+    select =
+      (fun known s ->
+        match Bits.Bit_tbl.find_opt known s with
+        | Some v -> take v
+        | None -> (
+          match s with
+          | Bits.C0 -> take false
+          | Bits.C1 -> take true
+          | Bits.Cx | Bits.Of_wire _ -> Keep));
+    replace = Circuit.replace_cell c;
+    stop = (fun () -> false);
+  }
 
 (* Iterate to fixpoint (with expression folding in between, the caller's
    flow takes care of interleaving opt_expr / opt_clean). *)
@@ -200,14 +244,14 @@ let m_changes = Obs.Metrics.counter "opt_muxtree.changes"
 
 let run (c : Circuit.t) : int =
   Obs.Trace.with_span "opt_muxtree.run" @@ fun () ->
-  let total = ref 0 in
-  let rec fix iter =
-    if iter < 16 then begin
-      let elim, consts = run_once c in
-      total := !total + elim + consts;
-      if elim + consts > 0 then fix (iter + 1)
-    end
+  let r = identical_signal c in
+  let rec fix iter total =
+    if iter >= 16 then total
+    else
+      let n = walk r c (Index.build c) in
+      let changes = n.bypassed + n.folded + n.dead in
+      if changes > 0 then fix (iter + 1) (total + changes) else total
   in
-  fix 0;
-  Obs.Metrics.add m_changes !total;
-  !total
+  let total = fix 0 0 in
+  Obs.Metrics.add m_changes total;
+  total

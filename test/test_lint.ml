@@ -696,7 +696,7 @@ let test_invariant_clean_flow () =
   let c = Hdl.Elaborate.elaborate_string small_module in
   let t = Lint.Invariant.create c in
   ignore
-    (Rtl_opt.Flow.baseline
+    (Smartly.Driver.yosys
        ~after_pass:(fun name circuit -> Lint.Invariant.after_pass t name circuit)
        c);
   check_bool "ok" true (Lint.Invariant.ok t);
@@ -791,7 +791,7 @@ let test_invariant_through_real_flow () =
     end;
     Lint.Invariant.after_pass t name circuit
   in
-  ignore (Rtl_opt.Flow.baseline ~after_pass:hook c);
+  ignore (Smartly.Driver.yosys ~after_pass:hook c);
   match Lint.Invariant.failure t with
   | None -> Alcotest.fail "expected a failure"
   | Some f ->

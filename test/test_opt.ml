@@ -1,6 +1,7 @@
-(* Tests for the baseline passes: opt_expr, opt_merge, opt_muxtree,
-   opt_clean, and the combined flow.  Every transformation is checked for
-   functional equivalence via CEC. *)
+(* Tests for the baseline passes: opt_expr, opt_merge, opt_muxtree (and
+   the muxtree walk it shares with sat_elim), opt_clean, and the combined
+   flow.  Every transformation is checked for functional equivalence via
+   CEC. *)
 
 open Netlist
 
@@ -20,7 +21,7 @@ let preserved name f =
   Alcotest.test_case name `Quick (fun () ->
       let c = f () in
       let orig = Circuit.copy c in
-      ignore (Rtl_opt.Flow.baseline c);
+      ignore (Smartly.Driver.yosys c);
       check_bool "well-formed" true (Validate.is_well_formed c);
       check_bool "equivalent" true (Equiv.is_equivalent orig c))
 
@@ -137,7 +138,7 @@ let fig1_circuit () =
 let test_muxtree_fig1 () =
   let c = fig1_circuit () in
   let orig = Circuit.copy c in
-  ignore (Rtl_opt.Flow.baseline c);
+  ignore (Smartly.Driver.yosys c);
   let st = Stats.of_circuit c in
   check_int "one mux left" 1 st.Stats.muxes;
   check_bool "equiv" true (Equiv.is_equivalent orig c)
@@ -190,7 +191,7 @@ let test_muxtree_shared_child_untouched () =
   expose c "Y1" o1;
   expose c "Y2" o2;
   let orig = Circuit.copy c in
-  ignore (Rtl_opt.Flow.baseline c);
+  ignore (Smartly.Driver.yosys c);
   check_bool "equiv" true (Equiv.is_equivalent orig c)
 
 (* pmux: default branch known selects-all-zero *)
@@ -213,10 +214,59 @@ let test_muxtree_pmux () =
   in
   expose c "Y" p;
   let orig = Circuit.copy c in
-  ignore (Rtl_opt.Flow.baseline c);
+  ignore (Smartly.Driver.yosys c);
   let st = Stats.of_circuit c in
   check_bool "inner mux eliminated" true (st.Stats.muxes = 0);
   check_bool "equiv" true (Equiv.is_equivalent orig c)
+
+(* A 14-part pmux whose part 13 is a dedicated child mux selected by s_0.
+   Part 13 is taken only with s_0 = 0, so the child always passes X; only
+   a walk that assumes all 13 earlier selects 0 sees it (paper Fig. 1). *)
+let pmux14_circuit () =
+  let c = Circuit.create "pmux14" in
+  let s = Circuit.sig_of_wire (Circuit.add_input c "S" ~width:14) in
+  let d = Circuit.sig_of_wire (Circuit.add_input c "D" ~width:13) in
+  let x = Circuit.sig_of_wire (Circuit.add_input c "X" ~width:1) in
+  let z = Circuit.sig_of_wire (Circuit.add_input c "Z" ~width:1) in
+  let a = Circuit.sig_of_wire (Circuit.add_input c "A" ~width:1) in
+  let child = Circuit.mk_mux c ~a:x ~b:z ~s:s.(0) in
+  expose c "Y" (Circuit.mk_pmux c ~a ~b:(Bits.concat [ d; child ]) ~s);
+  (c, x.(0))
+
+let part13 c =
+  let found = ref None in
+  Circuit.iter_cells
+    (fun _ cell ->
+      match cell with
+      | Cell.Pmux { b; _ } -> found := Some b.(13)
+      | Cell.Mux _ | Cell.Unary _ | Cell.Binary _ | Cell.Dff _ -> ())
+    c;
+  Option.get !found
+
+let test_muxtree_pmux_part_facts () =
+  let c, x = pmux14_circuit () in
+  let orig = Circuit.copy c in
+  ignore (Rtl_opt.Opt_muxtree.run c);
+  check_bool "every earlier select 0: child bypassed onto X" true
+    (Bits.bit_equal (part13 c) x);
+  check_bool "equiv" true (Equiv.is_equivalent orig c);
+  let c, x = pmux14_circuit () in
+  let n =
+    Rtl_opt.Opt_muxtree.walk
+      {
+        (Rtl_opt.Opt_muxtree.identical_signal c) with
+        Rtl_opt.Opt_muxtree.window = 12;
+      }
+      c (Index.build c)
+  in
+  check_int "window 12 misses s_0: nothing bypassed" 0
+    n.Rtl_opt.Opt_muxtree.bypassed;
+  check_bool "child kept" false (Bits.bit_equal (part13 c) x);
+  (* sat_elim walks with that window, so it keeps the child too *)
+  let c, x = pmux14_circuit () in
+  let r = Smartly.Sat_elim.run Smartly.Config.default c in
+  check_int "sat_elim bypasses nothing" 0 r.Smartly.Sat_elim.muxes_bypassed;
+  check_bool "sat_elim keeps the child" false (Bits.bit_equal (part13 c) x)
 
 (* --- property: baseline flow preserves semantics on generated RTL --- *)
 
@@ -243,7 +293,7 @@ let prop_baseline_preserves =
       in
       let c = Workloads.Profiles.circuit p in
       let orig = Circuit.copy c in
-      ignore (Rtl_opt.Flow.baseline c);
+      ignore (Smartly.Driver.yosys c);
       Validate.is_well_formed c && Equiv.is_equivalent orig c)
 
 let () =
@@ -269,6 +319,8 @@ let () =
           Alcotest.test_case "fig2 data port" `Quick test_muxtree_fig2;
           Alcotest.test_case "shared child" `Quick test_muxtree_shared_child_untouched;
           Alcotest.test_case "pmux default" `Quick test_muxtree_pmux;
+          Alcotest.test_case "pmux part facts" `Quick
+            test_muxtree_pmux_part_facts;
         ] );
       ( "flow",
         [

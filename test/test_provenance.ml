@@ -146,11 +146,13 @@ let prop_codec_roundtrip =
 
 let cells_removed_counter = Obs.Metrics.counter "flow.cells_removed"
 
-let test_mux_chain_identity () =
+let iterations_counter = Obs.Metrics.counter "driver.iterations"
+
+let removal_identity flow =
   Obs.Metrics.reset ();
   Smartly.Engine.Sat_log.reset ();
   let c = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
-  let s = with_sink (fun () -> ignore (Smartly.Driver.smartly c)) in
+  let s = with_sink (fun () -> flow c) in
   let evs = Obs.Provenance.events s in
   let removed_events =
     List.length
@@ -172,6 +174,47 @@ let test_mux_chain_identity () =
       0 rows
   in
   check_int "explain table total" removed_counter table_total
+
+(* both flows: the Yosys one through the driver's shared pass loop, which
+   counts its iterations *)
+let test_mux_chain_identity () =
+  removal_identity (fun c -> ignore (Smartly.Driver.smartly c));
+  removal_identity (fun c ->
+      let r = Smartly.Driver.yosys c in
+      check_int "yosys iterations counted by the driver loop"
+        r.Smartly.Driver.iterations
+        (Obs.Metrics.value iterations_counter))
+
+(* --- what the Yosys walk counts as a constant --- *)
+
+(* Y = S ? {child, S} : {Z, Z} with child = S ? 1 : X.  Under S = 1
+   opt_muxtree bypasses the child, landing on its literal 1, and resolves
+   the S bit by the path fact: one bypass and one constant.  The literal
+   is the bypass's doing, not a fold, so it has no Const_resolved of its
+   own. *)
+let test_bypass_onto_constant () =
+  let open Netlist in
+  let c = Circuit.create "bypass_const" in
+  let s = Circuit.bit_of_wire (Circuit.add_input c "S" ~width:1) in
+  let x = Circuit.bit_of_wire (Circuit.add_input c "X" ~width:1) in
+  let z = Circuit.bit_of_wire (Circuit.add_input c "Z" ~width:1) in
+  let child = Circuit.mk_mux c ~a:[| x |] ~b:[| Bits.C1 |] ~s in
+  let y = Circuit.add_output c "Y" ~width:2 in
+  let root =
+    Circuit.add_cell c
+      (Cell.Mux
+         { a = [| z; z |]; b = [| child.(0); s |]; s; y = Circuit.sig_of_wire y })
+  in
+  let sink = with_sink (fun () -> ignore (Rtl_opt.Opt_muxtree.run c)) in
+  let of_kind k =
+    List.filter
+      (fun (e : Obs.Provenance.event) -> e.Obs.Provenance.kind = k)
+      (Obs.Provenance.events sink)
+  in
+  check_int "one bypass" 1 (List.length (of_kind Obs.Provenance.Mux_bypassed));
+  match of_kind Obs.Provenance.Const_resolved with
+  | [ e ] -> check_int "the S bit, on the root" root e.Obs.Provenance.cell
+  | l -> Alcotest.failf "%d Const_resolved events, not 1" (List.length l)
 
 (* --- which rule a real fold reports --- *)
 
@@ -294,6 +337,8 @@ let () =
           Alcotest.test_case "no sink" `Quick test_no_sink;
           Alcotest.test_case "fold rule attribution" `Quick
             test_fold_rule_attribution;
+          Alcotest.test_case "bypass onto a constant" `Quick
+            test_bypass_onto_constant;
         ] );
       ( "sat_log",
         [

@@ -406,7 +406,7 @@ let test_sat_elim_fig3 () =
 
 let test_sat_elim_baseline_cannot () =
   let c = fig3_circuit () in
-  ignore (Rtl_opt.Flow.baseline c);
+  ignore (Smartly.Driver.yosys c);
   let st = Stats.of_circuit c in
   check_int "yosys keeps both muxes" 2 st.Stats.muxes
 
