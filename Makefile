@@ -58,10 +58,10 @@ bench-baselines: build
 
 # What CI runs: build, the full test suite, then an end-to-end smoke of
 # the observability surface — optimize the fast mux_chain profile with
-# a Chrome trace, a JSON stats report, and a provenance log; aggregate
+# a Chrome trace, the JSON run report, and a provenance log; aggregate
 # the log with `explain`; and fail unless every artifact parses
 # (validate-json is the CLI's own strict parser, so no external tooling
-# is needed).  A second run on riscv — the smallest profile whose
+# is needed) and the report is the v2 run report with a metrics object.  A second run on riscv — the smallest profile whose
 # ladder reaches SAT — dumps its hardest queries and replays each one,
 # failing on any verdict mismatch.  The replay loop is guarded because
 # a profile resolved entirely by simulation dumps zero queries.
@@ -78,7 +78,7 @@ bench-baselines: build
 # through the same driver loop as smaRTLy's, is also checked end to end
 # with --check.  A serve smoke follows: a 5-line JSONL batch (two identical jobs, a job on a
 # latch-inferring source, a riscv job, one shutdown) through the stdio
-# daemon, with the per-job smartly-report-v1 stream kept as an artifact
+# daemon, with the per-job smartly-job-v1 stream kept as an artifact
 # and parse-validated; the latch job must answer an error line and the
 # riscv job after it must still answer ok.
 # Finally
@@ -88,7 +88,10 @@ bench-baselines: build
 # the ledger it left, with the JSON form surviving validate-json.  Its
 # provenance line must count a non-zero number of events, read from the
 # ledger's events.jsonl, and the run directory must hold no separate
-# provenance.jsonl: provenance lives in the event stream.  The
+# provenance.jsonl or stats.json: provenance and the report live in the
+# event stream.  `report --json` must be the same v2 run report, with a
+# metrics object, and `explain` must attribute the run from its ledger
+# down to a total row.  The
 # bench harness must refuse an unknown section name with exit 2 before
 # running anything: a misspelt section in a bench-check leg would
 # otherwise leave nothing to compare and pass the gate silently.  A
@@ -98,7 +101,10 @@ bench-baselines: build
 # name must exit 2 as well, and so must `generate` of an unknown
 # profile and `opt` on a latch-inferring source (a case with no default
 # in always @*), naming its combinational cycle; `analyze` on that
-# source must name the cycle the same way and exit 2.  `cec` must exit
+# source must name the cycle the same way and exit 2.  A directory where
+# a file is expected must be a located error too, naming the path:
+# exit 1 from `explain` (a run directory without events.jsonl),
+# `replay` and `validate-json`, exit 2 from `lint` and `bench-diff`.  `cec` must exit
 # 1 on two different designs and 0 on a design against itself: a verdict other than `equivalent`
 # fails the command, and with it the budget-starved `--check` run.
 ci: build
@@ -121,6 +127,17 @@ ci: build
 	dune exec bin/smartly_cli.exe -- generate nosuch_profile 2>/dev/null; \
 	  status=$$?; [ "$$status" -eq 2 ] || { \
 	  echo "ci: generate of an unknown profile gave exit $$status"; exit 1; }
+	dir=$$(mktemp -d); \
+	for cmd in "explain 1" "replay 1" "validate-json 1" "lint 2" \
+	    "bench-diff 2"; do \
+	  set -- $$cmd; args="$$dir"; \
+	  [ "$$1" = bench-diff ] && args="$$dir $$dir"; \
+	  dune exec bin/smartly_cli.exe -- $$1 $$args 2> /tmp/smartly_dir.err; \
+	  status=$$?; [ "$$status" -eq "$$2" ] \
+	  && grep -qF "$$dir" /tmp/smartly_dir.err \
+	  || { echo "ci: $$1 on a directory gave exit $$status:"; \
+	  cat /tmp/smartly_dir.err; rmdir "$$dir"; exit 1; }; \
+	done; rmdir "$$dir"
 	printf 'module latch(input [1:0] s, input a, input b, output reg y);\nalways @* case (s) 0: y = a; 1: y = b; endcase\nendmodule\n' \
 	  > /tmp/smartly_latch.v
 	dune exec bin/smartly_cli.exe -- opt /tmp/smartly_latch.v --no-ledger \
@@ -181,6 +198,10 @@ ci: build
 	dune exec bin/smartly_cli.exe -- explain /tmp/smartly_prov.jsonl
 	dune exec bin/smartly_cli.exe -- validate-json \
 	  /tmp/smartly_stats.json /tmp/smartly_trace.json /tmp/smartly_prov.jsonl
+	grep -q '"schema": "smartly-report-v2"' /tmp/smartly_stats.json \
+	  && grep -q '"metrics": {' /tmp/smartly_stats.json \
+	  || { echo "ci: opt --json is not the v2 run report with metrics"; \
+	  exit 1; }
 	rm -rf /tmp/smartly_satq
 	dune exec bin/smartly_cli.exe -- opt riscv --flow smartly \
 	  --sat-dump /tmp/smartly_satq
@@ -199,9 +220,19 @@ ci: build
 	  || { echo "ci: report shows no provenance from events.jsonl"; exit 1; }; } && \
 	{ [ ! -e "$$run/provenance.jsonl" ] \
 	  || { echo "ci: ledger wrote a provenance.jsonl"; exit 1; }; } && \
+	{ [ ! -e "$$run/stats.json" ] \
+	  || { echo "ci: ledger wrote a stats.json"; exit 1; }; } && \
 	dune exec bin/smartly_cli.exe -- report "$$run" --json \
 	  > /tmp/smartly_report.json && \
-	dune exec bin/smartly_cli.exe -- validate-json /tmp/smartly_report.json
+	dune exec bin/smartly_cli.exe -- validate-json /tmp/smartly_report.json && \
+	{ grep -q '"schema": "smartly-report-v2"' /tmp/smartly_report.json \
+	  && grep -q '"metrics": {' /tmp/smartly_report.json \
+	  || { echo "ci: report --json is not the v2 run report with metrics"; \
+	  exit 1; }; } && \
+	dune exec bin/smartly_cli.exe -- explain "$$run" \
+	  > /tmp/smartly_explain_run.txt && cat /tmp/smartly_explain_run.txt && \
+	{ grep -Eq '^\| +total \|' /tmp/smartly_explain_run.txt \
+	  || { echo "ci: explain of the run printed no total row"; exit 1; }; }
 
 clean:
 	dune clean

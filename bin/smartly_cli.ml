@@ -5,36 +5,45 @@
    smartly stats SRC [--json]             netlist statistics and AIG area
    smartly opt SRC [--flow FLOW] [...]    optimize and report
    smartly cec A B                        combinational equivalence check
-   smartly explain FILE.jsonl             area-attribution from a provenance log
+   smartly explain LOG|RUN                area-attribution from a provenance log
+                                          or a run ledger
    smartly replay FILE.cnf...             re-run captured SAT queries
    smartly validate-json FILE...          check files parse as JSON (.jsonl per line)
    smartly lint SRC... [--json] [--werror] [--waive RULES]
                                           static analysis: AST rules + netlist rules;
                                           --list-rules prints the registry
+   smartly report RUN [--json]            render a run ledger
    smartly serve [--socket PATH]          batch daemon: JSONL jobs in, one
-                                          smartly-report-v1 per job out, warm
+                                          smartly-job-v1 per job out, warm
                                           cross-job replay store
 
    SRC is either a built-in profile name or a path to a Verilog file in the
    supported subset.
 
-   Observability: [opt --trace FILE] writes a Chrome trace_event JSON of
-   the run (open in chrome://tracing or Perfetto); [opt --json] prints a
-   machine-readable stats report (per-pass wall time, SAT query/conflict
-   totals, area before/after) to stdout, moving the human summary to
-   stderr; [opt --provenance FILE] writes one JSONL event per netlist
-   mutation, which [smartly explain] aggregates into a per-mechanism
-   area-attribution table; [opt --sat-dump DIR] writes the hardest SAT
-   queries as self-contained DIMACS files for [smartly replay]. *)
+   Observability: [opt] records the run's event stream once and renders
+   everything from it.  [opt --trace FILE] writes a Chrome trace_event
+   JSON of the run (open in chrome://tracing or Perfetto); [opt --json]
+   prints the run report (smartly-report-v2: area, per-pass and per-span
+   wall time, SAT log, metrics, provenance summary) to stdout, moving the
+   human summary to stderr, and [smartly report] prints the same document
+   from a run's ledger; [opt --provenance FILE] writes one JSONL event
+   per netlist mutation, which [smartly explain] aggregates into a
+   per-mechanism area-attribution table, as it does a ledger's event
+   stream; [opt --sat-dump DIR] writes the hardest SAT queries as
+   self-contained DIMACS files for [smartly replay]. *)
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* Every file a command reads goes through here: a path that cannot be
+   read (missing, a directory, unreadable) is one "PATH: MSG" line. *)
+let read_file path : (string, string) result =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Ok s
+  | exception Sys_error msg ->
+    (* open errors name the path already; read errors do not *)
+    Error
+      (if String.starts_with ~prefix:path msg then msg
+       else Printf.sprintf "%s: %s" path msg)
 
 (* A source that does not load is one message, located as lint locates
    frontend errors: "SRC:LINE:COL: parse error: MSG". *)
@@ -50,13 +59,9 @@ let try_load_circuit ~style src : (Netlist.Circuit.t, string) result =
   | None when not (Sys.file_exists src) ->
     Error (Printf.sprintf "%s: neither a profile name nor an existing file" src)
   | None -> (
-    match Hdl.Elaborate.elaborate_string ~style (read_file src) with
+    Result.bind (read_file src) @@ fun text ->
+    match Hdl.Elaborate.elaborate_string ~style text with
     | c -> Ok c
-    | exception Sys_error msg ->
-      (* open errors name the path already; read errors do not *)
-      Error
-        (if String.starts_with ~prefix:src msg then msg
-         else Printf.sprintf "%s: %s" src msg)
     | exception Hdl.Lexer.Lex_error (msg, pos) ->
       located "lex error" msg (Some (Hdl.Loc.of_pos pos))
     | exception Hdl.Parser.Parse_error (msg, pos) ->
@@ -486,40 +491,10 @@ let iterations_of = function
   | O_yosys r -> r.Smartly.Driver.iterations
   | O_smartly r -> r.Smartly.Driver.iterations
 
-(* Per-span-name wall-time totals from the recorded trace.  Durations are
-   inclusive (a driver.iteration span contains its passes). *)
-let span_totals (sink : Obs.Trace.sink) : (string * int * float) list =
-  let tbl : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Obs.Trace.event) ->
-      let calls, tot =
-        Option.value (Hashtbl.find_opt tbl e.Obs.Trace.name) ~default:(0, 0.0)
-      in
-      Hashtbl.replace tbl e.Obs.Trace.name
-        (calls + 1, tot +. e.Obs.Trace.dur_us))
-    (Obs.Trace.events sink);
-  Hashtbl.fold (fun name (calls, tot) acc -> (name, calls, tot) :: acc) tbl []
-  |> List.sort compare
-
-let m_flow_cells_removed = Obs.Metrics.counter "flow.cells_removed"
-
-(* p50/p90/max of a named histogram, [Null] when it has no observations. *)
-let histogram_percentiles_json name : Obs.Json.t =
-  let st = Obs.Metrics.histogram_stats (Obs.Metrics.histogram name) in
-  if st.Obs.Metrics.count = 0 then Obs.Json.Null
-  else
-    Obs.Json.Obj
-      [
-        "count", Obs.Json.num_of_int st.Obs.Metrics.count;
-        "p50", Obs.Json.Num st.Obs.Metrics.p50;
-        "p90", Obs.Json.Num st.Obs.Metrics.p90;
-        "max", Obs.Json.Num st.Obs.Metrics.max_v;
-      ]
-
 let counter_value name = Obs.Metrics.value (Obs.Metrics.counter name)
 
 (* The sat-session counters as one JSON object — the [session] section of
-   the --json report and of bench per-case output. *)
+   the run report. *)
 let session_json () : Obs.Json.t =
   let open Obs.Json in
   Obj
@@ -532,76 +507,6 @@ let session_json () : Obs.Json.t =
 let overruns_of = function
   | O_none | O_yosys _ -> []
   | O_smartly r -> r.Smartly.Driver.overruns
-
-let stats_report_json ~src ~flow ~area0 ~area1 ~dt ~outcome ~sink ~psink :
-    Obs.Json.t =
-  let open Obs.Json in
-  let passes =
-    match sink with
-    | None -> []
-    | Some s ->
-      List.map
-        (fun (name, calls, total_us) ->
-          Obj
-            [
-              "name", Str name;
-              "calls", num_of_int calls;
-              "seconds", Num (total_us /. 1e6);
-            ])
-        (span_totals s)
-  in
-  Obj
-    [
-      "schema", Str "smartly-stats-v1";
-      "source", Str src;
-      "flow", Str (flow_name flow);
-      "area_before", num_of_int area0;
-      "area_after", num_of_int area1;
-      ( "reduction_pct",
-        Num
-          (if area0 = 0 then 0.0
-           else 100.0 *. (1.0 -. (float_of_int area1 /. float_of_int area0)))
-      );
-      "wall_seconds", Num dt;
-      "iterations", num_of_int (iterations_of outcome);
-      (* the engine's totals over the run, read from the registry [opt]
-         resets before it *)
-      ( "sat",
-        Obj
-          (List.map
-             (fun (key, name) -> key, num_of_int (counter_value name))
-             [
-               "queries", "engine.sat_queries";
-               "conflicts", "engine.sat_conflicts";
-               "decisions", "engine.sat_decisions";
-               "propagations", "engine.sat_propagations";
-               "rule_hits", "engine.rule_hits";
-               "sim_queries", "engine.sim_queries";
-               "forgone", "engine.forgone";
-               "subgraph_kept", "subgraph.kept";
-             ]) );
-      "session", session_json ();
-      ( "budget",
-        List
-          (List.map Smartly.Budget.overrun_to_json (overruns_of outcome)) );
-      "cells_removed", num_of_int (Obs.Metrics.value m_flow_cells_removed);
-      ( "sat_percentiles",
-        Obj
-          [
-            ( "conflicts_per_query",
-              histogram_percentiles_json "engine.conflicts_per_query" );
-            ( "query_seconds",
-              histogram_percentiles_json "engine.sat_query_seconds" );
-            "subgraph_cells", histogram_percentiles_json "engine.subgraph_cells";
-          ] );
-      ( "provenance_summary",
-        match psink with
-        | Some s -> Obs.Provenance.summary_json (Obs.Provenance.events s)
-        | None -> Null );
-      "sat_queries", Smartly.Engine.Sat_log.to_json ();
-      "passes", List passes;
-      "metrics", Obs.Metrics.to_json ();
-    ]
 
 let check_invariants_arg =
   Arg.(
@@ -685,26 +590,12 @@ let opt_cmd =
              Obs.Ledger.finish ~status:"interrupted" l;
              exit 130))
     | None -> ());
-    (* spans feed the --trace file, the per-pass times of the --json
-       report, and the ledger's trace.json; with none of those the sink
-       stays uninstalled and tracing costs nothing *)
-    let sink =
-      if trace <> None || json || ledger <> None then begin
-        let s = Obs.Trace.make_sink () in
-        Obs.Trace.install s;
-        Some s
-      end
-      else None
-    in
-    (* the provenance sink feeds the --provenance JSONL file and the
-       provenance_summary section of --json and of the ledger's
-       stats.json *)
-    let psink =
-      if provenance <> None || json || ledger <> None then begin
-        let s = Obs.Provenance.make_sink () in
-        Obs.Provenance.install s;
-        Some s
-      end
+    (* the run's stream, recorded once, feeds the --trace file, the
+       --provenance log, the --json report and the ledger's trace.json;
+       with none of those nothing is recorded and tracing costs nothing *)
+    let recording =
+      if trace <> None || provenance <> None || json || ledger <> None then
+        Some (Obs.Event.record ~name:"opt" ())
       else None
     in
     let area0 = Aiger.Aigmap.aig_area c in
@@ -735,6 +626,9 @@ let opt_cmd =
     in
     let dt = Obs.Clock.now () -. t0 in
     let area1 = Aiger.Aigmap.aig_area c in
+    (* inside the run, so the live report and the ledger's both hold the
+       check's spans *)
+    let verdict = if check then Some (Equiv.check orig c) else None in
     let overruns = overruns_of outcome in
     Obs.Event.emit ~name:src
       ~data:
@@ -745,29 +639,38 @@ let opt_cmd =
              "wall_seconds", Obs.Json.Num dt;
              "session", session_json ();
              "overruns", Obs.Json.num_of_int (List.length overruns);
+             "sat_log", Smartly.Engine.Sat_log.to_json ();
+             "metrics", Obs.Metrics.to_json ();
            ])
       Obs.Event.Run_end;
-    Obs.Trace.uninstall ();
-    Obs.Provenance.uninstall ();
+    let events =
+      match recording with
+      | Some (sub, recorded) ->
+        Obs.Event.unsubscribe sub;
+        recorded ()
+      | None -> []
+    in
+    let spans = lazy (Obs.Trace.of_events events) in
     (* a bad trace path must not lose the run's report: write after the
        flow, catch the failure, and exit nonzero only at the end *)
     let trace_error = ref None in
-    (match trace, sink with
-    | Some path, Some s -> (
+    (match trace with
+    | Some path -> (
       try
-        Obs.Trace.write_chrome_json ~path s;
+        Obs.Trace.write_chrome_json ~path (Lazy.force spans);
         Printf.eprintf "trace: wrote %s (%d spans)\n%!" path
-          (Obs.Trace.event_count s)
+          (List.length (Lazy.force spans))
       with Sys_error msg -> trace_error := Some msg)
-    | _ -> ());
-    (match provenance, psink with
-    | Some path, Some s -> (
+    | None -> ());
+    (match provenance with
+    | Some path -> (
       try
-        Obs.Provenance.write_jsonl ~path s;
+        let prov = Obs.Provenance.of_events events in
+        Obs.Provenance.write_jsonl ~path prov;
         Printf.eprintf "provenance: wrote %s (%d events)\n%!" path
-          (Obs.Provenance.count s)
+          (List.length prov)
       with Sys_error msg -> trace_error := Some msg)
-    | _ -> ());
+    | None -> ());
     (match sat_dump with
     | Some dir -> (
       try
@@ -801,16 +704,14 @@ let opt_cmd =
       overruns;
     if json then
       print_endline
-        (Obs.Json.to_string ~pretty:true
-           (stats_report_json ~src ~flow ~area0 ~area1 ~dt ~outcome ~sink
-              ~psink));
+        (Obs.Json.to_string ~pretty:true (Obs.Run_report.of_events events));
     (* only a proven equivalence passes: inconclusive proves nothing *)
     let not_equivalent =
-      check
-      &&
-      let verdict = Equiv.check orig c in
-      Fmt.pf human "equivalence: %a@." Equiv.pp_verdict verdict;
-      verdict <> Equiv.Equivalent
+      match verdict with
+      | None -> false
+      | Some v ->
+        Fmt.pf human "equivalence: %a@." Equiv.pp_verdict v;
+        v <> Equiv.Equivalent
     in
     let invariant_failed = ref false in
     (match invariants with
@@ -829,17 +730,8 @@ let opt_cmd =
     | None -> ()
     | Some l ->
       (try
-         (match sink with
-         | Some s ->
-           Obs.Trace.write_chrome_json ~path:(Obs.Ledger.path l "trace.json") s
-         | None -> ());
-         let oc = open_out (Obs.Ledger.path l "stats.json") in
-         output_string oc
-           (Obs.Json.to_string ~pretty:true
-              (stats_report_json ~src ~flow ~area0 ~area1 ~dt ~outcome ~sink
-                 ~psink));
-         output_char oc '\n';
-         close_out oc;
+         Obs.Trace.write_chrome_json ~path:(Obs.Ledger.path l "trace.json")
+           (Lazy.force spans);
          if Smartly.Engine.Sat_log.hardest () <> [] then begin
            let dir = Obs.Ledger.path l "sat" in
            if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -935,76 +827,108 @@ let cec_cmd =
           they are proven equivalent.")
     Term.(const run $ src_arg $ src2_arg $ style_arg)
 
+(* A run named on the command line: a run directory, or a run id under
+   the ledger root. *)
+let run_dir ~root target =
+  if Sys.file_exists target then
+    if Sys.is_directory target then Some target else None
+  else
+    let d = Filename.concat root target in
+    if Sys.file_exists d && Sys.is_directory d then Some d else None
+
 let explain_cmd =
-  let file_arg =
+  let target_arg =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FILE"
-          ~doc:"Provenance JSONL file written by $(b,opt --provenance).")
+      & info [] ~docv:"LOG|RUN"
+          ~doc:
+            "Provenance JSONL file written by $(b,opt --provenance), or a \
+             run: its ledger directory, or its run id under \
+             $(b,--ledger-root).")
   in
-  let run file json =
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf "%s: no such file\n" file;
+  let run target root json =
+    let fail msg =
+      prerr_endline msg;
       exit 1
-    end;
-    match Obs.Provenance.parse_jsonl (read_file file) with
-    | Error msg ->
-      Printf.eprintf "%s: %s\n" file msg;
-      exit 1
-    | Ok evs ->
-      if json then
-        print_endline
-          (Obs.Json.to_string ~pretty:true (Obs.Provenance.summary_json evs))
-      else begin
-        let open Obs.Provenance in
-        let rows = attribute evs in
-        let cols =
-          Report.Table.
-            [
-              column "mechanism";
-              column ~align:Right "cells";
-              column ~align:Right "muxes";
-              column ~align:Right "consts";
-              column ~align:Right "trees";
-              column ~align:Right "dead";
-              column ~align:Right "area_saved";
-            ]
-        in
-        let row_of (a : attribution) =
+    in
+    let evs =
+      match run_dir ~root target with
+      | None -> (
+        (* a provenance log, parsed strictly *)
+        match read_file target with
+        | Error msg -> fail msg
+        | Ok text -> (
+          match Obs.Provenance.parse_jsonl text with
+          | Ok evs -> evs
+          | Error msg -> fail (Printf.sprintf "%s: %s" target msg)))
+      | Some dir -> (
+        (* a run: the provenance events of its ledger's stream *)
+        let path = Filename.concat dir "events.jsonl" in
+        match read_file path with
+        | Error msg -> fail msg
+        | Ok text ->
+          let evs, torn = Obs.Event.parse_jsonl_partial text in
+          Option.iter
+            (Printf.eprintf
+               "%s: torn tail at byte %d; explaining the events before it\n%!"
+               path)
+            torn;
+          Obs.Provenance.of_events evs)
+    in
+    if json then
+      print_endline
+        (Obs.Json.to_string ~pretty:true (Obs.Provenance.summary_json evs))
+    else begin
+      let open Obs.Provenance in
+      let rows = attribute evs in
+      let cols =
+        Report.Table.
           [
-            a.mech;
-            Report.Table.int_ a.cells_removed;
-            Report.Table.int_ a.muxes_bypassed;
-            Report.Table.int_ a.consts_resolved;
-            Report.Table.int_ a.trees_rebuilt;
-            Report.Table.int_ a.dead_branches;
-            Report.Table.int_ a.area_saved;
+            column "mechanism";
+            column ~align:Right "cells";
+            column ~align:Right "muxes";
+            column ~align:Right "consts";
+            column ~align:Right "trees";
+            column ~align:Right "dead";
+            column ~align:Right "area_saved";
           ]
-        in
-        let tot f = List.fold_left (fun acc a -> acc + f a) 0 rows in
-        let total_row =
-          [
-            "total";
-            Report.Table.int_ (tot (fun a -> a.cells_removed));
-            Report.Table.int_ (tot (fun a -> a.muxes_bypassed));
-            Report.Table.int_ (tot (fun a -> a.consts_resolved));
-            Report.Table.int_ (tot (fun a -> a.trees_rebuilt));
-            Report.Table.int_ (tot (fun a -> a.dead_branches));
-            Report.Table.int_ (tot (fun a -> a.area_saved));
-          ]
-        in
-        Printf.printf "%d events\n" (List.length evs);
-        Report.Table.print ~columns:cols
-          ~rows:(List.map row_of rows @ [ total_row ])
-      end
+      in
+      let row_of (a : attribution) =
+        [
+          a.mech;
+          Report.Table.int_ a.cells_removed;
+          Report.Table.int_ a.muxes_bypassed;
+          Report.Table.int_ a.consts_resolved;
+          Report.Table.int_ a.trees_rebuilt;
+          Report.Table.int_ a.dead_branches;
+          Report.Table.int_ a.area_saved;
+        ]
+      in
+      let tot f = List.fold_left (fun acc a -> acc + f a) 0 rows in
+      let total_row =
+        [
+          "total";
+          Report.Table.int_ (tot (fun a -> a.cells_removed));
+          Report.Table.int_ (tot (fun a -> a.muxes_bypassed));
+          Report.Table.int_ (tot (fun a -> a.consts_resolved));
+          Report.Table.int_ (tot (fun a -> a.trees_rebuilt));
+          Report.Table.int_ (tot (fun a -> a.dead_branches));
+          Report.Table.int_ (tot (fun a -> a.area_saved));
+        ]
+      in
+      Printf.printf "%d events\n" (List.length evs);
+      Report.Table.print ~columns:cols
+        ~rows:(List.map row_of rows @ [ total_row ])
+    end
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
-         "Aggregate a provenance log into a per-mechanism area-attribution \
-          table.")
-    Term.(const run $ file_arg $ json_arg)
+         "Aggregate the provenance of a run into a per-mechanism \
+          area-attribution table, from a $(b,--provenance) log or from the \
+          run's ledger.")
+    Term.(const run $ target_arg $ ledger_root_arg $ json_arg)
 
 let replay_cmd =
   let files_arg =
@@ -1031,12 +955,12 @@ let replay_cmd =
     let ok = ref true in
     List.iter
       (fun path ->
-        if not (Sys.file_exists path) then begin
-          Printf.eprintf "%s: no such file\n" path;
+        match read_file path with
+        | Error msg ->
+          prerr_endline msg;
           ok := false
-        end
-        else begin
-          let cnf, comments = Cdcl.Dimacs.parse_string_ext (read_file path) in
+        | Ok text ->
+          let cnf, comments = Cdcl.Dimacs.parse_string_ext text in
           let s = Cdcl.Solver.create () in
           for _ = 1 to cnf.Cdcl.Dimacs.num_vars do
             ignore (Cdcl.Solver.new_var s)
@@ -1062,8 +986,7 @@ let replay_cmd =
             end
           | Some _ | None ->
             Printf.printf "%s: %s (no recorded verdict) %d conflicts %s\n"
-              path got conflicts (Report.Table.secs dt)
-        end)
+              path got conflicts (Report.Table.secs dt))
       files;
     if not !ok then exit 1
   in
@@ -1142,14 +1065,16 @@ let lint_cmd =
              profile's own case-lowering style *)
           Lint.Engine.lint_source ~style:p.Workloads.Profiles.style
             (Workloads.Profiles.source p)
-        | None ->
-          if Sys.file_exists src then
-            Lint.Engine.lint_source ~style (read_file src)
-          else begin
-            Printf.eprintf
-              "lint: %s: neither a profile name nor an existing file\n" src;
-            exit 2
-          end
+        | None when not (Sys.file_exists src) ->
+          Printf.eprintf
+            "lint: %s: neither a profile name nor an existing file\n" src;
+          exit 2
+        | None -> (
+          match read_file src with
+          | Ok text -> Lint.Engine.lint_source ~style text
+          | Error msg ->
+            Printf.eprintf "lint: %s\n" msg;
+            exit 2)
       in
       let results =
         List.map
@@ -1209,13 +1134,13 @@ let validate_json_cmd =
     let ok = ref true in
     List.iter
       (fun path ->
-        if not (Sys.file_exists path) then begin
-          Printf.eprintf "%s: no such file\n" path;
+        match read_file path with
+        | Error msg ->
+          prerr_endline msg;
           ok := false
-        end
-        else if Filename.check_suffix path ".jsonl" then begin
+        | Ok text when Filename.check_suffix path ".jsonl" -> (
           (* JSONL: every non-blank line is its own JSON document *)
-          let lines = String.split_on_char '\n' (read_file path) in
+          let lines = String.split_on_char '\n' text in
           let bad = ref None in
           List.iteri
             (fun i line ->
@@ -1228,14 +1153,13 @@ let validate_json_cmd =
           | None -> Printf.printf "%s: ok\n" path
           | Some (ln, msg) ->
             Printf.eprintf "%s: invalid JSONL at line %d (%s)\n" path ln msg;
-            ok := false
-        end
-        else
-          match Obs.Json.parse (read_file path) with
+            ok := false)
+        | Ok text -> (
+          match Obs.Json.parse text with
           | Ok _ -> Printf.printf "%s: ok\n" path
           | Error msg ->
             Printf.eprintf "%s: invalid JSON (%s)\n" path msg;
-            ok := false)
+            ok := false))
       files;
     if not !ok then exit 1
   in
@@ -1288,11 +1212,16 @@ let bench_diff_cmd =
   in
   let run base_path cur_path check all scale json =
     let load path =
-      match Perf.Schema.of_string (read_file path) with
-      | Ok doc -> doc
+      match read_file path with
       | Error msg ->
-        Printf.eprintf "%s: %s\n" path msg;
+        prerr_endline msg;
         exit 2
+      | Ok text -> (
+        match Perf.Schema.of_string text with
+        | Ok doc -> doc
+        | Error msg ->
+          Printf.eprintf "%s: %s\n" path msg;
+          exit 2)
     in
     let baseline = load base_path in
     let current = load cur_path in
@@ -1332,9 +1261,10 @@ let bench_diff_cmd =
       $ json_arg)
 
 (* --- smartly report: render a run ledger, written by a process that may
-   no longer exist (or may have died mid-pass).  Everything is read
-   tolerantly: a missing file is an absent section, a torn events.jsonl
-   tail is recovered around and reported by byte offset. *)
+   no longer exist (or may have died mid-pass), as the run report that
+   [opt --json] printed for it.  Everything is read tolerantly: a missing
+   file is an absent section, a torn events.jsonl tail is recovered
+   around and reported by byte offset. *)
 
 let report_cmd =
   let target_arg =
@@ -1346,202 +1276,73 @@ let report_cmd =
   in
   let run target root json =
     let dir =
-      if Sys.file_exists target && Sys.is_directory target then target
-      else begin
-        let d = Filename.concat root target in
-        if Sys.file_exists d && Sys.is_directory d then d
-        else begin
-          Printf.eprintf "report: no run directory %s (nor %s)\n" target d;
-          exit 2
-        end
-      end
+      match run_dir ~root target with
+      | Some d -> d
+      | None ->
+        Printf.eprintf "report: no run directory %s (nor %s)\n" target
+          (Filename.concat root target);
+        exit 2
     in
-    let read_opt name =
-      let p = Filename.concat dir name in
-      if Sys.file_exists p then Some (read_file p) else None
+    let read name = Result.to_option (read_file (Filename.concat dir name)) in
+    let read_json name =
+      Option.bind (read name) (fun t -> Result.to_option (Obs.Json.parse t))
     in
-    let manifest =
-      Option.bind (read_opt "manifest.json") (fun text ->
-          match Obs.Json.parse text with Ok j -> Some j | Error _ -> None)
-    in
-    let events_text = read_opt "events.jsonl" in
-    let events, torn =
-      match events_text with
+    let manifest = read_json "manifest.json" in
+    let events, torn_at =
+      match read "events.jsonl" with
       | Some text -> Obs.Event.parse_jsonl_partial text
       | None -> [], None
     in
-    (* ordering invariant of the stream — a report over a damaged ledger
-       should say so rather than render garbage *)
-    let ordered =
-      let rec ok = function
-        | (a : Obs.Event.t) :: (b : Obs.Event.t) :: rest ->
-          a.Obs.Event.seq < b.Obs.Event.seq
-          && Int64.compare a.Obs.Event.t_ns b.Obs.Event.t_ns <= 0
-          && ok (b :: rest)
-        | _ -> true
-      in
-      ok events
+    let doc =
+      Obs.Run_report.of_events ?manifest ?flight:(read_json "flightrec.json")
+        ?torn_at events
     in
-    let find_kind k =
-      List.find_opt (fun (e : Obs.Event.t) -> e.Obs.Event.kind = k) events
-    in
-    let run_start = find_kind Obs.Event.Run_start in
-    let run_end = find_kind Obs.Event.Run_end in
-    let budget_events =
-      List.filter
-        (fun (e : Obs.Event.t) -> e.Obs.Event.kind = Obs.Event.Budget_exceeded)
-        events
-    in
-    let sat_queries =
-      List.length
-        (List.filter
-           (fun (e : Obs.Event.t) -> e.Obs.Event.kind = Obs.Event.Sat_query)
-           events)
-    in
-    (* per-pass aggregation from Pass_end events, in first-seen order *)
-    let pass_order = ref [] in
-    let pass_tbl : (string, int * float * int option) Hashtbl.t =
-      Hashtbl.create 8
-    in
-    List.iter
-      (fun (e : Obs.Event.t) ->
-        if e.Obs.Event.kind = Obs.Event.Pass_end then begin
-          let name = e.Obs.Event.name in
-          if not (Hashtbl.mem pass_tbl name) then
-            pass_order := name :: !pass_order;
-          let calls, secs, _ =
-            Option.value
-              (Hashtbl.find_opt pass_tbl name)
-              ~default:(0, 0.0, None)
-          in
-          let s =
-            Option.value
-              (Obs.Json.mem_num "seconds" e.Obs.Event.data)
-              ~default:0.0
-          in
-          Hashtbl.replace pass_tbl name
-            (calls + 1, secs +. s, Obs.Json.mem_int "cells" e.Obs.Event.data)
-        end)
-      events;
-    let passes =
-      List.rev_map
-        (fun name ->
-          let calls, secs, cells = Hashtbl.find pass_tbl name in
-          name, calls, secs, cells)
-        !pass_order
-    in
-    let provenance =
-      Option.map
-        (fun _ -> Obs.Provenance.summary_json (Obs.Provenance.of_events events))
-        events_text
-    in
-    let flight =
-      Option.bind (read_opt "flightrec.json") (fun text ->
-          match Obs.Json.parse text with Ok j -> Some j | Error _ -> None)
-    in
-    let area_before =
-      match Option.bind manifest (Obs.Json.mem_int "area_before") with
-      | Some a -> Some a
-      | None ->
-        Option.bind run_start (fun (e : Obs.Event.t) ->
-            Obs.Json.mem_int "area" e.Obs.Event.data)
-    in
-    let area_after =
-      match Option.bind manifest (Obs.Json.mem_int "area_after") with
-      | Some a -> Some a
-      | None ->
-        Option.bind run_end (fun (e : Obs.Event.t) ->
-            Obs.Json.mem_int "area" e.Obs.Event.data)
-    in
-    let session =
-      Option.bind run_end (fun (e : Obs.Event.t) ->
-          Obs.Json.member "session" e.Obs.Event.data)
-    in
-    let status =
-      Option.value
-        (Option.bind manifest (Obs.Json.mem_str "status"))
-        ~default:"unknown"
-    in
-    if json then begin
-      let open Obs.Json in
-      let opt_int = function Some i -> num_of_int i | None -> Null in
-      print_endline
-        (to_string ~pretty:true
-           (Obj
-              [
-                "schema", Str "smartly-report-v1";
-                "dir", Str dir;
-                "status", Str status;
-                "manifest", Option.value manifest ~default:Null;
-                ( "events",
-                  Obj
-                    [
-                      "count", num_of_int (List.length events);
-                      "ordered", Bool ordered;
-                      "torn_at", opt_int torn;
-                    ] );
-                ( "passes",
-                  List
-                    (List.map
-                       (fun (name, calls, secs, cells) ->
-                         Obj
-                           [
-                             "name", Str name;
-                             "calls", num_of_int calls;
-                             "seconds", Num secs;
-                             "cells", opt_int cells;
-                           ])
-                       passes) );
-                ( "area",
-                  Obj
-                    [ "before", opt_int area_before;
-                      "after", opt_int area_after ] );
-                "sat_queries", num_of_int sat_queries;
-                "session", Option.value session ~default:Null;
-                ( "budget",
-                  List
-                    (List.map
-                       (fun (e : Obs.Event.t) -> e.Obs.Event.data)
-                       budget_events) );
-                "flight", Option.value flight ~default:Null;
-                "provenance_summary", Option.value provenance ~default:Null;
-              ]))
-    end
+    if json then print_endline (Obs.Json.to_string ~pretty:true doc)
     else begin
+      let open Obs.Json in
+      let section key =
+        match member key doc with Some Null | None -> None | j -> j
+      in
+      let int_ key j = Option.value (mem_int key j) ~default:0 in
+      let str key j ~default = Option.value (mem_str key j) ~default in
+      let status = str "status" doc ~default:"unknown" in
       Printf.printf "run %s\n"
         (Option.value
-           (Option.bind manifest (Obs.Json.mem_str "run_id"))
+           (Option.bind manifest (mem_str "run_id"))
            ~default:(Filename.basename dir));
       Printf.printf "  dir:    %s\n" dir;
       Printf.printf "  status: %s%s\n" status
         (if status = "running" then " (writer gone? ledger never finished)"
          else "");
-      (match Option.bind manifest (Obs.Json.mem_list "argv") with
+      (match Option.bind manifest (mem_list "argv") with
       | Some argv ->
         Printf.printf "  argv:   %s\n"
-          (String.concat " " (List.filter_map Obs.Json.to_str argv))
+          (String.concat " " (List.filter_map to_str argv))
       | None -> ());
-      (match Option.bind manifest (Obs.Json.member "env") with
+      (match Option.bind manifest (member "env") with
       | Some env ->
         Printf.printf "  env:    host=%s ocaml=%s git=%s\n"
-          (Option.value (Obs.Json.mem_str "hostname" env) ~default:"?")
-          (Option.value (Obs.Json.mem_str "ocaml_version" env) ~default:"?")
-          (Option.value (Obs.Json.mem_str "git_rev" env) ~default:"?")
+          (str "hostname" env ~default:"?")
+          (str "ocaml_version" env ~default:"?")
+          (str "git_rev" env ~default:"?")
       | None -> ());
-      Printf.printf "  events: %d%s%s\n" (List.length events)
-        (if ordered then "" else "  [ORDERING VIOLATED]")
-        (match torn with
+      let events = Option.value (member "events" doc) ~default:Null in
+      Printf.printf "  events: %d%s%s\n" (int_ "count" events)
+        (if member "ordered" events = Some (Bool false) then
+           "  [ORDERING VIOLATED]"
+         else "")
+        (match mem_int "torn_at" events with
         | Some off -> Printf.sprintf "  (torn tail at byte %d)" off
         | None -> "");
-      (match area_before, area_after with
-      | Some a0, Some a1 ->
-        let red =
-          if a0 = 0 then 0.0
-          else 100.0 *. (1.0 -. (float_of_int a1 /. float_of_int a0))
-        in
-        Printf.printf "  area:   %d -> %d (%s)\n" a0 a1 (Report.Table.pct red)
+      (* reduction_pct is null unless both areas are known *)
+      (match mem_num "reduction_pct" doc, member "area" doc with
+      | Some red, Some area ->
+        Printf.printf "  area:   %d -> %d (%s)\n" (int_ "before" area)
+          (int_ "after" area) (Report.Table.pct red)
       | _ -> ());
-      if passes <> [] then begin
+      (match Option.value (mem_list "passes" doc) ~default:[] with
+      | [] -> ()
+      | passes ->
         let columns =
           Report.Table.
             [
@@ -1553,66 +1354,62 @@ let report_cmd =
         in
         let rows =
           List.map
-            (fun (name, calls, secs, cells) ->
+            (fun p ->
               [
-                name;
-                Report.Table.int_ calls;
-                Report.Table.secs secs;
-                (match cells with
+                str "name" p ~default:"?";
+                Report.Table.int_ (int_ "calls" p);
+                Report.Table.secs
+                  (Option.value (mem_num "seconds" p) ~default:0.0);
+                (match mem_int "cells" p with
                 | Some c -> Report.Table.int_ c
                 | None -> "-");
               ])
             passes
         in
-        Report.Table.print ~columns ~rows
-      end;
-      if sat_queries > 0 then
-        Printf.printf "  sat queries: %d\n" sat_queries;
-      (match session with
+        Report.Table.print ~columns ~rows);
+      (match int_ "sat_queries" doc with
+      | 0 -> ()
+      | n -> Printf.printf "  sat queries: %d\n" n);
+      (match section "session" with
       | Some s ->
         Printf.printf "  session: flushes=%d encodes=%d reuses=%d\n"
-          (Option.value (Obs.Json.mem_int "flushes" s) ~default:0)
-          (Option.value (Obs.Json.mem_int "cell_encodes" s) ~default:0)
-          (Option.value (Obs.Json.mem_int "cell_reuses" s) ~default:0)
+          (int_ "flushes" s) (int_ "cell_encodes" s) (int_ "cell_reuses" s)
       | None -> ());
-      (match budget_events with
+      (match Option.value (mem_list "budget" doc) ~default:[] with
       | [] -> Printf.printf "  budget: no overruns\n"
-      | evs ->
+      | overruns ->
         List.iter
-          (fun (e : Obs.Event.t) ->
-            let d = e.Obs.Event.data in
+          (fun o ->
             Printf.printf
               "  budget: pass %s exceeded (%.1f ms elapsed%s, %d truncated)\n"
-              e.Obs.Event.name
-              (Option.value (Obs.Json.mem_num "elapsed_ms" d) ~default:0.0)
-              (match Obs.Json.mem_int "budget_ms" d with
+              (str "pass" o ~default:"?")
+              (Option.value (mem_num "elapsed_ms" o) ~default:0.0)
+              (match mem_int "budget_ms" o with
               | Some ms -> Printf.sprintf " of %d ms" ms
               | None -> "")
-              (Option.value (Obs.Json.mem_int "truncated" d) ~default:0))
-          evs);
-      (match flight with
+              (int_ "truncated" o))
+          overruns);
+      (match section "flight" with
       | Some f ->
         Printf.printf
           "  flight recorder: reason=%s, in-flight pass=%s, %d of %d events \
            retained\n"
-          (Option.value (Obs.Json.mem_str "reason" f) ~default:"?")
-          (Option.value (Obs.Json.mem_str "current_pass" f) ~default:"none")
-          (Option.value (Obs.Json.mem_int "retained" f) ~default:0)
-          (Option.value (Obs.Json.mem_int "seen" f) ~default:0)
+          (str "reason" f ~default:"?")
+          (str "current_pass" f ~default:"none")
+          (int_ "retained" f) (int_ "seen" f)
       | None -> ());
-      (match provenance with
-      | Some s ->
-        Printf.printf "  provenance: %d events, %d cells removed\n"
-          (Option.value (Obs.Json.mem_int "events" s) ~default:0)
-          (Option.value (Obs.Json.mem_int "cells_removed" s) ~default:0)
-      | None -> ())
+      let p = Option.value (member "provenance_summary" doc) ~default:Null in
+      Printf.printf "  provenance: %d events, %d cells removed\n"
+        (int_ "events" p) (int_ "cells_removed" p)
     end
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Render a human (or, with --json, machine-readable) summary of a \
-          run ledger: passes, timings, area trajectory, session \
+         "Render a run ledger as the run report $(b,opt --json) printed for \
+          the run (with --json, the same smartly-report-v2 document plus \
+          the ledger's status, manifest and flight-recorder dump), or as a \
+          human summary: passes, timings, area trajectory, session \
           counters, budget verdicts, flight-recorder dump.  Works from the \
           ledger files alone — including ledgers of runs that died \
           mid-pass, whose torn event stream is recovered and reported.")
@@ -1683,7 +1480,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the batch optimization daemon: one JSON request per line \
-          (op optimize/ping/stats/shutdown), one smartly-report-v1 \
+          (op optimize/ping/stats/shutdown), one smartly-job-v1 \
           response per job, over stdio or a Unix socket.  A warm \
           cross-job pass-replay store persists for the daemon's lifetime, \
           so a recurring design in a batch replays whole sat_elim passes \

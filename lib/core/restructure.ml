@@ -284,7 +284,7 @@ let h_rows = Obs.Metrics.histogram "restructure.rows_per_tree"
 let h_chain_len = Obs.Metrics.histogram "restructure.old_muxes_per_tree"
 let h_height = Obs.Metrics.histogram "restructure.tree_height"
 
-let run_once ?(min_saving = 1) (c : Circuit.t) : report =
+let run_once (c : Circuit.t) : report =
   Obs.Trace.with_span "restructure.run_once" @@ fun () ->
   (* candidates are discovered once; each is re-flattened against the
      current circuit just before rebuilding, since rewiring one tree can
@@ -321,7 +321,7 @@ let run_once ?(min_saving = 1) (c : Circuit.t) : report =
         Obs.Metrics.observe_int h_chain_len d.old_muxes;
         Obs.Metrics.observe_int h_height d.height;
         muxes_before := !muxes_before + d.old_muxes;
-        if d.saved_cost >= min_saving then begin
+        if d.saved_cost > 0 then begin
           rebuild c d;
           index := None;
           incr rebuilt;

@@ -189,9 +189,6 @@ let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
     Rtl_opt.Opt_muxtree.walk
       {
         Rtl_opt.Opt_muxtree.pass = "sat_elim";
-        (* priority facts: the nearest 12 earlier selects, capped to bound
-           the sub-graph cones on very wide pmuxes *)
-        window = 12;
         fold = fold_data_bits ctx;
         select = select ctx;
         replace = replace ctx;

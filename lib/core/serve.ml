@@ -17,7 +17,7 @@
 
    Protocol (one JSON object per line):
      {"op":"optimize","id":...,"kind":...,"source":...,
-      "budget_ms":B?}               -> smartly-report-v1 job report
+      "budget_ms":B?}               -> smartly-job-v1 job report
                                        (B a non-negative integer)
      {"op":"ping"}                  -> {"op":"ping","status":"ok"}
      {"op":"stats"}                 -> daemon counters + replay state
@@ -100,7 +100,7 @@ let optimize t ~id ~kind ~source ~budget_ms : Obs.Json.t =
       let open Obs.Json in
       Obj
         [
-          ("schema", Str "smartly-report-v1");
+          ("schema", Str "smartly-job-v1");
           ("op", Str "optimize");
           ("id", Str id);
           ("status", Str "ok");

@@ -4,7 +4,7 @@
     [optimize] request loads a circuit (through the caller-supplied
     loader — this library never depends on the HDL frontend), runs the
     smartly flow with per-job {!Engine.Sat_log}/{!Budget} scoping, and
-    answers with a [smartly-report-v1] job report.  The warm state that
+    answers with a [smartly-job-v1] job report.  The warm state that
     persists across jobs is the {!Replay} pass cache: a recurring design
     — stamped-out variants of one source — replays whole [sat_elim]
     passes from their recorded edits without walking.  That cross-job

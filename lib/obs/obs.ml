@@ -333,7 +333,7 @@ end
    of everything a run does — span boundaries, pass boundaries, SAT
    queries, provenance mutations, budget verdicts — fanned out to
    pluggable subscriber sinks (a JSONL file, the flight-recorder ring, a
-   TTY progress line, and the [Trace] and [Provenance] folds).  With no
+   TTY progress line, an in-memory recording, the [Trace] fold).  With no
    subscriber, [emit] is one list check (plus constant-time pass-stack
    upkeep so [current_pass] stays truthful for flight dumps). *)
 module Event = struct
@@ -410,6 +410,11 @@ module Event = struct
     let close = s.on_close in
     s.on_close <- (fun () -> ());
     (try close () with _ -> ())
+
+  let record ?(name = "record") () =
+    let evs = ref [] in
+    let s = subscribe ~name (fun e -> evs := e :: !evs) in
+    s, fun () -> List.rev !evs
 
   let subscriber_count () = List.length !subscribers
 
@@ -545,19 +550,14 @@ module Event = struct
         | _ -> ())
 end
 
-(* [Trace] and [Provenance] each keep at most one installed sink, as a
-   bus subscription that installing replaces and uninstalling drops. *)
-let release installed =
-  Option.iter Event.unsubscribe !installed;
-  installed := None
-
 module Trace = struct
   type event = { name : string; ts_us : float; dur_us : float; depth : int }
 
   (* A fold over the bus: an open pushes its stamp, a close pops it and
      records the span at the depth of the spans still open.  A close with
      nothing open belongs to a span entered before [install]; it is
-     ignored. *)
+     ignored.  At most one sink is installed, as a bus subscription that
+     installing replaces and uninstalling drops. *)
   type sink = {
     epoch_ns : int64;  (* Clock.now_ns at creation; arbitrary origin *)
     mutable recorded : event list;  (* completion order, reversed *)
@@ -584,10 +584,13 @@ module Trace = struct
     | _ -> ()
 
   let installed = ref None
-  let uninstall () = release installed
+
+  let uninstall () =
+    Option.iter Event.unsubscribe !installed;
+    installed := None
 
   let install s =
-    release installed;
+    uninstall ();
     installed := Some (Event.subscribe ~name:"trace" (fold s))
 
   let with_span name f =
@@ -623,7 +626,14 @@ module Trace = struct
 
   let event_count s = List.length s.recorded
 
-  let to_chrome_json s : Json.t =
+  (* The sink's fold over a recorded stream, timed from its first event. *)
+  let of_events (evs : Event.t list) =
+    let epoch_ns = match evs with e :: _ -> e.t_ns | [] -> 0L in
+    let s = { epoch_ns; recorded = []; opened = [] } in
+    List.iter (fold s) evs;
+    events s
+
+  let to_chrome_json evs : Json.t =
     let evs =
       List.map
         (fun e ->
@@ -638,14 +648,14 @@ module Trace = struct
               "tid", Json.Num 1.0;
               "args", Json.Obj [ "depth", Json.num_of_int e.depth ];
             ])
-        (events s)
+        evs
     in
     Json.Obj
       [ "traceEvents", Json.List evs; "displayTimeUnit", Json.Str "ms" ]
 
-  let write_chrome_json ~path s =
+  let write_chrome_json ~path evs =
     let oc = open_out path in
-    output_string oc (Json.to_string ~pretty:true (to_chrome_json s));
+    output_string oc (Json.to_string ~pretty:true (to_chrome_json evs));
     output_char oc '\n';
     close_out oc
 end
@@ -843,8 +853,8 @@ end
 module Provenance = struct
   (* Structured "why did this netlist mutation happen" events.  [emit]
      puts each one on the event bus, and only when the bus has a
-     subscriber, so instrumented passes pay nothing in normal runs; a sink
-     is one more subscriber, decoding the stream back into events. *)
+     subscriber, so instrumented passes pay nothing in normal runs;
+     [of_events] decodes a recorded stream back into events. *)
 
   type mechanism = Pruned | Rule of string | Sat | Restructure
 
@@ -970,35 +980,20 @@ module Provenance = struct
 
   let of_events evs = List.filter_map decode evs
 
-  type sink = event list ref (* newest first *)
-
-  let make_sink () = ref []
-  let fold s e = Option.iter (fun ev -> s := ev :: !s) (decode e)
-
-  let installed = ref None
-  let uninstall () = release installed
-
-  let install s =
-    release installed;
-    installed := Some (Event.subscribe ~name:"provenance" (fold s))
-
-  let events s = List.rev !s
-  let count s = List.length !s
-
   (* JSONL: one compact JSON object per line — streamable, greppable, and
      each line is independently checkable by [Json.parse]. *)
-  let to_jsonl_string s =
+  let to_jsonl_string evs =
     let buf = Buffer.create 4096 in
     List.iter
       (fun e ->
         Buffer.add_string buf (Json.to_string (event_to_json e));
         Buffer.add_char buf '\n')
-      (events s);
+      evs;
     Buffer.contents buf
 
-  let write_jsonl ~path s =
+  let write_jsonl ~path evs =
     let oc = open_out path in
-    output_string oc (to_jsonl_string s);
+    output_string oc (to_jsonl_string evs);
     close_out oc
 
   let parse_jsonl text : (event list, string) result =
@@ -1092,6 +1087,114 @@ module Provenance = struct
         "cells_removed", Json.num_of_int (total (fun a -> a.cells_removed));
         "area_saved", Json.num_of_int (total (fun a -> a.area_saved));
         "by_mechanism", Json.List (List.map attribution_to_json rows);
+      ]
+end
+
+(* The run report, rendered from the event stream alone: the live
+   recording of [opt --json] and the [events.jsonl] of a ledger give the
+   same document, so the two views of a run can never disagree.  Every
+   section reads events; the ledger context (manifest, flight dump) is
+   the only input from outside the stream. *)
+module Run_report = struct
+  let of_events ?manifest ?flight ?torn_at (evs : Event.t list) : Json.t =
+    let first kind = List.find_opt (fun (e : Event.t) -> e.kind = kind) evs in
+    let of_kind kind = List.filter (fun (e : Event.t) -> e.kind = kind) evs in
+    let field ev key =
+      Option.value ~default:Json.Null
+        (Option.bind ev (fun (e : Event.t) -> Json.member key e.data))
+    in
+    let run_start = first Event.Run_start and run_end = first Event.Run_end in
+    let area_before = Json.to_int (field run_start "area") in
+    let area_after = Json.to_int (field run_end "area") in
+    let opt_int = function Some i -> Json.num_of_int i | None -> Json.Null in
+    (* per name, in first-seen order: calls, summed [seconds], last data *)
+    let totals kind =
+      let tbl = Hashtbl.create 16 and order = ref [] in
+      List.iter
+        (fun (e : Event.t) ->
+          let calls, secs, _ =
+            match Hashtbl.find_opt tbl e.name with
+            | Some t -> t
+            | None ->
+              order := e.name :: !order;
+              0, 0.0, Json.Null
+          in
+          let s = Option.value (Json.mem_num "seconds" e.data) ~default:0.0 in
+          Hashtbl.replace tbl e.name (calls + 1, secs +. s, e.data))
+        (of_kind kind);
+      List.rev_map
+        (fun name ->
+          let calls, secs, data = Hashtbl.find tbl name in
+          ( name,
+            [
+              "name", Json.Str name;
+              "calls", Json.num_of_int calls;
+              "seconds", Json.Num secs;
+            ],
+            data ))
+        !order
+    in
+    let passes =
+      List.map
+        (fun (_, row, data) ->
+          Json.Obj (row @ [ "cells", opt_int (Json.mem_int "cells" data) ]))
+        (totals Event.Pass_end)
+    in
+    let spans =
+      List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+        (totals Event.Span_close)
+      |> List.map (fun (_, row, _) -> Json.Obj row)
+    in
+    let provenance = Provenance.summary_json (Provenance.of_events evs) in
+    let rec ordered = function
+      | (a : Event.t) :: ((b : Event.t) :: _ as rest) ->
+        a.seq < b.seq && Int64.compare a.t_ns b.t_ns <= 0 && ordered rest
+      | _ -> true
+    in
+    Json.Obj
+      [
+        "schema", Json.Str "smartly-report-v2";
+        "source", field run_start "source";
+        "flow", field run_start "flow";
+        ( "area",
+          Json.Obj
+            [ "before", opt_int area_before; "after", opt_int area_after ] );
+        ( "reduction_pct",
+          match area_before, area_after with
+          | Some a0, Some a1 ->
+            Json.Num
+              (if a0 = 0 then 0.0
+               else 100.0 *. (1.0 -. (float_of_int a1 /. float_of_int a0)))
+          | _ -> Json.Null );
+        "wall_seconds", field run_end "wall_seconds";
+        "iterations", field run_end "iterations";
+        "session", field run_end "session";
+        "sat_log", field run_end "sat_log";
+        "metrics", field run_end "metrics";
+        "passes", Json.List passes;
+        "spans", Json.List spans;
+        "sat_queries", Json.num_of_int (List.length (of_kind Event.Sat_query));
+        ( "budget",
+          Json.List
+            (List.map
+               (fun (e : Event.t) -> e.data)
+               (of_kind Event.Budget_exceeded)) );
+        ( "cells_removed",
+          Option.value ~default:Json.Null
+            (Json.member "cells_removed" provenance) );
+        "provenance_summary", provenance;
+        ( "events",
+          Json.Obj
+            [
+              "count", Json.num_of_int (List.length evs);
+              "ordered", Json.Bool (ordered evs);
+              "torn_at", opt_int torn_at;
+            ] );
+        ( "status",
+          Option.value ~default:Json.Null
+            (Option.bind manifest (Json.member "status")) );
+        "manifest", Option.value manifest ~default:Json.Null;
+        "flight", Option.value flight ~default:Json.Null;
       ]
 end
 

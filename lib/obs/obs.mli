@@ -118,6 +118,10 @@ module Event : sig
   (** Remove the sink and run its close hook (file sinks close their
       channel). *)
 
+  val record : ?name:string -> unit -> subscription * (unit -> t list)
+  (** The in-memory sink: subscribe, and read back every event delivered
+      to it so far, in stream order. *)
+
   val subscriber_count : unit -> int
 
   val failed_sinks : unit -> (string * string) list
@@ -160,11 +164,12 @@ module Event : sig
 end
 
 (** Nested wall-clock spans, as [Span_open]/[Span_close] bus events that
-    an installed sink pairs into a span when it {e completes} (exceptions
-    included), with start, duration (from the events' stamps) and nesting
-    depth.  Timestamps are microseconds relative to the sink's creation,
-    which is exactly the [ts] convention of the Chrome [trace_event]
-    format, so a recorded sink exports directly to a file that
+    a sink (or {!of_events}, over a recorded stream) pairs into a span
+    when it {e completes} (exceptions included), with start, duration
+    (from the events' stamps) and nesting depth.  Timestamps are
+    microseconds relative to the sink's creation or the stream's first
+    event, which is exactly the [ts] convention of the Chrome
+    [trace_event] format, so the spans export directly to a file that
     [chrome://tracing] or Perfetto opens. *)
 module Trace : sig
   type event = {
@@ -195,11 +200,15 @@ module Trace : sig
 
   val event_count : sink -> int
 
-  val to_chrome_json : sink -> Json.t
+  val of_events : Event.t list -> event list
+  (** The spans of a recorded stream, as a sink installed before its
+      first event would hold them, timed from that event. *)
+
+  val to_chrome_json : event list -> Json.t
   (** [{"traceEvents": [...], "displayTimeUnit": "ms"}] with one complete
       ("ph":"X") event per span. *)
 
-  val write_chrome_json : path:string -> sink -> unit
+  val write_chrome_json : path:string -> event list -> unit
 end
 
 (** Process-wide named counters and histograms.
@@ -275,9 +284,10 @@ end
     can be replayed as "which mechanism removed which cell".
 
     Events travel on the bus ([Provenance] kind, {!event_to_json}
-    payload); a sink is a subscriber decoding them.  They are serialized
-    as JSONL (one compact JSON object per line) and aggregated into a
-    per-mechanism area-attribution table mirroring the paper's ablation. *)
+    payload); {!of_events} decodes them from a recorded stream.  They are
+    serialized as JSONL (one compact JSON object per line) and aggregated
+    into a per-mechanism area-attribution table mirroring the paper's
+    ablation. *)
 module Provenance : sig
   type mechanism =
     | Pruned  (** reachability pruning / dead-code removal *)
@@ -302,15 +312,6 @@ module Provenance : sig
     area_delta : int;  (** estimated AIG-area change; negative = saved *)
   }
 
-  type sink
-
-  val make_sink : unit -> sink
-
-  val install : sink -> unit
-  (** As {!Trace.install}; the sink folds through {!of_events}. *)
-
-  val uninstall : unit -> unit
-
   val emit :
     kind:kind ->
     cell:int ->
@@ -325,13 +326,8 @@ module Provenance : sig
 
   val of_events : Event.t list -> event list
   (** The provenance events of a stream, decoded, in stream order — what
-      a sink records, and what [smartly report] reads from a ledger's
-      [events.jsonl]. *)
-
-  val events : sink -> event list
-  (** In emission order. *)
-
-  val count : sink -> int
+      [opt --provenance] writes, and what [smartly explain] and the run
+      report read from a ledger's [events.jsonl]. *)
 
   val kind_name : kind -> string
   val mechanism_name : mechanism -> string
@@ -343,8 +339,8 @@ module Provenance : sig
   val event_to_json : event -> Json.t
   val event_of_json : Json.t -> (event, string) result
 
-  val to_jsonl_string : sink -> string
-  val write_jsonl : path:string -> sink -> unit
+  val to_jsonl_string : event list -> string
+  val write_jsonl : path:string -> event list -> unit
 
   val parse_jsonl : string -> (event list, string) result
   (** Strict: every non-blank line must be a well-formed event.  [Error]
@@ -368,7 +364,34 @@ module Provenance : sig
 
   val summary_json : event list -> Json.t
   (** [{"events", "cells_removed", "area_saved", "by_mechanism": [...]}] —
-      the [provenance_summary] section of the [--json] report. *)
+      the [provenance_summary] section of the run report. *)
+end
+
+(** The run report ([smartly-report-v2]): the one document [opt --json]
+    prints over the live stream and [smartly report] prints over a
+    ledger's [events.jsonl]. *)
+module Run_report : sig
+  val of_events :
+    ?manifest:Json.t -> ?flight:Json.t -> ?torn_at:int -> Event.t list -> Json.t
+  (** Sections, each read from the stream:
+      - [source], [flow]: from [Run_start];
+      - [area {before, after}] ([Run_start]/[Run_end] areas) and
+        [reduction_pct];
+      - [wall_seconds], [iterations], [session], [sat_log], [metrics]:
+        from [Run_end] (the metrics registry's counters and histograms);
+      - [passes]: [Pass_end] totals (name, calls, seconds, last cells),
+        in first-seen order;
+      - [spans]: [Span_close] totals (name, calls, seconds), by name;
+      - [sat_queries]: the number of [Sat_query] events;
+      - [budget]: the [Budget_exceeded] payloads;
+      - [cells_removed]: the number of [Cell_removed] provenance events;
+      - [provenance_summary]: {!Provenance.summary_json};
+      - [events {count, ordered, torn_at}]: [ordered] checks the stream
+        invariants ([seq] increasing, [t_ns] non-decreasing).
+      The ledger context — [status] (the manifest's), [manifest],
+      [flight] — is [null] when not given, as over a live stream.  A
+      section whose event is missing (an interrupted run has no
+      [Run_end]) is [null]. *)
 end
 
 (** Flight recorder: a fixed-capacity ring of the most recent bus events.

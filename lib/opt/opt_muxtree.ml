@@ -26,7 +26,6 @@ type select =
 
 type resolver = {
   pass : string;
-  window : int;
   fold : bool Bits.Bit_tbl.t -> owner:int -> Bits.sigspec -> Bits.sigspec * int;
   select : bool Bits.Bit_tbl.t -> Bits.bit -> select;
   replace : int -> Cell.t -> unit;
@@ -130,9 +129,9 @@ let port_children ctx ~loc (port : Bits.sigspec) : int list =
 
 (* Walk the tree rooted at [id].  A mux is the one-part pmux: its a side
    is the default, taken with the select at 0, and its b side is part 0.
-   Part i assumes s_i = 1 and the nearest [window] earlier selects = 0
-   (priority); the default assumes every select = 0.  Once [stop] says so,
-   every node entered from here on is left as it is. *)
+   Part i assumes s_i = 1 and every earlier select = 0 (priority); the
+   default assumes every select = 0.  Once [stop] says so, every node
+   entered from here on is left as it is. *)
 let rec visit ctx visited known (id : int) =
   if not (Hashtbl.mem visited id) then begin
     Hashtbl.replace visited id ();
@@ -149,22 +148,13 @@ let rec visit ctx visited known (id : int) =
 
 and node ctx visited known id ~a ~b ~s rebuild =
   let w = Bits.width a in
-  (* the default's facts grow one select at a time, and a part whose
-     window reaches s_0 copies them as they stand *)
+  (* the default's facts grow one select at a time, and each part copies
+     them as they stand *)
   let known_def = Bits.Bit_tbl.copy known in
   let part_known =
-    Array.mapi
-      (fun i si ->
-        let kp =
-          if i <= ctx.r.window then Bits.Bit_tbl.copy known_def
-          else begin
-            let kp = Bits.Bit_tbl.copy known in
-            for j = i - ctx.r.window to i - 1 do
-              add_fact kp s.(j) false
-            done;
-            kp
-          end
-        in
+    Array.map
+      (fun si ->
+        let kp = Bits.Bit_tbl.copy known_def in
         add_fact kp si true;
         add_fact known_def si false;
         kp)
@@ -223,7 +213,6 @@ let identical_signal (c : Circuit.t) : resolver =
   let take v = Take (v, Obs.Provenance.Rule "identical_signal", None) in
   {
     pass = "opt_muxtree";
-    window = max_int;
     fold = (fun _ ~owner:_ port -> (port, 0));
     select =
       (fun known s ->

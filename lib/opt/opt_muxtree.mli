@@ -23,9 +23,6 @@ type select =
 
 type resolver = {
   pass : string;  (** the provenance pass name *)
-  window : int;
-      (** how many of the nearest earlier pmux selects each part assumes to
-          be 0; [max_int] for every earlier select *)
   fold : bool Bits.Bit_tbl.t -> owner:int -> Bits.sigspec -> Bits.sigspec * int;
       (** run on each data port before its bits are chased: the port with
           the bits it decides replaced by constants, and their count; it
@@ -52,13 +49,15 @@ val roots : Circuit.t -> Index.t -> int list
 
 val walk : resolver -> Circuit.t -> Index.t -> counts
 (** One in-place traversal of every tree from {!roots}, in id order: each
-    tree sees the rewrites of the trees walked before it.  [Index] must
+    tree sees the rewrites of the trees walked before it.  Under pmux part
+    [i] the walk knows [s_i = 1] and every earlier select 0 (the Yosys
+    priority rule); under the default, every select 0.  [Index] must
     describe the circuit at the start of the walk. *)
 
 val identical_signal : Circuit.t -> resolver
 (** The Yosys resolver: a select decides only when it is constant or
-    itself known; every earlier pmux select is assumed 0; no fold;
-    {!Netlist.Circuit.replace_cell}; never stops.  Pass ["opt_muxtree"]. *)
+    itself known; no fold; {!Netlist.Circuit.replace_cell}; never stops.
+    Pass ["opt_muxtree"]. *)
 
 val run : Circuit.t -> int
 (** The Yosys pass: walk with {!identical_signal} until nothing changes

@@ -14,11 +14,6 @@ let with_bus f =
   Obs.Event.reset ();
   Fun.protect ~finally:Obs.Event.reset f
 
-let collect () =
-  let evs = ref [] in
-  let sub = Obs.Event.subscribe (fun e -> evs := e :: !evs) in
-  sub, fun () -> List.rev !evs
-
 (* --- bus ordering --- *)
 
 let assert_stream_ordered (evs : Obs.Event.t list) =
@@ -37,7 +32,7 @@ let assert_stream_ordered (evs : Obs.Event.t list) =
 
 let test_bus_ordering_interleaved_spans () =
   with_bus @@ fun () ->
-  let _, events = collect () in
+  let _, events = Obs.Event.record () in
   (* interleave span traffic with pass boundaries and manual emits: the
      stream must come out gaplessly sequenced and time-ordered whatever
      the nesting *)
@@ -68,7 +63,7 @@ let test_bus_ordering_interleaved_spans () =
 
 let test_bus_jsonl_roundtrip () =
   with_bus @@ fun () ->
-  let _, events = collect () in
+  let _, events = Obs.Event.record () in
   Obs.Event.emit ~name:"p" Obs.Event.Pass_start;
   Obs.Event.emit ~name:"q7"
     ~data:(Obs.Json.Obj [ "conflicts", Obs.Json.num_of_int 3 ])
@@ -85,21 +80,17 @@ let test_bus_jsonl_roundtrip () =
   check_bool "no torn tail" true (torn = None);
   check_bool "roundtrips" true (back = evs)
 
-(* The Trace and Provenance sinks are folds over the bus: each records
-   exactly what a raw subscriber sees of its kind. *)
+(* The Trace sink is a fold over the bus: it records one span per close
+   a recording sees, and [Trace.of_events] over the recording pairs the
+   same spans. *)
 let test_sinks_fold_the_bus () =
   with_bus @@ fun () ->
   let c = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
-  let _, events = collect () in
+  let _, events = Obs.Event.record () in
   let trace = Obs.Trace.make_sink () in
-  let prov = Obs.Provenance.make_sink () in
   Obs.Trace.install trace;
-  Obs.Provenance.install prov;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Trace.uninstall ();
-      Obs.Provenance.uninstall ())
-    (fun () -> ignore (Smartly.Driver.smartly c));
+  Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
+      ignore (Smartly.Driver.smartly c));
   let evs = events () in
   let closes =
     List.length
@@ -109,10 +100,14 @@ let test_sinks_fold_the_bus () =
   in
   check_bool "spans on the bus" true (closes > 0);
   check_int "one span per close" closes (Obs.Trace.event_count trace);
-  let decoded = Obs.Provenance.of_events evs in
-  check_bool "provenance on the bus" true (decoded <> []);
-  check_bool "sink holds the decoded stream" true
-    (Obs.Provenance.events prov = decoded)
+  (* the two differ only in their time origin *)
+  let shape =
+    List.map (fun (e : Obs.Trace.event) ->
+        e.Obs.Trace.name, e.Obs.Trace.depth, e.Obs.Trace.dur_us)
+  in
+  check_bool "of_events pairs the sink's spans" true
+    (shape (Obs.Trace.of_events evs) = shape (Obs.Trace.events trace));
+  check_bool "provenance on the bus" true (Obs.Provenance.of_events evs <> [])
 
 (* --- current-pass stack --- *)
 
@@ -201,7 +196,7 @@ let test_jsonl_torn_tail () =
 
 let test_event_stream_torn_tail () =
   with_bus @@ fun () ->
-  let _, events = collect () in
+  let _, events = Obs.Event.record () in
   for i = 1 to 3 do
     Obs.Event.emit ~name:(Printf.sprintf "q%d" i) Obs.Event.Sat_query
   done;
@@ -225,7 +220,7 @@ let test_event_stream_torn_tail () =
    provenance event before the tear. *)
 let test_provenance_torn_tail () =
   with_bus @@ fun () ->
-  let _, events = collect () in
+  let _, events = Obs.Event.record () in
   Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed ~cell:1
     ~pass:"test" ~mechanism:Obs.Provenance.Pruned ();
   Obs.Event.emit ~name:"q0" Obs.Event.Sat_query;
@@ -253,7 +248,7 @@ let test_provenance_torn_tail () =
 
 let test_budget_truncates_gracefully () =
   with_bus @@ fun () ->
-  let _, events = collect () in
+  let _, events = Obs.Event.record () in
   let c0 = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
   let c = Circuit.copy c0 in
   Smartly.Budget.reset ();
@@ -468,6 +463,59 @@ let test_sabotaged_run_flight_dump () =
     | Some n -> n > 0 && n <= 32
     | None -> false)
 
+(* --- one run report --- *)
+
+(* The run report over a live recording equals the report over the same
+   stream written to events.jsonl and read back cold, and it counts every
+   removed cell. *)
+let test_report_from_ledger () =
+  with_bus @@ fun () ->
+  Obs.Metrics.reset ();
+  Smartly.Engine.Sat_log.reset ();
+  let path = Filename.temp_file "smartly_report" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let file = Obs.Event.attach_jsonl ~path in
+  let recording, recorded = Obs.Event.record () in
+  let c = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
+  let area c = Obs.Json.num_of_int (Aiger.Aigmap.aig_area c) in
+  Obs.Event.emit ~name:"mux_chain"
+    ~data:
+      (Obs.Json.Obj
+         [
+           "source", Obs.Json.Str "mux_chain";
+           "flow", Obs.Json.Str "smartly";
+           "area", area c;
+         ])
+    Obs.Event.Run_start;
+  let r = Smartly.Driver.smartly c in
+  Obs.Event.emit ~name:"mux_chain"
+    ~data:
+      (Obs.Json.Obj
+         [
+           "area", area c;
+           "iterations", Obs.Json.num_of_int r.Smartly.Driver.iterations;
+           "sat_log", Smartly.Engine.Sat_log.to_json ();
+           "metrics", Obs.Metrics.to_json ();
+         ])
+    Obs.Event.Run_end;
+  Obs.Event.unsubscribe recording;
+  Obs.Event.unsubscribe file;
+  let live = Obs.Run_report.of_events (recorded ()) in
+  let evs, torn_at = Obs.Event.parse_jsonl_partial (read_file path) in
+  check_bool "no torn tail" true (torn_at = None);
+  check_string "the same document"
+    (Obs.Json.to_string ~pretty:true live)
+    (Obs.Json.to_string ~pretty:true (Obs.Run_report.of_events ?torn_at evs));
+  check_bool "schema" true
+    (Obs.Json.mem_str "schema" live = Some "smartly-report-v2");
+  check_bool "metrics carried" true
+    (Option.bind (Obs.Json.member "metrics" live) (Obs.Json.member "counters")
+     <> None);
+  let removed = Obs.Metrics.value (Obs.Metrics.counter "flow.cells_removed") in
+  check_bool "cells removed" true (removed > 0);
+  check_bool "cells_removed = flow.cells_removed" true
+    (Obs.Json.mem_int "cells_removed" live = Some removed)
+
 (* --- ledger lifecycle --- *)
 
 let test_ledger_collision_and_finish () =
@@ -542,5 +590,7 @@ let () =
             test_sabotaged_run_flight_dump;
           Alcotest.test_case "collision and finish" `Quick
             test_ledger_collision_and_finish;
+          Alcotest.test_case "report from ledger" `Quick
+            test_report_from_ledger;
         ] );
     ]

@@ -332,10 +332,9 @@ let reference_fold (cfg : Smartly.Config.t) c index known port =
     port
 
 let with_provenance f =
-  let sink = Obs.Provenance.make_sink () in
-  Obs.Provenance.install sink;
-  let r = Fun.protect ~finally:Obs.Provenance.uninstall f in
-  r, Obs.Provenance.events sink
+  let sub, recorded = Obs.Event.record () in
+  let r = Fun.protect ~finally:(fun () -> Obs.Event.unsubscribe sub) f in
+  r, Obs.Provenance.of_events (recorded ())
 
 let const_resolved evs =
   List.length

@@ -195,7 +195,7 @@ let test_chrome_trace_json () =
   Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
       Obs.Trace.with_span "a" (fun () ->
           Obs.Trace.with_span "b" (fun () -> ())));
-  let j = Obs.Trace.to_chrome_json s in
+  let j = Obs.Trace.to_chrome_json (Obs.Trace.events s) in
   (* must parse back through our own strict parser *)
   (match Obs.Json.parse (Obs.Json.to_string ~pretty:true j) with
   | Ok j' -> check_bool "parses back" true (j = j')

@@ -6,17 +6,17 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let with_sink f =
-  let s = Obs.Provenance.make_sink () in
-  Obs.Provenance.install s;
-  Fun.protect ~finally:Obs.Provenance.uninstall (fun () -> f ());
-  s
+(* The provenance events [f] puts on the bus, decoded from a recording. *)
+let provenance_of f =
+  let sub, recorded = Obs.Event.record () in
+  Fun.protect ~finally:(fun () -> Obs.Event.unsubscribe sub) f;
+  Obs.Provenance.of_events (recorded ())
 
 (* --- serialization --- *)
 
 let test_jsonl_roundtrip () =
   let s =
-    with_sink (fun () ->
+    provenance_of (fun () ->
         Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed ~cell:3
           ~pass:"opt_expr" ~mechanism:(Obs.Provenance.Rule "const_fold")
           ~area_delta:(-12) ();
@@ -30,12 +30,12 @@ let test_jsonl_roundtrip () =
         Obs.Provenance.emit ~kind:Obs.Provenance.Dead_branch ~cell:13
           ~pass:"sat_elim" ~mechanism:Obs.Provenance.Pruned ())
   in
-  check_int "count" 5 (Obs.Provenance.count s);
+  check_int "count" 5 (List.length s);
   let text = Obs.Provenance.to_jsonl_string s in
   match Obs.Provenance.parse_jsonl text with
   | Error e -> Alcotest.failf "roundtrip parse failed: %s" e
   | Ok evs ->
-    check_bool "events equal" true (evs = Obs.Provenance.events s);
+    check_bool "events equal" true (evs = s);
     (* aggregate: one row per mechanism, counts by kind *)
     let rows = Obs.Provenance.attribute evs in
     check_int "mechanisms" 5 (List.length rows);
@@ -152,8 +152,7 @@ let removal_identity flow =
   Obs.Metrics.reset ();
   Smartly.Engine.Sat_log.reset ();
   let c = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
-  let s = with_sink (fun () -> flow c) in
-  let evs = Obs.Provenance.events s in
+  let evs = provenance_of (fun () -> flow c) in
   let removed_events =
     List.length
       (List.filter
@@ -205,11 +204,11 @@ let test_bypass_onto_constant () =
       (Cell.Mux
          { a = [| z; z |]; b = [| child.(0); s |]; s; y = Circuit.sig_of_wire y })
   in
-  let sink = with_sink (fun () -> ignore (Rtl_opt.Opt_muxtree.run c)) in
+  let evs = provenance_of (fun () -> ignore (Rtl_opt.Opt_muxtree.run c)) in
   let of_kind k =
     List.filter
       (fun (e : Obs.Provenance.event) -> e.Obs.Provenance.kind = k)
-      (Obs.Provenance.events sink)
+      evs
   in
   check_int "one bypass" 1 (List.length (of_kind Obs.Provenance.Mux_bypassed));
   match of_kind Obs.Provenance.Const_resolved with
@@ -234,8 +233,8 @@ let test_fold_rule_attribution () =
       (Cell.Mux { a; b = [| s_or_r; s; x |]; s; y = Circuit.sig_of_wire y })
   in
   let report = ref None in
-  let sink =
-    with_sink (fun () ->
+  let evs =
+    provenance_of (fun () ->
         report := Some (Smartly.Sat_elim.run Smartly.Config.default c))
   in
   (match !report with
@@ -249,7 +248,7 @@ let test_fold_rule_attribution () =
           Some (Obs.Provenance.mechanism_name e.Obs.Provenance.mechanism)
         end
         else None)
-      (Obs.Provenance.events sink)
+      evs
   in
   check_bool "S|R by the or rule, S by the path fact" true
     (List.sort compare resolved = [ "rule:$or"; "rule:identical_signal" ])
@@ -317,8 +316,8 @@ let test_no_sink () =
   check_bool "no bus subscriber" true (not (Obs.Event.enabled ()));
   Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed ~cell:1 ~pass:"p"
     ~mechanism:Obs.Provenance.Pruned ();
-  let s = with_sink (fun () -> ()) in
-  check_int "uninstalled sink empty" 0 (Obs.Provenance.count s)
+  check_int "a later recording is empty" 0
+    (List.length (provenance_of (fun () -> ())))
 
 let () =
   Alcotest.run "provenance"

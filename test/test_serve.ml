@@ -1,5 +1,5 @@
 (* Serve daemon smoke tests: a 3-job batch over a socketpair, per-job
-   smartly-report-v1 validation, warm-cache behavior across identical
+   smartly-job-v1 validation, warm-cache behavior across identical
    jobs, and error isolation (a bad job must not take down the batch). *)
 
 let check_bool = Alcotest.(check bool)
@@ -45,10 +45,10 @@ let str name j =
   | Obs.Json.Str s -> s
   | _ -> Alcotest.failf "field %S not a string" name
 
-(* Every well-formed job report carries the full smartly-report-v1
+(* Every well-formed job report carries the full smartly-job-v1
    surface. *)
 let validate_report j =
-  check_string "schema" "smartly-report-v1" (str "schema" j);
+  check_string "schema" "smartly-job-v1" (str "schema" j);
   check_string "op" "optimize" (str "op" j);
   check_string "status" "ok" (str "status" j);
   let area = field "area" j in
