@@ -104,7 +104,8 @@ bench-baselines: build
 # source must name the cycle the same way and exit 2.  A directory where
 # a file is expected must be a located error too, naming the path:
 # exit 1 from `explain` (a run directory without events.jsonl),
-# `replay` and `validate-json`, exit 2 from `lint` and `bench-diff`.  `cec` must exit
+# `report` (a run directory without manifest.json), `replay` and
+# `validate-json`, exit 2 from `lint` and `bench-diff`.  `cec` must exit
 # 1 on two different designs and 0 on a design against itself: a verdict other than `equivalent`
 # fails the command, and with it the budget-starved `--check` run.
 ci: build
@@ -128,8 +129,8 @@ ci: build
 	  status=$$?; [ "$$status" -eq 2 ] || { \
 	  echo "ci: generate of an unknown profile gave exit $$status"; exit 1; }
 	dir=$$(mktemp -d); \
-	for cmd in "explain 1" "replay 1" "validate-json 1" "lint 2" \
-	    "bench-diff 2"; do \
+	for cmd in "explain 1" "report 1" "replay 1" "validate-json 1" \
+	    "lint 2" "bench-diff 2"; do \
 	  set -- $$cmd; args="$$dir"; \
 	  [ "$$1" = bench-diff ] && args="$$dir $$dir"; \
 	  dune exec bin/smartly_cli.exe -- $$1 $$args 2> /tmp/smartly_dir.err; \

@@ -779,8 +779,8 @@ let figures () =
       (List.length flat.Smartly.Muxtree.rows)
       (Bits.width flat.Smartly.Muxtree.selector)
       d.Smartly.Restructure.new_muxes d.Smartly.Restructure.height;
-    (* contrast with the poor fixed order S0 < S1 < S2 via the canonical
-       ADD over reversed cubes *)
+    (* contrast with the poor fixed order S0 < S1 < S2 via the lowest-index
+       split over reversed cubes *)
     let m = Add_bdd.Add.manager () in
     let term_tbl = Hashtbl.create 8 in
     let term_of (v : Bits.sigspec) =
@@ -798,7 +798,11 @@ let figures () =
           r.Smartly.Muxtree.cube, term_of r.Smartly.Muxtree.value)
         flat.Smartly.Muxtree.rows
     in
-    let good = Add_bdd.Add.of_rows m ~num_vars:3 rows ~default:0 in
+    let fixed rows =
+      Add_bdd.Add.of_rows m ~split:Add_bdd.Add.Lowest ~num_vars:3 rows
+        ~default:0
+    in
+    let good = fixed rows in
     let rows_rev =
       List.map
         (fun (cube, v) ->
@@ -806,7 +810,7 @@ let figures () =
           Array.init n (fun i -> cube.(n - 1 - i)), v)
         rows
     in
-    let poor = Add_bdd.Add.of_rows m ~num_vars:3 rows_rev ~default:0 in
+    let poor = fixed rows_rev in
     Printf.printf
       "  fixed-order ADD, S2 first (good): %d nodes; S0 first (poor): %d \
        nodes\n"

@@ -1262,9 +1262,10 @@ let bench_diff_cmd =
 
 (* --- smartly report: render a run ledger, written by a process that may
    no longer exist (or may have died mid-pass), as the run report that
-   [opt --json] printed for it.  Everything is read tolerantly: a missing
-   file is an absent section, a torn events.jsonl tail is recovered
-   around and reported by byte offset. *)
+   [opt --json] printed for it.  Every ledger starts with its manifest,
+   so a directory without manifest.json is not a run (exit 1); anything
+   else is read tolerantly: a missing file is an absent section, a torn
+   events.jsonl tail is recovered around and reported by byte offset. *)
 
 let report_cmd =
   let target_arg =
@@ -1287,7 +1288,13 @@ let report_cmd =
     let read_json name =
       Option.bind (read name) (fun t -> Result.to_option (Obs.Json.parse t))
     in
-    let manifest = read_json "manifest.json" in
+    let manifest =
+      match read_file (Filename.concat dir "manifest.json") with
+      | Ok text -> Result.to_option (Obs.Json.parse text)
+      | Error msg ->
+        prerr_endline msg;
+        exit 1
+    in
     let events, torn_at =
       match read "events.jsonl" with
       | Some text -> Obs.Event.parse_jsonl_partial text

@@ -1,9 +1,9 @@
 (* Hash-consed Algebraic Decision Diagrams (ADDs).
 
    An ADD generalizes a BDD from {0,1} terminals to arbitrary integer
-   terminals.  Nodes follow a fixed variable order (smaller index on top)
-   and are reduced: no node has identical children, and structurally equal
-   nodes are shared. *)
+   terminals.  Nodes are reduced: no node has identical children, and
+   structurally equal nodes are shared.  A variable appears at most once
+   on each path; each path's order is the builder's split choice. *)
 
 type t = { id : int; node : node }
 
@@ -15,16 +15,10 @@ type manager = {
   mutable next_id : int;
   leaves : (int, t) Hashtbl.t;
   nodes : (int * int * int, t) Hashtbl.t; (* var, lo id, hi id *)
-  apply_memo : (int * int * int, t) Hashtbl.t; (* op tag, id, id *)
 }
 
 let manager () =
-  {
-    next_id = 0;
-    leaves = Hashtbl.create 16;
-    nodes = Hashtbl.create 64;
-    apply_memo = Hashtbl.create 64;
-  }
+  { next_id = 0; leaves = Hashtbl.create 16; nodes = Hashtbl.create 64 }
 
 let leaf m v =
   match Hashtbl.find_opt m.leaves v with
@@ -48,13 +42,6 @@ let mk m ~var ~lo ~hi =
       t
   end
 
-let is_leaf t = match t.node with Leaf _ -> true | Node _ -> false
-
-let leaf_value t =
-  match t.node with
-  | Leaf v -> v
-  | Node _ -> invalid_arg "Add.leaf_value: internal node"
-
 (* Evaluate under an assignment of variables to booleans. *)
 let rec eval t assignment =
   match t.node with
@@ -76,151 +63,68 @@ let count_nodes t =
   in
   go t
 
-(* Distinct terminal values reachable from [t]. *)
-let terminals t =
-  let seen = Hashtbl.create 64 in
-  let acc = Hashtbl.create 16 in
-  let rec go t =
-    if not (Hashtbl.mem seen t.id) then begin
-      Hashtbl.replace seen t.id ();
-      match t.node with
-      | Leaf v -> Hashtbl.replace acc v ()
-      | Node { lo; hi; _ } ->
-        go lo;
-        go hi
-    end
-  in
-  go t;
-  Hashtbl.fold (fun v () l -> v :: l) acc [] |> List.sort compare
-
-(* Combine two ADDs with a binary function on terminals. *)
-let apply m ~tag f a b =
-  let rec go a b =
-    let key = tag, a.id, b.id in
-    match Hashtbl.find_opt m.apply_memo key with
-    | Some t -> t
-    | None ->
-      let result =
-        match a.node, b.node with
-        | Leaf va, Leaf vb -> leaf m (f va vb)
-        | Node { var; lo; hi }, Leaf _ ->
-          mk m ~var ~lo:(go lo b) ~hi:(go hi b)
-        | Leaf _, Node { var; lo; hi } ->
-          mk m ~var ~lo:(go a lo) ~hi:(go a hi)
-        | Node na, Node nb ->
-          if na.var = nb.var then
-            mk m ~var:na.var ~lo:(go na.lo nb.lo) ~hi:(go na.hi nb.hi)
-          else if na.var < nb.var then
-            mk m ~var:na.var ~lo:(go na.lo b) ~hi:(go na.hi b)
-          else mk m ~var:nb.var ~lo:(go a nb.lo) ~hi:(go a nb.hi)
-      in
-      Hashtbl.replace m.apply_memo key result;
-      result
-  in
-  go a b
-
-(* Map terminals. *)
-let map m f t =
-  let memo = Hashtbl.create 64 in
-  let rec go t =
-    match Hashtbl.find_opt memo t.id with
-    | Some r -> r
-    | None ->
-      let r =
-        match t.node with
-        | Leaf v -> leaf m (f v)
-        | Node { var; lo; hi } -> mk m ~var ~lo:(go lo) ~hi:(go hi)
-      in
-      Hashtbl.replace memo t.id r;
-      r
-  in
-  go t
-
-(* Fix a variable's value. *)
-let restrict m ~var:rv ~value t =
-  let memo = Hashtbl.create 64 in
-  let rec go t =
-    match Hashtbl.find_opt memo t.id with
-    | Some r -> r
-    | None ->
-      let r =
-        match t.node with
-        | Leaf _ -> t
-        | Node { var; lo; hi } ->
-          if var = rv then if value then hi else lo
-          else if var > rv then t
-          else mk m ~var ~lo:(go lo) ~hi:(go hi)
-      in
-      Hashtbl.replace memo t.id r;
-      r
-  in
-  go t
-
-(* --- BDD view: ADDs with {0,1} terminals --- *)
-
-let bdd_false m = leaf m 0
-let bdd_true m = leaf m 1
-let bdd_var m var = mk m ~var ~lo:(bdd_false m) ~hi:(bdd_true m)
-let bdd_and m = apply m ~tag:1 (fun a b -> a land b)
-let bdd_or m = apply m ~tag:2 (fun a b -> a lor b)
-let bdd_xor m = apply m ~tag:3 (fun a b -> a lxor b)
-let bdd_not m = map m (fun v -> 1 - v)
-
-(* ITE with a BDD condition over ADD branches. *)
-let ite m cond ~then_ ~else_ =
-  (* cond * then + (1-cond) * else, done structurally *)
-  let rec go c a b =
-    match c.node with
-    | Leaf 0 -> b
-    | Leaf _ -> a
-    | Node { var; lo; hi } ->
-      let split t =
-        match t.node with
-        | Node n when n.var = var -> n.lo, n.hi
-        | Leaf _ | Node _ -> t, t
-      in
-      let alo, ahi = split a and blo, bhi = split b in
-      mk m ~var ~lo:(go lo alo blo) ~hi:(go hi ahi bhi)
-  in
-  go cond then_ else_
-
 (* --- building from priority rows (case statements) --- *)
 
 type pbit = P0 | P1 | Pz (* pattern bit: 0, 1, wildcard *)
 
+type split = Lowest | Fewest_terminals
+
+(* The rows that can still match once [var] is fixed to [value]. *)
+let cofactor rows var value =
+  List.filter
+    (fun (cube, _) ->
+      match cube.(var) with
+      | Pz -> true
+      | P0 -> value = false
+      | P1 -> value = true)
+    rows
+
+(* Does the row match everything over [vars]?  (sufficient check: an
+   all-wildcard cube on those variables) *)
+let covers vars (cube, _) = List.for_all (fun v -> cube.(v) = Pz) vars
+
+(* Distinct terminal values reachable from [rows] (+ default if some input
+   combination can fall through). *)
+let terminal_types rows remaining ~default =
+  let tbl = Hashtbl.create 8 in
+  List.iter (fun (_, value) -> Hashtbl.replace tbl value ()) rows;
+  if not (List.exists (covers remaining) rows) then
+    Hashtbl.replace tbl default ();
+  Hashtbl.length tbl
+
 (* Rows are in priority order: the first matching row wins; [default] is
-   the value when no row matches.  Variable i is bit i of the selector. *)
-let of_rows m ~num_vars (rows : (pbit array * int) list) ~default =
-  let rec build v rows =
+   the value when no row matches.  Variable i is bit i of the selector.
+   [build]'s [avail] holds the variables not yet split on, ascending. *)
+let of_rows m ~split ~num_vars (rows : (pbit array * int) list) ~default =
+  let choose avail rows =
+    match split with
+    | Lowest -> List.hd avail
+    | Fewest_terminals ->
+      (* Algorithm 1: the variable minimizing the total number of terminal
+         types of the two children; ties go to the lowest index *)
+      let score v =
+        let rem = List.filter (( <> ) v) avail in
+        terminal_types (cofactor rows v false) rem ~default
+        + terminal_types (cofactor rows v true) rem ~default
+      in
+      List.fold_left
+        (fun (bv, bs) v ->
+          let s = score v in
+          if s < bs then v, s else bv, bs)
+        (-1, max_int) avail
+      |> fst
+  in
+  let rec build avail rows =
     match rows with
     | [] -> leaf m default
-    | (_, value) :: _ when v >= num_vars -> leaf m value
+    | ((_, value) as top) :: _ when covers avail top ->
+      (* the top row matches everything from here on: it wins outright *)
+      leaf m value
     | rows ->
-      (* if the top row matches everything from here on, it wins outright *)
-      let top_all_z (cube, _) =
-        let all = ref true in
-        Array.iteri (fun i b -> if i >= v && b <> Pz then all := false) cube;
-        !all
-      in
-      (match rows with
-      | row :: _ when top_all_z row -> leaf m (snd row)
-      | _ ->
-        let filter bitv =
-          List.filter
-            (fun (cube, _) ->
-              match cube.(v) with
-              | Pz -> true
-              | P0 -> bitv = false
-              | P1 -> bitv = true)
-            rows
-        in
-        build (v + 1) (filter false) |> fun lo ->
-        build (v + 1) (filter true) |> fun hi ->
-        mk m ~var:v ~lo ~hi)
+      let var = choose avail rows in
+      let rem = List.filter (( <> ) var) avail in
+      let lo = build rem (cofactor rows var false) in
+      let hi = build rem (cofactor rows var true) in
+      mk m ~var ~lo ~hi
   in
-  build 0 rows
-
-let rec pp ppf t =
-  match t.node with
-  | Leaf v -> Fmt.pf ppf "#%d" v
-  | Node { var; lo; hi } -> Fmt.pf ppf "(x%d ? %a : %a)" var pp hi pp lo
+  build (List.init num_vars Fun.id) rows

@@ -1,9 +1,11 @@
 (** Hash-consed Algebraic Decision Diagrams.
 
     ADDs generalize BDDs from boolean to arbitrary integer terminals.
-    Nodes are ordered (smaller variable index on top) and reduced: equal
-    children collapse, structurally equal nodes are shared, so physical
-    equality is semantic equality within one manager. *)
+    Nodes are reduced: equal children collapse and structurally equal
+    nodes are shared, so physical equality is semantic equality within
+    one manager for diagrams built in one variable order.  A variable
+    appears at most once on each path; each path's order is the builder's
+    split choice. *)
 
 type t = private { id : int; node : node }
 
@@ -16,48 +18,33 @@ val manager : unit -> manager
 val leaf : manager -> int -> t
 val mk : manager -> var:int -> lo:t -> hi:t -> t
 
-val is_leaf : t -> bool
-
-val leaf_value : t -> int
-(** @raise Invalid_argument on internal nodes. *)
-
 val eval : t -> (int -> bool) -> int
 (** Evaluate under a variable assignment. *)
 
 val count_nodes : t -> int
 (** Internal (decision) nodes, shared nodes counted once. *)
 
-val terminals : t -> int list
-(** Distinct reachable terminal values, sorted. *)
-
-val apply : manager -> tag:int -> (int -> int -> int) -> t -> t -> t
-(** Combine two ADDs pointwise; [tag] keys the memo table and must be
-    unique per function. *)
-
-val map : manager -> (int -> int) -> t -> t
-
-val restrict : manager -> var:int -> value:bool -> t -> t
-
-(** {1 BDD view: terminals 0/1} *)
-
-val bdd_false : manager -> t
-val bdd_true : manager -> t
-val bdd_var : manager -> int -> t
-val bdd_and : manager -> t -> t -> t
-val bdd_or : manager -> t -> t -> t
-val bdd_xor : manager -> t -> t -> t
-val bdd_not : manager -> t -> t
-
-val ite : manager -> t -> then_:t -> else_:t -> t
-(** If-then-else with a BDD condition over ADD branches. *)
-
 (** {1 Priority rows (case statements)} *)
 
 type pbit = P0 | P1 | Pz  (** pattern bit: 0, 1, wildcard *)
 
-val of_rows :
-  manager -> num_vars:int -> (pbit array * int) list -> default:int -> t
-(** Canonical-order ADD of a priority pattern list: the first matching row
-    wins; [default] when none matches.  Variable [i] is cube index [i]. *)
+(** Which variable a node splits on. *)
+type split =
+  | Lowest  (** the lowest remaining variable: one fixed order *)
+  | Fewest_terminals
+      (** the paper's Algorithm 1: the variable that leaves the fewest
+          distinct terminals in the two children together, ties to the
+          lowest index *)
 
-val pp : Format.formatter -> t -> unit
+val of_rows :
+  manager ->
+  split:split ->
+  num_vars:int ->
+  (pbit array * int) list ->
+  default:int ->
+  t
+(** The ADD of a priority pattern list: the first matching row wins;
+    [default] when none matches.  Variable [i] is cube index [i].  A
+    node whose top row is all wildcards over the unsplit variables is
+    that row's leaf; otherwise it splits on the [split] choice, building
+    the 0 child before the 1 child. *)

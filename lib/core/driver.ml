@@ -26,7 +26,8 @@ type result = {
   overruns : Budget.overrun list;
 }
 
-let h_cells_delta = Obs.Metrics.histogram "driver.cells_removed_per_iter"
+let h_cells_removed = Obs.Metrics.histogram "driver.cells_removed_per_iter"
+let m_cells_removed = Obs.Metrics.counter "flow.cells_removed"
 let m_iterations = Obs.Metrics.counter "driver.iterations"
 
 (* Run the named passes in order, each under the watchdog, until an
@@ -81,13 +82,13 @@ let loop ~cfg ~after_pass ~cap (c : Circuit.t)
   let rec go iter =
     if iter >= cap then iter
     else begin
-      let cells_before = Circuit.cell_count c in
+      let removed_before = Obs.Metrics.value m_cells_removed in
       let progress =
         Obs.Trace.with_span "driver.iteration" @@ fun () ->
         List.fold_left (fun acc p -> run_pass ~iter p || acc) false passes
       in
-      Obs.Metrics.observe_int h_cells_delta
-        (cells_before - Circuit.cell_count c);
+      Obs.Metrics.observe_int h_cells_removed
+        (Obs.Metrics.value m_cells_removed - removed_before);
       if progress then go (iter + 1) else iter + 1
     end
   in

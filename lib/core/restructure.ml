@@ -1,8 +1,8 @@
 (* Muxtree restructuring (Section III, Algorithm 1).
 
    For every rebuildable muxtree (single selector signal, eq/logic_not
-   selects), the rows are represented as an ADD and a decision tree over the
-   selector *bits* is built with the paper's greedy heuristic: at each node
+   selects), [Add.of_rows] builds the rows into an ADD over the selector
+   *bits* with the paper's greedy split ([Fewest_terminals]): at each node
    pick the bit that minimizes the total number of distinct terminals in
    the two children.  Identical subtrees are shared (hash-consing), so the
    result is a DAG of 2:1 muxes controlled directly by selector bits.
@@ -12,124 +12,7 @@
    and for eq gates that must stay because other logic reads them. *)
 
 open Netlist
-
-(* --- greedy decision tree with hash-consing --- *)
-
-type tree = { tid : int; tnode : tnode }
-
-and tnode =
-  | T_leaf of int (* terminal index *)
-  | T_node of { var : int; lo : tree; hi : tree }
-
-type builder = {
-  mutable next_tid : int;
-  leaf_memo : (int, tree) Hashtbl.t;
-  node_memo : (int * int * int, tree) Hashtbl.t;
-}
-
-let new_builder () =
-  { next_tid = 0; leaf_memo = Hashtbl.create 16; node_memo = Hashtbl.create 64 }
-
-let t_leaf bld v =
-  match Hashtbl.find_opt bld.leaf_memo v with
-  | Some t -> t
-  | None ->
-    let t = { tid = bld.next_tid; tnode = T_leaf v } in
-    bld.next_tid <- bld.next_tid + 1;
-    Hashtbl.replace bld.leaf_memo v t;
-    t
-
-let t_node bld ~var ~lo ~hi =
-  if lo.tid = hi.tid then lo
-  else begin
-    let key = var, lo.tid, hi.tid in
-    match Hashtbl.find_opt bld.node_memo key with
-    | Some t -> t
-    | None ->
-      let t = { tid = bld.next_tid; tnode = T_node { var; lo; hi } } in
-      bld.next_tid <- bld.next_tid + 1;
-      Hashtbl.replace bld.node_memo key t;
-      t
-  end
-
-let count_unique_nodes (t : tree) =
-  let seen = Hashtbl.create 64 in
-  let rec go t =
-    if Hashtbl.mem seen t.tid then 0
-    else begin
-      Hashtbl.replace seen t.tid ();
-      match t.tnode with
-      | T_leaf _ -> 0
-      | T_node { lo; hi; _ } -> 1 + go lo + go hi
-    end
-  in
-  go t
-
-let rec tree_height t =
-  match t.tnode with
-  | T_leaf _ -> 0
-  | T_node { lo; hi; _ } -> 1 + max (tree_height lo) (tree_height hi)
-
-(* Rows here use terminal ids. *)
-type irow = { cube : Add_bdd.Add.pbit array; term : int }
-
-let filter_rows rows var value =
-  List.filter
-    (fun r ->
-      match r.cube.(var) with
-      | Add_bdd.Add.Pz -> true
-      | Add_bdd.Add.P0 -> value = false
-      | Add_bdd.Add.P1 -> value = true)
-    rows
-
-(* Does some row match everything over [remaining] variables?  (sufficient
-   check: an all-wildcard cube on those variables) *)
-let covered rows remaining =
-  List.exists
-    (fun r ->
-      List.for_all (fun v -> r.cube.(v) = Add_bdd.Add.Pz) remaining)
-    rows
-
-(* Distinct terminal values reachable from [rows] (+ default if some input
-   combination can fall through). *)
-let terminal_types rows remaining ~default =
-  let tbl = Hashtbl.create 8 in
-  List.iter (fun r -> Hashtbl.replace tbl r.term ()) rows;
-  if not (covered rows remaining) then Hashtbl.replace tbl default ();
-  Hashtbl.length tbl
-
-(* The paper's heuristic: choose the variable minimizing the total number
-   of terminal types of the two children. *)
-let build_greedy bld ~num_vars (rows : irow list) ~default : tree =
-  let rec build avail rows =
-    match rows with
-    | [] -> t_leaf bld default
-    | first :: _ ->
-      if List.for_all (fun v -> first.cube.(v) = Add_bdd.Add.Pz) avail then
-        t_leaf bld first.term
-      else (
-        match avail with
-        | [] -> t_leaf bld first.term
-        | _ ->
-          let score v =
-            let rem = List.filter (( <> ) v) avail in
-            terminal_types (filter_rows rows v false) rem ~default
-            + terminal_types (filter_rows rows v true) rem ~default
-          in
-          let best =
-            List.fold_left
-              (fun (bv, bs) v ->
-                let s = score v in
-                if s < bs then v, s else bv, bs)
-              (-1, max_int) avail
-            |> fst
-          in
-          let rem = List.filter (( <> ) best) avail in
-          let lo = build rem (filter_rows rows best false) in
-          let hi = build rem (filter_rows rows best true) in
-          t_node bld ~var:best ~lo ~hi)
-  in
-  build (List.init num_vars (fun i -> i)) rows
+module Add = Add_bdd.Add
 
 (* --- cost model --- *)
 
@@ -173,7 +56,7 @@ let removable_selects (c : Circuit.t) (index : Index.t)
 
 type decision = {
   flat : Muxtree.flat;
-  tree : tree;
+  tree : Add.t;
   terminals : Bits.sigspec array; (* leaf sigspecs by terminal id *)
   new_muxes : int;
   old_muxes : int;
@@ -182,10 +65,14 @@ type decision = {
   height : int;
 }
 
+let rec height (t : Add.t) =
+  match t.Add.node with
+  | Add.Leaf _ -> 0
+  | Add.Node { lo; hi; _ } -> 1 + max (height lo) (height hi)
+
 (* Algorithm 1's Check. *)
 let evaluate (c : Circuit.t) (index : Index.t) (flat : Muxtree.flat) :
     decision =
-  let bld = new_builder () in
   (* terminal ids: distinct leaf sigspecs (default = id 0) *)
   let terminals = ref [ flat.Muxtree.default ] in
   let term_of (s : Bits.sigspec) =
@@ -199,13 +86,14 @@ let evaluate (c : Circuit.t) (index : Index.t) (flat : Muxtree.flat) :
   in
   let rows =
     List.map
-      (fun (r : Muxtree.row) ->
-        { cube = r.Muxtree.cube; term = term_of r.Muxtree.value })
+      (fun (r : Muxtree.row) -> r.Muxtree.cube, term_of r.Muxtree.value)
       flat.Muxtree.rows
   in
-  let num_vars = Bits.width flat.Muxtree.selector in
-  let tree = build_greedy bld ~num_vars rows ~default:0 in
-  let new_muxes = count_unique_nodes tree in
+  let tree =
+    Add.of_rows (Add.manager ()) ~split:Add.Fewest_terminals
+      ~num_vars:(Bits.width flat.Muxtree.selector) rows ~default:0
+  in
+  let new_muxes = Add.count_nodes tree in
   let old_muxes = old_mux_count c flat in
   let removable = removable_selects c index flat in
   let width = flat.Muxtree.width in
@@ -224,7 +112,7 @@ let evaluate (c : Circuit.t) (index : Index.t) (flat : Muxtree.flat) :
     old_muxes;
     removable;
     saved_cost = old_cost - new_cost;
-    height = tree_height tree;
+    height = height tree;
   }
 
 (* --- rebuild --- *)
@@ -235,18 +123,18 @@ let m_cells_removed = Obs.Metrics.counter "flow.cells_removed"
 let rebuild (c : Circuit.t) (d : decision) =
   let flat = d.flat in
   let memo = Hashtbl.create 64 in
-  let rec emit (t : tree) : Bits.sigspec =
-    match Hashtbl.find_opt memo t.tid with
+  let rec emit (t : Add.t) : Bits.sigspec =
+    match Hashtbl.find_opt memo t.Add.id with
     | Some s -> s
     | None ->
       let s =
-        match t.tnode with
-        | T_leaf term -> d.terminals.(term)
-        | T_node { var; lo; hi } ->
+        match t.Add.node with
+        | Add.Leaf term -> d.terminals.(term)
+        | Add.Node { var; lo; hi } ->
           let lo_s = emit lo and hi_s = emit hi in
           Circuit.mk_mux c ~a:lo_s ~b:hi_s ~s:flat.Muxtree.selector.(var)
       in
-      Hashtbl.replace memo t.tid s;
+      Hashtbl.replace memo t.Add.id s;
       s
   in
   let new_out = emit d.tree in

@@ -9,15 +9,10 @@
 
 open Netlist
 
-(** A hash-consed decision tree over selector bit indices. *)
-type tree
-
-val count_unique_nodes : tree -> int
-val tree_height : tree -> int
-
 type decision = {
   flat : Muxtree.flat;
-  tree : tree;
+  tree : Add_bdd.Add.t;
+      (** over selector bit indices; leaves are terminal ids *)
   terminals : Bits.sigspec array;
       (** leaf sigspecs by terminal id; id 0 is the default *)
   new_muxes : int;  (** shared nodes of the rebuilt tree *)

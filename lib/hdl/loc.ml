@@ -43,10 +43,6 @@ let pos_of_offset (lm : line_map) (off : int) : pos =
   done;
   { offset = off; line = !lo + 1; col = off - lm.(!lo) + 1 }
 
-let pp_pos ppf p =
-  if p.offset < 0 then Fmt.string ppf "<unknown>"
-  else Fmt.pf ppf "line %d, column %d" p.line p.col
-
 let pp ppf sp =
   if is_dummy sp then Fmt.string ppf "<unknown>"
   else if sp.s.line = sp.e.line && sp.s.col = sp.e.col then

@@ -26,9 +26,6 @@ val line_map : string -> line_map
 val pos_of_offset : line_map -> int -> pos
 (** Binary search for the (1-based) line/column of a byte offset. *)
 
-val pp_pos : Format.formatter -> pos -> unit
-(** ["line 3, column 7"]. *)
-
 val pp : Format.formatter -> span -> unit
 (** ["3:7"] or ["3:7-5:2"]. *)
 

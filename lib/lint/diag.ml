@@ -25,12 +25,6 @@ let severity_name = function
   | Warning -> "warning"
   | Info -> "info"
 
-let severity_of_name = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | "info" -> Some Info
-  | _ -> None
-
 let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
 let pos_key = function

@@ -25,8 +25,6 @@ val info : ?span:Hdl.Loc.span -> ?cell:int -> rule:string -> string -> t
 val severity_name : severity -> string
 (** ["error"], ["warning"], ["info"]. *)
 
-val severity_of_name : string -> severity option
-
 val compare : t -> t -> int
 (** Errors first, then warnings, then infos; ties broken by rule id, then
     source position, then message. *)

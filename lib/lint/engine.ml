@@ -17,8 +17,6 @@ let lint_source ?style (src : string) : Diag.t list =
       Diag.sort (frontend ?span:sp "elaboration error" msg :: hdl)
     | circuit -> Diag.sort (hdl @ Rules_netlist.check circuit))
 
-let lint_circuit = Rules_netlist.check
-
 let report_json (sources : (string * Diag.t list) list) : Obs.Json.t =
   let open Obs.Json in
   let all = List.concat_map snd sources in

@@ -7,10 +7,6 @@
 
 val lint_source : ?style:Hdl.Elaborate.case_style -> string -> Diag.t list
 
-val lint_circuit : Netlist.Circuit.t -> Diag.t list
-(** Netlist layer only ({!Rules_netlist.check}); for circuits with no
-    source text, e.g. workload profiles built programmatically. *)
-
 val report_json : (string * Diag.t list) list -> Obs.Json.t
 (** The [--json] report: [{"schema": "smartly-lint-v1", "sources": [...],
     "errors": N, "warnings": N, "infos": N}] with one entry per linted

@@ -29,11 +29,6 @@ let is_fully_const (s : sigspec) = Array.for_all is_const s
 
 let const_of_bool b = if b then C1 else C0
 
-let bool_of_const = function
-  | C0 -> Some false
-  | C1 -> Some true
-  | Cx | Of_wire _ -> None
-
 (* Build a [w]-bit constant sigspec from an integer, LSB first. *)
 let of_int ~width v =
   Array.init width (fun i -> const_of_bool ((v lsr i) land 1 = 1))
@@ -73,8 +68,6 @@ let extend (s : sigspec) ~width:w =
   else Array.init w (fun i -> if i < n then s.(i) else C0)
 
 let all_zero ~width = Array.make width C0
-
-let all_x ~width = Array.make width Cx
 
 let pp_bit ppf = function
   | C0 -> Fmt.string ppf "0"

@@ -22,9 +22,6 @@ val is_fully_const : sigspec -> bool
 
 val const_of_bool : bool -> bit
 
-val bool_of_const : bit -> bool option
-(** [Some] for [C0]/[C1], [None] otherwise. *)
-
 val of_int : width:int -> int -> sigspec
 (** [of_int ~width v] is the [width]-bit constant [v], LSB first. *)
 
@@ -46,7 +43,6 @@ val extend : sigspec -> width:int -> sigspec
 (** Zero-extend or truncate to [width]. *)
 
 val all_zero : width:int -> sigspec
-val all_x : width:int -> sigspec
 
 val pp_bit : Format.formatter -> bit -> unit
 val pp : Format.formatter -> sigspec -> unit

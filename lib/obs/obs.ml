@@ -416,8 +416,6 @@ module Event = struct
     let s = subscribe ~name (fun e -> evs := e :: !evs) in
     s, fun () -> List.rev !evs
 
-  let subscriber_count () = List.length !subscribers
-
   let failed_sinks () =
     List.filter_map
       (fun s -> Option.map (fun e -> s.sname, e) s.failure)
@@ -815,15 +813,6 @@ module Metrics = struct
         -. (s.Gc.promoted_words -. m.gm_stat.Gc.promoted_words);
       top_heap_words = s.Gc.top_heap_words;
     }
-
-  let gc_delta_to_json (d : gc_delta) : Json.t =
-    Json.Obj
-      [
-        "minor_collections", Json.num_of_int d.minor_collections;
-        "major_collections", Json.num_of_int d.major_collections;
-        "allocated_words", Json.Num d.allocated_words;
-        "top_heap_words", Json.num_of_int d.top_heap_words;
-      ]
 
   let to_json () : Json.t =
     Json.Obj

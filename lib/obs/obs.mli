@@ -122,8 +122,6 @@ module Event : sig
   (** The in-memory sink: subscribe, and read back every event delivered
       to it so far, in stream order. *)
 
-  val subscriber_count : unit -> int
-
   val failed_sinks : unit -> (string * string) list
   (** Sinks disabled after raising, as [(name, first error)]. *)
 
@@ -273,7 +271,6 @@ module Metrics : sig
   }
 
   val gc_delta : gc_mark -> gc_delta
-  val gc_delta_to_json : gc_delta -> Json.t
 
   val to_json : unit -> Json.t
   (** [{"counters": {...}, "histograms": {name: {count, sum, min, max,

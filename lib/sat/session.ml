@@ -52,7 +52,6 @@ let create () =
 
 let encoder t = t.enc
 let flushes t = t.flushes
-let encoded_cells t = Hashtbl.length t.cells
 
 let flush t =
   t.enc <- Tseitin.create ();

@@ -37,6 +37,3 @@ val flush : t -> unit
 
 val flushes : t -> int
 (** Times the session was flushed by staleness (also a metric). *)
-
-val encoded_cells : t -> int
-(** Cells currently encoded in the session. *)

@@ -173,8 +173,6 @@ let new_var s =
   heap_insert s v;
   v
 
-let value_var s v = s.assigns.(v)
-
 let value_lit s l =
   let a = s.assigns.(Lit.var l) in
   if a < 0 then -1 else a lxor (l land 1)
@@ -633,8 +631,5 @@ let model_value s v =
   | 1 -> true
   | 0 -> false
   | _ -> s.polarity.(v)
-
-(* After Sat, the caller usually wants to continue incrementally. *)
-let release_model s = cancel_until s 0
 
 let stats (s : t) = s.conflicts, s.decisions, s.propagations

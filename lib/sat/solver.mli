@@ -56,12 +56,6 @@ val model_value : t -> int -> bool
 (** Value of a variable in the last model (phase-saved default when the
     variable was unconstrained). *)
 
-val release_model : t -> unit
-(** Rewind the trail after reading a model. *)
-
-val value_var : t -> int -> int
-(** Current assignment of a variable: 1 true, 0 false, -1 unassigned. *)
-
 val value_lit : t -> Lit.t -> int
 (** Current assignment of a literal: 1 true, 0 false, -1 unassigned. *)
 

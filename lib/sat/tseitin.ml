@@ -285,7 +285,3 @@ let query_forced_info ?budget ?relevant ?interrupt t ~assumptions
     | Solver.Unknown -> Undetermined, info
     | Solver.Unsat -> Forced true, info
     | Solver.Sat -> Free, info)
-
-let query_forced ?budget ?relevant ?interrupt t ~assumptions ~target :
-    query_result =
-  fst (query_forced_info ?budget ?relevant ?interrupt t ~assumptions ~target)

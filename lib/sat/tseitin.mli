@@ -54,20 +54,6 @@ type query_result =
     must reproduce [last_result]. *)
 type solve_info = { last_target_lit : Lit.t; last_result : Solver.result }
 
-val query_forced :
-  ?budget:int ->
-  ?relevant:int list ->
-  ?interrupt:(unit -> bool) ->
-  t ->
-  assumptions:Lit.t list ->
-  target:Bits.bit ->
-  query_result
-(** Is the target bit forced under the assumptions?  Two incremental
-    solver calls: SAT(target=1) and SAT(target=0).  [relevant] and
-    [interrupt] are passed through to {!Solver.solve} — see the
-    soundness requirement on [relevant]; session queries supply the
-    active groups' variables from {!Session.prepare}. *)
-
 val query_forced_info :
   ?budget:int ->
   ?relevant:int list ->
@@ -76,4 +62,9 @@ val query_forced_info :
   assumptions:Lit.t list ->
   target:Bits.bit ->
   query_result * solve_info
-(** Like {!query_forced}, also exposing the final solve for capture. *)
+(** Is the target bit forced under the assumptions?  Two incremental
+    solver calls: SAT(target=1) and SAT(target=0).  [relevant] and
+    [interrupt] are passed through to {!Solver.solve} — see the
+    soundness requirement on [relevant]; session queries supply the
+    active groups' variables from {!Session.prepare}.  The
+    {!solve_info} exposes the final solve for capture. *)

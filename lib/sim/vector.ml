@@ -113,10 +113,6 @@ let random_word seed idx =
   z := (!z lxor (!z lsr 27)) * 0x14D049BB133111EB;
   !z lxor (!z lsr 31)
 
-(* Randomize the given bits; returns unit, patterns live in [env]. *)
-let randomize env ~seed bits =
-  List.iteri (fun i b -> write env b (random_word seed i)) bits
-
 (* Run [rounds] rounds of random simulation of the full circuit and check
    that outputs of [c1] and [c2] agree.  Both circuits must share input
    wires by name.  Returns the first differing (round, output name). *)

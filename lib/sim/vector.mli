@@ -19,8 +19,6 @@ val eval_ordered : Circuit.t -> env -> int list -> unit
 val random_word : int -> int -> int
 (** Deterministic pseudo-random word from (seed, index). *)
 
-val randomize : env -> seed:int -> Bits.bit list -> unit
-
 val random_equiv :
   ?rounds:int -> ?seed:int -> Circuit.t -> Circuit.t -> (int * string) option
 (** Random co-simulation of two circuits with name-matched ports.

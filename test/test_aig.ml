@@ -216,44 +216,6 @@ let test_cec_positive_negative () =
   check_bool "demorgan equiv" true (Equiv.is_equivalent c1 c2);
   check_bool "broken not equiv" false (Equiv.is_equivalent (mk true) c2)
 
-(* --- AIGER I/O --- *)
-
-let test_aiger_roundtrip () =
-  let c = Circuit.create "m" in
-  let a = Circuit.add_input c "a" ~width:4 in
-  let b = Circuit.add_input c "b" ~width:4 in
-  let v =
-    Circuit.mk_binary c Cell.Add (Circuit.sig_of_wire a) (Circuit.sig_of_wire b)
-  in
-  let y = Circuit.add_output c "y" ~width:4 in
-  ignore
-    (Circuit.add_cell c
-       (Cell.Binary
-          { op = Cell.Or; a = v; b = Bits.all_zero ~width:4;
-            y = Circuit.sig_of_wire y }));
-  let g1 = (Aiger.Aigmap.map c).Aiger.Aigmap.aig in
-  let text = Aiger.Aiger_io.write g1 in
-  let g2 = Aiger.Aiger_io.read text in
-  check_int "same pi count" (A.num_pis g1) (A.num_pis g2);
-  check_int "same po count" (A.num_pos g1) (A.num_pos g2);
-  check_int "same area" (A.area g1) (A.area g2);
-  check_bool "semantically equal" true
-    (Aiger.Fraig.check_aigs g1 g2 = Aiger.Fraig.Equivalent);
-  (* names survive *)
-  check_bool "pi names" true
-    (List.map fst (A.pis g1) = List.map fst (A.pis g2))
-
-let test_aiger_errors () =
-  let bad s =
-    match Aiger.Aiger_io.read s with
-    | _ -> false
-    | exception Aiger.Aiger_io.Format_error _ -> true
-  in
-  check_bool "empty" true (bad "");
-  check_bool "bad header" true (bad "aig 1 2\n");
-  check_bool "latches rejected" true (bad "aag 1 0 1 0 0\n2 2\n");
-  check_bool "truncated" true (bad "aag 2 1 0 1 1\n2\n")
-
 let () =
   Alcotest.run "aig"
     [
@@ -273,9 +235,4 @@ let () =
         ] );
       ( "cec",
         [ Alcotest.test_case "positive/negative" `Quick test_cec_positive_negative ] );
-      ( "aiger",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_aiger_roundtrip;
-          Alcotest.test_case "errors" `Quick test_aiger_errors;
-        ] );
     ]

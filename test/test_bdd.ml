@@ -36,34 +36,7 @@ let test_terminals_count () =
       ~lo:(A.mk m ~var:1 ~lo:(A.leaf m 10) ~hi:(A.leaf m 20))
       ~hi:(A.leaf m 10)
   in
-  check_int "nodes" 2 (A.count_nodes t);
-  Alcotest.(check (list int)) "terminals" [ 10; 20 ] (A.terminals t)
-
-let test_bdd_ops () =
-  let m = A.manager () in
-  let x = A.bdd_var m 0 and y = A.bdd_var m 1 in
-  let xy = A.bdd_and m x y in
-  check_int "and 11" 1 (A.eval xy (fun _ -> true));
-  check_int "and 10" 0 (A.eval xy (fun v -> v = 0));
-  let xo = A.bdd_or m x (A.bdd_not m x) in
-  check_bool "x | ~x = true" true (xo == A.bdd_true m);
-  let xx = A.bdd_xor m x x in
-  check_bool "x ^ x = false" true (xx == A.bdd_false m)
-
-let test_restrict () =
-  let m = A.manager () in
-  let x = A.bdd_var m 0 and y = A.bdd_var m 1 in
-  let f = A.bdd_and m x y in
-  check_bool "f|x=1 is y" true (A.restrict m ~var:0 ~value:true f == y);
-  check_bool "f|x=0 is false" true
-    (A.restrict m ~var:0 ~value:false f == A.bdd_false m)
-
-let test_ite () =
-  let m = A.manager () in
-  let c = A.bdd_var m 0 in
-  let t = A.ite m c ~then_:(A.leaf m 5) ~else_:(A.leaf m 9) in
-  check_int "cond true" 5 (A.eval t (fun v -> v = 0));
-  check_int "cond false" 9 (A.eval t (fun _ -> false))
+  check_int "nodes" 2 (A.count_nodes t)
 
 (* rows semantics: priority order, first match wins *)
 let test_of_rows_priority () =
@@ -78,7 +51,7 @@ let test_of_rows_priority () =
       mk_cube A.P0 A.P0 A.P1, 2;
     ]
   in
-  let t = A.of_rows m ~num_vars:3 rows ~default:3 in
+  let t = A.of_rows m ~split:A.Lowest ~num_vars:3 rows ~default:3 in
   let eval s =
     A.eval t (fun v -> (s lsr v) land 1 = 1)
   in
@@ -108,6 +81,7 @@ let interp_rows rows ~default assignment =
 
 let gen_rows =
   QCheck.Gen.(
+    let* split = oneofl [ A.Lowest; A.Fewest_terminals ] in
     let* num_vars = int_range 1 5 in
     let* n_rows = int_range 1 6 in
     let gen_pbit = oneofl [ A.P0; A.P1; A.Pz ] in
@@ -117,47 +91,19 @@ let gen_rows =
       return (cube, v)
     in
     let* rows = list_size (return n_rows) gen_row in
-    return (num_vars, rows))
+    return (split, num_vars, rows))
 
 let prop_of_rows_semantics =
   QCheck.Test.make ~count:300 ~name:"of_rows = priority interpreter"
     (QCheck.make gen_rows)
-    (fun (num_vars, rows) ->
+    (fun (split, num_vars, rows) ->
       let m = A.manager () in
-      let t = A.of_rows m ~num_vars rows ~default:99 in
+      let t = A.of_rows m ~split ~num_vars rows ~default:99 in
       let ok = ref true in
       for s = 0 to (1 lsl num_vars) - 1 do
         let assignment v = (s lsr v) land 1 = 1 in
         if A.eval t assignment <> interp_rows rows ~default:99 assignment then
           ok := false
-      done;
-      !ok)
-
-let prop_apply_commutes =
-  QCheck.Test.make ~count:200 ~name:"bdd and/or match boolean eval"
-    QCheck.(triple (int_bound 7) (int_bound 7) (int_bound 255))
-    (fun (f_truth, g_truth, _) ->
-      (* interpret 3-bit truth tables over vars 0..2 *)
-      let m = A.manager () in
-      let build truth =
-        (* f(x0,x1,x2) = bit (x2x1x0) of truth *)
-        let rows =
-          List.init 8 (fun s ->
-              ( Array.init 3 (fun v ->
-                    if (s lsr v) land 1 = 1 then A.P1 else A.P0),
-                (truth lsr s) land 1 ))
-        in
-        A.of_rows m ~num_vars:3 rows ~default:0
-      in
-      let f = build f_truth and g = build g_truth in
-      let fg = A.bdd_and m f g in
-      let ok = ref true in
-      for s = 0 to 7 do
-        let assignment v = (s lsr v) land 1 = 1 in
-        let expect =
-          (f_truth lsr s) land 1 land ((g_truth lsr s) land 1)
-        in
-        if A.eval fg assignment <> expect then ok := false
       done;
       !ok)
 
@@ -170,12 +116,9 @@ let () =
           Alcotest.test_case "reduction" `Quick test_reduction;
           Alcotest.test_case "eval" `Quick test_eval;
           Alcotest.test_case "terminals/nodes" `Quick test_terminals_count;
-          Alcotest.test_case "bdd ops" `Quick test_bdd_ops;
-          Alcotest.test_case "restrict" `Quick test_restrict;
-          Alcotest.test_case "ite" `Quick test_ite;
           Alcotest.test_case "of_rows priority" `Quick test_of_rows_priority;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_of_rows_semantics; prop_apply_commutes ] );
+          [ prop_of_rows_semantics ] );
     ]

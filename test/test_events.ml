@@ -514,7 +514,13 @@ let test_report_from_ledger () =
   let removed = Obs.Metrics.value (Obs.Metrics.counter "flow.cells_removed") in
   check_bool "cells removed" true (removed > 0);
   check_bool "cells_removed = flow.cells_removed" true
-    (Obs.Json.mem_int "cells_removed" live = Some removed)
+    (Obs.Json.mem_int "cells_removed" live = Some removed);
+  let per_iter =
+    Obs.Metrics.histogram_stats
+      (Obs.Metrics.histogram "driver.cells_removed_per_iter")
+  in
+  check_int "cells_removed_per_iter sums to flow.cells_removed" removed
+    (int_of_float per_iter.Obs.Metrics.sum)
 
 (* --- ledger lifecycle --- *)
 
