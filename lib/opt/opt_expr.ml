@@ -11,7 +11,7 @@
 open Netlist
 
 let output_is_port (c : Circuit.t) (cell : Cell.t) =
-  Array.exists (Rewire.is_port_bit c) (Cell.output cell)
+  Array.exists (Rewire.is_output_bit c) (Cell.output cell)
 
 (* Try to const-evaluate the cell with a 3-valued pass (non-constant inputs
    read as X).  Returns the constant output sigspec if fully determined. *)
@@ -90,7 +90,8 @@ let try_identity (cell : Cell.t) : Bits.sigspec option =
 
 let m_cells_removed = Obs.Metrics.counter "flow.cells_removed"
 
-let simplify_cell (c : Circuit.t) id (cell : Cell.t) : bool =
+let simplify_cell (pending : Rewire.t) (c : Circuit.t) id (cell : Cell.t) :
+    bool =
   let y = Cell.output cell in
   let is_port = output_is_port c cell in
   let replace_with ~reason to_ =
@@ -108,7 +109,7 @@ let simplify_cell (c : Circuit.t) id (cell : Cell.t) : bool =
       end
     end
     else begin
-      Rewire.replace_sig c ~from_:y ~to_;
+      Rewire.record pending ~from_:y ~to_;
       Circuit.remove_cell c id;
       Obs.Metrics.incr m_cells_removed;
       Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed ~cell:id
@@ -130,23 +131,27 @@ let simplify_cell (c : Circuit.t) id (cell : Cell.t) : bool =
 
 let m_folded = Obs.Metrics.counter "opt_expr.folded"
 
-(* Run to fixpoint; returns the number of removed cells. *)
+(* Run to fixpoint; returns the number of removed cells.  A sweep visits
+   the cells in ascending id order, each through the pending substitution,
+   and rewires the readers of what it removed once, at its end. *)
 let run (c : Circuit.t) : int =
   Obs.Trace.with_span "opt_expr.run" @@ fun () ->
+  let pending = Rewire.create c in
   let total = ref 0 in
   let progress = ref true in
   while !progress do
     progress := false;
     List.iter
       (fun id ->
-        match Circuit.cell_opt c id with
+        match Rewire.cell pending id with
         | Some cell ->
-          if simplify_cell c id cell then begin
+          if simplify_cell pending c id cell then begin
             incr total;
             progress := true
           end
         | None -> ())
-      (Circuit.cell_ids c)
+      (Circuit.cell_ids c);
+    Rewire.flush pending
   done;
   Obs.Metrics.add m_folded !total;
   !total

@@ -28,7 +28,7 @@ let insert_registers (c : Circuit.t) ~seed ~percent =
         stageable cell
         && not
              (Array.exists
-                (fun b -> Rewire.is_port_bit c b)
+                (fun b -> Rewire.is_output_bit c b)
                 (Cell.output cell)))
       (Circuit.cell_ids c)
   in

@@ -454,7 +454,33 @@ let test_rewire () =
           | _ -> ())
         (Cell.input_bits cell))
     c;
-  check_bool "no reader of c left" true !ok
+  check_bool "no reader of c left" true !ok;
+  (* c is an input port: a buffer would be a second driver *)
+  check_bool "validates clean" true (Validate.check c = [])
+
+(* A pending substitution resolves chains, skips identity pairs, buffers
+   output-port bits at once and rewires the rest on flush. *)
+let test_rewire_pending () =
+  let c = Circuit.create "pending" in
+  let a = Circuit.sig_of_wire (Circuit.add_input c "a" ~width:1) in
+  let y = Circuit.sig_of_wire (Circuit.add_output c "y" ~width:1) in
+  let z = Circuit.sig_of_wire (Circuit.add_output c "z" ~width:1) in
+  let w1 = Circuit.fresh_sig c ~width:1 and w2 = Circuit.fresh_sig c ~width:1 in
+  let inv i o = Cell.Unary { op = Cell.Not; a = i; y = o } in
+  let reader = Circuit.add_cell c (inv w1 y) in
+  let p = Rewire.create c in
+  Rewire.record p ~from_:w1 ~to_:w2;
+  Rewire.record p ~from_:w2 ~to_:a;
+  Rewire.record p ~from_:a ~to_:w1;
+  check_bool "chain resolved" true (Rewire.cell p reader = Some (inv a y));
+  Rewire.record p ~from_:z ~to_:w2;
+  let buffer = Cell.Binary { op = Cell.Or; a; b = [| Bits.C0 |]; y = z } in
+  check_bool "output port buffered" true (Circuit.cell c 1 = buffer);
+  let late_y = Circuit.fresh_sig c ~width:1 in
+  let late = Circuit.add_cell c (inv w2 late_y) in
+  Rewire.flush p;
+  check_bool "flush rewires" true (Circuit.cell c late = inv a late_y);
+  check_int "cells" 3 (Circuit.cell_count c)
 
 let test_stats () =
   let c = build_simple () in
@@ -495,6 +521,7 @@ let () =
           Alcotest.test_case "cycle witness shortest" `Quick
             test_cycle_witness_is_shortest;
           Alcotest.test_case "rewire" `Quick test_rewire;
+          Alcotest.test_case "rewire pending" `Quick test_rewire_pending;
           Alcotest.test_case "stats" `Quick test_stats;
         ] );
     ]

@@ -99,6 +99,45 @@ let test_merge_duplicates () =
   let merged = Rtl_opt.Opt_merge.run c in
   check_bool "merged at least 2" true (merged >= 2)
 
+(* A self-loop [y = y | 0] is removed (its substitution is an identity
+   pair, so resolving it cannot loop). *)
+let test_expr_self_loop () =
+  let c = Circuit.create "loop" in
+  let y = Circuit.fresh_sig c ~width:1 in
+  ignore
+    (Circuit.add_cell c
+       (Cell.Binary { op = Cell.Or; a = y; b = [| Bits.C0 |]; y }));
+  check_int "removed" 1 (Rtl_opt.Opt_expr.run c);
+  check_int "no cells" 0 (Circuit.cell_count c)
+
+(* The cleanup sweeps rewire once per sweep, not once per removed cell:
+   4000 removals of 8-bit cells must stay far below the seconds a scan of
+   every cell per removal takes (9 s and 16 s on a 2-vCPU VM). *)
+let within_2s what f =
+  let t0 = Unix.gettimeofday () in
+  let n = f () in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_int what 4000 n;
+  if dt >= 2.0 then Alcotest.failf "%s took %.2f s on 4000 cells" what dt
+
+let test_expr_linear () =
+  let c = Circuit.create "chain" in
+  let x = Circuit.sig_of_wire (Circuit.add_input c "x" ~width:8) in
+  let zero = Bits.all_zero ~width:8 in
+  let rec chain i s =
+    if i = 0 then s else chain (i - 1) (Circuit.mk_binary c Cell.Or s zero)
+  in
+  expose c "y" (chain 4000 x);
+  within_2s "opt_expr removed" (fun () -> Rtl_opt.Opt_expr.run c)
+
+let test_merge_linear () =
+  let c = Circuit.create "dups" in
+  let a = Circuit.sig_of_wire (Circuit.add_input c "a" ~width:8) in
+  let b = Circuit.sig_of_wire (Circuit.add_input c "b" ~width:8) in
+  let dups = List.init 4001 (fun _ -> Circuit.mk_binary c Cell.And a b) in
+  expose c "y" (Circuit.mk_unary c Cell.Reduce_xor (Bits.concat dups));
+  within_2s "opt_merge merged" (fun () -> Rtl_opt.Opt_merge.run c)
+
 (* --- opt_clean --- *)
 
 let test_clean_dead_cells () =
@@ -286,6 +325,124 @@ let prop_baseline_preserves =
       ignore (Smartly.Driver.yosys c);
       Validate.is_well_formed c && Equiv.is_equivalent orig c)
 
+(* --- property: the deferred rewrite is sound on raw netlists --- *)
+
+(* A random well-formed netlist of 2-bit signals that forces what a
+   sweep's pending substitution must get right: a chain of passthrough and
+   constant-folding cells whose links run both ways in id order, duplicate
+   cells driving output ports, and dff feedback.  The other cells are
+   generated in topological order and added in a shuffled one. *)
+let random_raw seed =
+  let rs = Random.State.make [| seed |] in
+  let int n = Random.State.int rs n in
+  let pick a = a.(int (Array.length a)) in
+  let c = Circuit.create "raw" in
+  let inputs =
+    List.init (1 + int 3) (fun i ->
+        Circuit.sig_of_wire (Circuit.add_input c (Fmt.str "i%d" i) ~width:2))
+  in
+  let qs = Array.init (1 + int 2) (fun _ -> Circuit.fresh_sig c ~width:2) in
+  let pool =
+    ref
+      (Array.of_list
+         (Bits.C0 :: Bits.C1
+         :: List.concat_map Array.to_list (Array.to_list qs @ inputs)))
+  in
+  let bits w = Array.init w (fun _ -> pick !pool) in
+  let zero = Bits.all_zero ~width:2 in
+  let outputs = ref 0 in
+  let output () =
+    incr outputs;
+    Circuit.sig_of_wire (Circuit.add_output c (Fmt.str "o%d" !outputs) ~width:2)
+  in
+  (* a removable cell: passthrough, constant or identity *)
+  let removable a y =
+    match int 5 with
+    | 0 -> Cell.Binary { op = Cell.Or; a; b = zero; y }
+    | 1 -> Cell.Binary { op = Cell.And; a = [| Bits.C1; Bits.C1 |]; b = a; y }
+    | 2 -> Cell.Binary { op = Cell.And; a; b = zero; y }
+    | 3 -> Cell.Mux { a; b = a; s = pick !pool; y }
+    | _ -> Cell.Mux { a = bits 2; b = a; s = Bits.C1; y }
+  in
+  let kept a y =
+    match int 4 with
+    | 0 -> Cell.Binary { op = Cell.Xor; a; b = bits 2; y }
+    | 1 -> Cell.Unary { op = Cell.Not; a; y }
+    | 2 -> Cell.Mux { a; b = bits 2; s = pick !pool; y }
+    | _ -> Cell.Binary { op = Cell.And; a = bits 2; b = a; y }
+  in
+  let made = ref [] in
+  let make ?(y = Circuit.fresh_sig c ~width:2) cell =
+    let cell = cell y in
+    made := cell :: !made;
+    pool := Array.append !pool (Cell.output cell);
+    cell
+  in
+  (* the chain, added as [p1; p0; p2; p3]: p0 -> p1 runs down in id
+     order, p1 -> p2 and p2 -> p3 up *)
+  let p0 = make (removable (bits 2)) in
+  let p1 = make (removable (Cell.output p0)) in
+  let p2 = make (removable (Cell.output p1)) in
+  let p3 = make (removable (Cell.output p2)) in
+  List.iter (fun cell -> ignore (Circuit.add_cell c cell)) [ p1; p0; p2; p3 ];
+  made := [];
+  (* dff feedback: q0 -> f -> d0 *)
+  let f = make (kept qs.(0)) in
+  for _ = 1 to 4 + int 12 do
+    let a = bits 2 in
+    let y = if int 5 = 0 then Some (output ()) else None in
+    ignore
+      (match int 4 with
+      | 0 -> make ?y (removable a)
+      | 1 -> make ?y (kept a)
+      | 2 when !made <> [] ->
+        (* a duplicate of an earlier cell *)
+        make ?y (fun y ->
+            match pick (Array.of_list !made) with
+            | Cell.Unary u -> Cell.Unary { u with y }
+            | Cell.Binary b -> Cell.Binary { b with y }
+            | Cell.Mux m -> Cell.Mux { m with y }
+            | Cell.Pmux p -> Cell.Pmux { p with y }
+            | Cell.Dff _ -> kept a y)
+      | _ -> make ?y (kept a))
+  done;
+  (* duplicates driving output ports *)
+  let a = bits 2 and b = bits 2 in
+  ignore (make ~y:(output ()) (fun y -> Cell.Binary { op = Cell.And; a; b; y }));
+  ignore (make ~y:(output ()) (fun y -> Cell.Binary { op = Cell.And; a = b; b = a; y }));
+  Array.iteri
+    (fun i q ->
+      let d = if i = 0 then Cell.output f else bits 2 in
+      made := Cell.Dff { d; q } :: !made)
+    qs;
+  (* shuffle the rest into the circuit *)
+  let rest = Array.of_list !made in
+  for i = Array.length rest - 1 downto 1 do
+    let j = int (i + 1) in
+    let t = rest.(i) in
+    rest.(i) <- rest.(j);
+    rest.(j) <- t
+  done;
+  Array.iter (fun cell -> ignore (Circuit.add_cell c cell)) rest;
+  c
+
+(* [opt_expr] then [opt_merge] on such a netlist leave it well-formed and
+   equivalent, and [opt_expr] at its fixpoint.  (The fixpoint is checked
+   before the merge: merging two duplicates [x] and [x'] can turn a
+   [mux s x x'] into the equal-branch mux that [opt_expr] folds.) *)
+let prop_deferred_rewrite_sound =
+  QCheck.Test.make ~count:200 ~name:"deferred rewrite is sound"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let c = random_raw seed in
+      let orig = Circuit.copy c in
+      Validate.is_well_formed orig
+      &&
+      (ignore (Rtl_opt.Opt_expr.run c);
+       let again = Rtl_opt.Opt_expr.run c in
+       ignore (Rtl_opt.Opt_merge.run c);
+       again = 0 && Validate.is_well_formed c && Equiv.is_equivalent orig c))
+
 let () =
   Alcotest.run "opt"
     [
@@ -295,9 +452,14 @@ let () =
           Alcotest.test_case "mux const select" `Quick test_mux_const_select;
           Alcotest.test_case "mux equal branches" `Quick test_mux_equal_branches;
           Alcotest.test_case "eq same signal" `Quick test_eq_same_signal;
+          Alcotest.test_case "self loop" `Quick test_expr_self_loop;
+          Alcotest.test_case "linear" `Quick test_expr_linear;
         ] );
       ( "opt_merge",
-        [ Alcotest.test_case "duplicates" `Quick test_merge_duplicates ] );
+        [
+          Alcotest.test_case "duplicates" `Quick test_merge_duplicates;
+          Alcotest.test_case "linear" `Quick test_merge_linear;
+        ] );
       ( "opt_clean",
         [
           Alcotest.test_case "dead cells" `Quick test_clean_dead_cells;
@@ -317,5 +479,6 @@ let () =
           preserved "fig1 flow" fig1_circuit;
           preserved "fig2 flow" fig2_circuit;
           QCheck_alcotest.to_alcotest prop_baseline_preserves;
+          QCheck_alcotest.to_alcotest prop_deferred_rewrite_sound;
         ] );
     ]
