@@ -61,7 +61,7 @@ bench-baselines: build
 # a Chrome trace, the JSON run report, and a provenance log; aggregate
 # the log with `explain`; and fail unless every artifact parses
 # (validate-json is the CLI's own strict parser, so no external tooling
-# is needed) and the report is the v2 run report with a metrics object.  A second run on riscv — the smallest profile whose
+# is needed) and the report is the v3 run report with a metrics object.  A second run on riscv — the smallest profile whose
 # ladder reaches SAT — dumps its hardest queries and replays each one,
 # failing on any verdict mismatch.  The replay loop is guarded because
 # a profile resolved entirely by simulation dumps zero queries.
@@ -89,7 +89,7 @@ bench-baselines: build
 # provenance line must count a non-zero number of events, read from the
 # ledger's events.jsonl, and the run directory must hold no separate
 # provenance.jsonl or stats.json: provenance and the report live in the
-# event stream.  `report --json` must be the same v2 run report, with a
+# event stream.  `report --json` must be the same v3 run report, with a
 # metrics object, and `explain` must attribute the run from its ledger
 # down to a total row.  The
 # bench harness must refuse an unknown section name with exit 2 before
@@ -199,9 +199,9 @@ ci: build
 	dune exec bin/smartly_cli.exe -- explain /tmp/smartly_prov.jsonl
 	dune exec bin/smartly_cli.exe -- validate-json \
 	  /tmp/smartly_stats.json /tmp/smartly_trace.json /tmp/smartly_prov.jsonl
-	grep -q '"schema": "smartly-report-v2"' /tmp/smartly_stats.json \
+	grep -q '"schema": "smartly-report-v3"' /tmp/smartly_stats.json \
 	  && grep -q '"metrics": {' /tmp/smartly_stats.json \
-	  || { echo "ci: opt --json is not the v2 run report with metrics"; \
+	  || { echo "ci: opt --json is not the v3 run report with metrics"; \
 	  exit 1; }
 	rm -rf /tmp/smartly_satq
 	dune exec bin/smartly_cli.exe -- opt riscv --flow smartly \
@@ -226,9 +226,9 @@ ci: build
 	dune exec bin/smartly_cli.exe -- report "$$run" --json \
 	  > /tmp/smartly_report.json && \
 	dune exec bin/smartly_cli.exe -- validate-json /tmp/smartly_report.json && \
-	{ grep -q '"schema": "smartly-report-v2"' /tmp/smartly_report.json \
+	{ grep -q '"schema": "smartly-report-v3"' /tmp/smartly_report.json \
 	  && grep -q '"metrics": {' /tmp/smartly_report.json \
-	  || { echo "ci: report --json is not the v2 run report with metrics"; \
+	  || { echo "ci: report --json is not the v3 run report with metrics"; \
 	  exit 1; }; } && \
 	dune exec bin/smartly_cli.exe -- explain "$$run" \
 	  > /tmp/smartly_explain_run.txt && cat /tmp/smartly_explain_run.txt && \

@@ -770,9 +770,9 @@ let figures () =
     "Listing 2: greedy ADD assignment quality (paper: 3 vs 7 muxes)";
   let c = Hdl.Elaborate.elaborate_string ~style:`Chain listing2 in
   ignore (Rtl_opt.Opt_expr.run c);
-  match Smartly.Muxtree.find_all c with
+  let index = Index.build c in
+  match Smartly.Muxtree.find_all c index with
   | [ flat ] ->
-    let index = Index.build c in
     let d = Smartly.Restructure.evaluate c index flat in
     Printf.printf
       "  rows=%d selector_bits=%d  greedy tree: %d muxes (height %d)\n"
@@ -980,9 +980,8 @@ let () =
            ()
        in
        (* no event sinks during measurement: per-event delivery would
-          perturb the committed Time/Gc figures, so even the flight ring
-          stays detached — a bench ledger is manifest + reports only *)
-       Obs.Ring.detach (Obs.Ledger.ring l);
+          perturb the committed Time/Gc figures — a bench ledger is
+          manifest + reports only *)
        ledger := Some l
      with Sys_error msg | Unix.Unix_error (_, msg, _) ->
        Printf.eprintf "ledger: disabled (%s)\n" msg)

@@ -23,7 +23,7 @@
    Observability: [opt] records the run's event stream once and renders
    everything from it.  [opt --trace FILE] writes a Chrome trace_event
    JSON of the run (open in chrome://tracing or Perfetto); [opt --json]
-   prints the run report (smartly-report-v2: area, per-pass and per-span
+   prints the run report (smartly-report-v3: area, per-pass and per-span
    wall time, SAT log, metrics, provenance summary) to stdout, moving the
    human summary to stderr, and [smartly report] prints the same document
    from a run's ledger; [opt --provenance FILE] writes one JSONL event
@@ -189,7 +189,7 @@ let no_ledger_arg =
         ~doc:
           "Do not create a run-ledger directory.  By default every \
            $(b,opt) run records its manifest, event stream (provenance \
-           included), trace, SAT dumps and flight-recorder dump under \
+           included), trace and SAT dumps under \
            $(b,.smartly/runs/<run-id>/), renderable later with \
            $(b,smartly report).")
 
@@ -517,28 +517,6 @@ let check_invariants_arg =
            sub-pass; on a violation, name the first pass that broke an \
            invariant and exit non-zero.")
 
-(* The hardest-query refs a flight dump carries: pointers into the
-   ledger's sat/ directory, not the DIMACS text itself. *)
-let flight_extra () =
-  let open Obs.Json in
-  [
-    ( "sat_hardest",
-      List
-        (List.map
-           (fun (e : Smartly.Engine.Sat_log.entry) ->
-             Obj
-               [
-                 "id", num_of_int e.Smartly.Engine.Sat_log.id;
-                 ( "conflicts",
-                   num_of_int e.Smartly.Engine.Sat_log.conflicts );
-                 ( "dimacs",
-                   Str
-                     (Printf.sprintf "sat/query_%04d.cnf"
-                        e.Smartly.Engine.Sat_log.id) );
-               ])
-           (Smartly.Engine.Sat_log.hardest ())) );
-  ]
-
 let opt_cmd =
   let run src style flow check verbose trace json provenance sat_dump
       check_invariants no_ledger ledger_root
@@ -577,16 +555,13 @@ let opt_cmd =
     if progress || Unix.isatty Unix.stderr then
       ignore (Obs.Event.attach_progress ());
     (* an interrupted run still leaves a complete, renderable ledger: the
-       flushed events.jsonl prefix, a flight dump naming the in-flight
-       pass, and a manifest with status "interrupted" *)
+       flushed events.jsonl, whose last open pass is the one in flight,
+       and a manifest with status "interrupted" *)
     (match ledger with
     | Some l ->
       Sys.set_signal Sys.sigint
         (Sys.Signal_handle
            (fun _ ->
-             ignore
-               (Obs.Ledger.dump_flight ~extra:(flight_extra ())
-                  ~reason:"sigint" l);
              Obs.Ledger.finish ~status:"interrupted" l;
              exit 130))
     | None -> ());
@@ -614,14 +589,10 @@ let opt_cmd =
       try
         run_flow ?after_pass ~pass_budget_ms ~pass_alloc_budget_mw flow c
       with e ->
-        (match ledger with
-        | Some l ->
-          ignore
-            (Obs.Ledger.dump_flight ~extra:(flight_extra ())
-               ~reason:("exception: " ^ Printexc.to_string e)
-               l);
-          Obs.Ledger.finish ~status:"crashed" l
-        | None -> ());
+        Option.iter
+          (Obs.Ledger.finish ~status:"crashed"
+             ~extra:[ "reason", Obs.Json.Str (Printexc.to_string e) ])
+          ledger;
         raise e
     in
     let dt = Obs.Clock.now () -. t0 in
@@ -739,9 +710,6 @@ let opt_cmd =
          end
        with Sys_error msg | Unix.Unix_error (_, msg, _) ->
          Printf.eprintf "ledger: cannot write artifact: %s\n%!" msg);
-      if overruns <> [] then
-        ignore
-          (Obs.Ledger.dump_flight ~extra:(flight_extra ()) ~reason:"budget" l);
       let status =
         if !invariant_failed then "invariant-failed"
         else if not_equivalent then "not-equivalent"
@@ -955,12 +923,15 @@ let replay_cmd =
     let ok = ref true in
     List.iter
       (fun path ->
-        match read_file path with
+        match
+          Result.bind (read_file path) (fun text ->
+              Result.map_error (Printf.sprintf "%s: %s" path)
+                (Cdcl.Dimacs.parse_string_ext text))
+        with
         | Error msg ->
           prerr_endline msg;
           ok := false
-        | Ok text ->
-          let cnf, comments = Cdcl.Dimacs.parse_string_ext text in
+        | Ok (cnf, comments) ->
           let s = Cdcl.Solver.create () in
           for _ = 1 to cnf.Cdcl.Dimacs.num_vars do
             ignore (Cdcl.Solver.new_var s)
@@ -1284,10 +1255,6 @@ let report_cmd =
           (Filename.concat root target);
         exit 2
     in
-    let read name = Result.to_option (read_file (Filename.concat dir name)) in
-    let read_json name =
-      Option.bind (read name) (fun t -> Result.to_option (Obs.Json.parse t))
-    in
     let manifest =
       match read_file (Filename.concat dir "manifest.json") with
       | Ok text -> Result.to_option (Obs.Json.parse text)
@@ -1296,14 +1263,11 @@ let report_cmd =
         exit 1
     in
     let events, torn_at =
-      match read "events.jsonl" with
-      | Some text -> Obs.Event.parse_jsonl_partial text
-      | None -> [], None
+      match read_file (Filename.concat dir "events.jsonl") with
+      | Ok text -> Obs.Event.parse_jsonl_partial text
+      | Error _ -> [], None
     in
-    let doc =
-      Obs.Run_report.of_events ?manifest ?flight:(read_json "flightrec.json")
-        ?torn_at events
-    in
+    let doc = Obs.Run_report.of_events ?manifest ?torn_at events in
     if json then print_endline (Obs.Json.to_string ~pretty:true doc)
     else begin
       let open Obs.Json in
@@ -1321,6 +1285,14 @@ let report_cmd =
       Printf.printf "  status: %s%s\n" status
         (if status = "running" then " (writer gone? ledger never finished)"
          else "");
+      Option.iter
+        (Printf.printf "  reason: %s\n")
+        (Option.bind manifest (mem_str "reason"));
+      Option.iter
+        (List.iter (fun e ->
+             Printf.printf "  sink error: %s: %s\n"
+               (str "sink" e ~default:"?") (str "error" e ~default:"?")))
+        (Option.bind manifest (mem_list "sink_errors"));
       (match Option.bind manifest (mem_list "argv") with
       | Some argv ->
         Printf.printf "  argv:   %s\n"
@@ -1396,15 +1368,9 @@ let report_cmd =
               | None -> "")
               (int_ "truncated" o))
           overruns);
-      (match section "flight" with
-      | Some f ->
-        Printf.printf
-          "  flight recorder: reason=%s, in-flight pass=%s, %d of %d events \
-           retained\n"
-          (str "reason" f ~default:"?")
-          (str "current_pass" f ~default:"none")
-          (int_ "retained" f) (int_ "seen" f)
-      | None -> ());
+      Option.iter
+        (Printf.printf "  in flight: %s (the stream ends inside this pass)\n")
+        (mem_str "in_flight_pass" doc);
       let p = Option.value (member "provenance_summary" doc) ~default:Null in
       Printf.printf "  provenance: %d events, %d cells removed\n"
         (int_ "events" p) (int_ "cells_removed" p)
@@ -1414,10 +1380,10 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Render a run ledger as the run report $(b,opt --json) printed for \
-          the run (with --json, the same smartly-report-v2 document plus \
-          the ledger's status, manifest and flight-recorder dump), or as a \
-          human summary: passes, timings, area trajectory, session \
-          counters, budget verdicts, flight-recorder dump.  Works from the \
+          the run (with --json, the same smartly-report-v3 document plus \
+          the ledger's status and manifest), or as a human summary: \
+          passes, timings, area trajectory, session counters, budget \
+          verdicts, and the pass in flight if the run died.  Works from the \
           ledger files alone — including ledgers of runs that died \
           mid-pass, whose torn event stream is recovered and reported.")
     Term.(const run $ target_arg $ ledger_root_arg $ json_arg)

@@ -45,9 +45,9 @@ let () =
 
   (* inspect the restructuring decision before committing to it *)
   ignore (Rtl_opt.Opt_expr.run circuit);
-  (match Smartly.Muxtree.find_all circuit with
+  let index = Index.build circuit in
+  (match Smartly.Muxtree.find_all circuit index with
   | [ flat ] ->
-    let index = Index.build circuit in
     let d = Smartly.Restructure.evaluate circuit index flat in
     Printf.printf
       "muxtree found: %d rows over %d opcode bits; greedy ADD tree: %d \

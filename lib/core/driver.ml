@@ -40,10 +40,11 @@ let loop ~cfg ~after_pass ~cap (c : Circuit.t)
   let overruns = ref [] in
   let skipped : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   (* One named pass under the watchdog.  Event ordering matters for the
-     flight recorder: Pass_end is emitted last, so a pass that dies (in
-     the pass body or in [after_pass]) leaves itself as the bus's
-     current pass; Budget_exceeded is emitted before [after_pass] so an
-     invariant failure cannot swallow the verdict. *)
+     run report: Pass_end is emitted last, so a pass that dies (in the
+     pass body or in [after_pass]) leaves its Pass_start open in the
+     stream, and the report names it in flight; Budget_exceeded is
+     emitted before [after_pass] so an invariant failure cannot swallow
+     the verdict. *)
   let run_pass ~iter (name, f) =
     if Hashtbl.mem skipped name then false
     else begin

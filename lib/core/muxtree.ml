@@ -254,6 +254,5 @@ let flatten (c : Circuit.t) (index : Index.t) (root_id : int) : flat option =
 
 (* All rebuildable muxtrees of the circuit (roots are muxes that are not
    dedicated children themselves). *)
-let find_all (c : Circuit.t) : flat list =
-  let index = Index.build c in
+let find_all (c : Circuit.t) (index : Index.t) : flat list =
   List.filter_map (flatten c index) (Rtl_opt.Opt_muxtree.roots c index)

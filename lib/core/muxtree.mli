@@ -27,5 +27,6 @@ val flatten : Circuit.t -> Index.t -> int -> flat option
     [None] for a vanished root and for a tree that fails the paper's
     SingleCtrl condition: all selector bits from one wire. *)
 
-val find_all : Circuit.t -> flat list
-(** Every rebuildable muxtree, from {!Rtl_opt.Opt_muxtree.roots}. *)
+val find_all : Circuit.t -> Index.t -> flat list
+(** Every rebuildable muxtree, from {!Rtl_opt.Opt_muxtree.roots}, on an
+    index of the circuit's current state. *)

@@ -119,8 +119,11 @@ let evaluate (c : Circuit.t) (index : Index.t) (flat : Muxtree.flat) :
 
 let m_cells_removed = Obs.Metrics.counter "flow.cells_removed"
 
-(* Terminal sigspecs are captured before rewiring. *)
-let rebuild (c : Circuit.t) (d : decision) =
+(* The lower nodes become fresh muxes; the top node takes over the old
+   root's output bits, so every reader keeps reading the bits it read.
+   A tree that is one leaf has no top mux: its readers, which the index
+   (built for this tree) names exactly, are rewired to the leaf. *)
+let rebuild (c : Circuit.t) (index : Index.t) (d : decision) =
   let flat = d.flat in
   let memo = Hashtbl.create 64 in
   let rec emit (t : Add.t) : Bits.sigspec =
@@ -137,10 +140,20 @@ let rebuild (c : Circuit.t) (d : decision) =
       Hashtbl.replace memo t.Add.id s;
       s
   in
-  let new_out = emit d.tree in
-  let old_root_cell = Circuit.cell c flat.Muxtree.root in
-  let old_y = Cell.output old_root_cell in
+  let y = Cell.output (Circuit.cell c flat.Muxtree.root) in
   Circuit.remove_cell c flat.Muxtree.root;
+  (match d.tree.Add.node with
+  | Add.Node { var; lo; hi } ->
+    let a = emit lo and b = emit hi in
+    ignore
+      (Circuit.add_cell c (Cell.Mux { a; b; s = flat.Muxtree.selector.(var); y }))
+  | Add.Leaf term ->
+    let subst = Rewire.create c in
+    Rewire.record subst ~from_:y ~to_:d.terminals.(term);
+    Array.iter
+      (fun b ->
+        List.iter (fun id -> ignore (Rewire.cell subst id)) (Index.readers index b))
+      y);
   Obs.Metrics.incr m_cells_removed;
   Obs.Provenance.emit ~kind:Obs.Provenance.Tree_rebuilt
     ~cell:flat.Muxtree.root ~pass:"restructure"
@@ -148,8 +161,7 @@ let rebuild (c : Circuit.t) (d : decision) =
     ~bits:flat.Muxtree.width ~area_delta:(-d.saved_cost) ();
   Obs.Provenance.emit ~kind:Obs.Provenance.Cell_removed
     ~cell:flat.Muxtree.root ~pass:"restructure"
-    ~mechanism:Obs.Provenance.Restructure ();
-  Rewire.replace_sig c ~from_:old_y ~to_:new_out
+    ~mechanism:Obs.Provenance.Restructure ()
 
 (* --- the pass --- *)
 
@@ -175,10 +187,11 @@ let h_height = Obs.Metrics.histogram "restructure.tree_height"
 let run_once (c : Circuit.t) : report =
   Obs.Trace.with_span "restructure.run_once" @@ fun () ->
   (* candidates are discovered once; each is re-flattened against the
-     current circuit just before rebuilding, since rewiring one tree can
+     current circuit just before rebuilding, since rebuilding one tree can
      refresh the data leaves of another *)
+  let first = Index.build c in
   let roots =
-    List.map (fun f -> f.Muxtree.root) (Muxtree.find_all c)
+    List.map (fun f -> f.Muxtree.root) (Muxtree.find_all c first)
   in
   let rebuilt = ref 0 in
   let muxes_before = ref 0 in
@@ -186,7 +199,7 @@ let run_once (c : Circuit.t) : report =
   let eq_removed = ref 0 in
   (* built when missing, dropped after each rebuilt tree: a rebuilt root
      may have been the other reader of a shared select *)
-  let index = ref None in
+  let index = ref (Some first) in
   List.iter
     (fun root ->
       if Budget.exhausted () then
@@ -210,7 +223,7 @@ let run_once (c : Circuit.t) : report =
         Obs.Metrics.observe_int h_height d.height;
         muxes_before := !muxes_before + d.old_muxes;
         if d.saved_cost > 0 then begin
-          rebuild c d;
+          rebuild c idx d;
           index := None;
           incr rebuilt;
           muxes_after := !muxes_after + d.new_muxes;

@@ -25,9 +25,12 @@ type decision = {
 val evaluate : Circuit.t -> Index.t -> Muxtree.flat -> decision
 (** Algorithm 1's ADD construction + Check, without committing. *)
 
-val rebuild : Circuit.t -> decision -> unit
-(** Emit the rebuilt tree and rewire the old root; the disconnected cells
-    are left to opt_clean (Algorithm 1 line 9). *)
+val rebuild : Circuit.t -> Index.t -> decision -> unit
+(** Emit the rebuilt tree in place of the old root: its top mux drives the
+    old root's output bits, so no reader is rewritten.  A tree that
+    collapsed to one leaf rewires the old root's readers, as the index
+    (of the circuit the decision was made on) names them, to the leaf.
+    The disconnected cells are left to opt_clean (Algorithm 1 line 9). *)
 
 type report = {
   candidates : int;

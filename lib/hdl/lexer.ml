@@ -53,6 +53,59 @@ let digit_value ch =
   else if ch >= 'A' && ch <= 'F' then Char.code ch - Char.code 'A' + 10
   else invalid_arg "digit_value"
 
+(* The widest literal accepted: IEEE 1364 requires tools to support
+   vectors of at least 2^16 bits.  Checked before anything is allocated. *)
+let max_width = 65536
+
+(* The low [width] bits, LSB first, of a sized decimal's digits ('_'
+   allowed), by repeated halving of the number they spell: 30 halvings
+   per step, on base-10^9 limbs, with no big-integer library.  A digit j
+   places from the right weighs 10^j = 2^j 5^j, a multiple of 2^width
+   once j >= width, so only the last [width] digits are read. *)
+let decimal_bits ~width digits (pos : Loc.pos) =
+  (* limbs, most significant first, built right to left *)
+  let limbs = ref [] and limb = ref 0 and scale = ref 1 in
+  let read = ref 0 and seen = ref false and nonzero = ref false in
+  for k = String.length digits - 1 downto 0 do
+    match digits.[k] with
+    | '_' -> ()
+    | '0' .. '9' as ch ->
+      seen := true;
+      if !read < width then begin
+        incr read;
+        let d = Char.code ch - Char.code '0' in
+        if d <> 0 then nonzero := true;
+        limb := !limb + (!scale * d);
+        if !scale = 100_000_000 then begin
+          limbs := !limb :: !limbs;
+          limb := 0;
+          scale := 1
+        end
+        else scale := !scale * 10
+      end
+    | ch -> raise (Lex_error (Printf.sprintf "bad decimal digit '%c'" ch, pos))
+  done;
+  if not !seen then raise (Lex_error ("bad decimal literal", pos));
+  let limbs = Array.of_list (if !scale > 1 then !limb :: !limbs else !limbs) in
+  (* bit b of the value is bit (b mod 30) of chunk (b / 30) *)
+  let chunks = Array.make ((width + 29) / 30) 0 in
+  let i = ref 0 in
+  while !nonzero && !i < Array.length chunks do
+    nonzero := false;
+    let rem = ref 0 in
+    for k = 0 to Array.length limbs - 1 do
+      (* rem < 2^30, so this stays below 2^62 *)
+      let cur = (!rem * 1_000_000_000) + limbs.(k) in
+      limbs.(k) <- cur lsr 30;
+      if limbs.(k) <> 0 then nonzero := true;
+      rem := cur land ((1 lsl 30) - 1)
+    done;
+    chunks.(!i) <- !rem;
+    incr i
+  done;
+  List.init width (fun b ->
+      if (chunks.(b / 30) lsr (b mod 30)) land 1 = 1 then Ast.B1 else Ast.B0)
+
 (* Parse the digits of a sized literal in the given base into LSB-first
    cbits of the target width; 'z' and '?' become wildcards. *)
 let sized_constant ~width ~base digits (pos : Loc.pos) : Ast.constant =
@@ -61,14 +114,7 @@ let sized_constant ~width ~base digits (pos : Loc.pos) : Ast.constant =
       raise (Lex_error (Printf.sprintf "bad base '%c'" base, pos))
   in
   let cbits =
-    if base = 'd' then begin
-      let v =
-        try int_of_string digits
-        with Failure _ -> raise (Lex_error ("bad decimal literal", pos))
-      in
-      List.init width (fun i ->
-          if (v lsr i) land 1 = 1 then Ast.B1 else Ast.B0)
-    end
+    if base = 'd' then decimal_bits ~width digits pos
     else begin
       (* expand digit by digit, MSB digit first in the source *)
       let expanded = ref [] in
@@ -143,11 +189,17 @@ let tokenize (src : string) : (token * Loc.pos) list =
       while !i < n && (is_digit src.[!i] || src.[!i] = '_') do
         incr i
       done;
+      let literal () =
+        String.concat "" (String.split_on_char '_' (String.sub src start (!i - start)))
+      in
       if !i < n && src.[!i] = '\'' then begin
         let width =
-          int_of_string
-            (String.concat ""
-               (String.split_on_char '_' (String.sub src start (!i - start))))
+          match int_of_string_opt (literal ()) with
+          | Some w when w <= max_width -> w
+          | Some _ | None ->
+            lex_error
+              (Printf.sprintf "literal width above %d bits" max_width)
+              start
         in
         incr i;
         if !i >= n then lex_error "truncated literal" start;
@@ -163,13 +215,10 @@ let tokenize (src : string) : (token * Loc.pos) list =
         let digits = String.sub src dstart (!i - dstart) in
         push (SIZED (sized_constant ~width ~base digits (pos_of start))) start
       end
-      else begin
-        let txt =
-          String.concat ""
-            (String.split_on_char '_' (String.sub src start (!i - start)))
-        in
-        push (NUMBER (int_of_string txt)) start
-      end
+      else
+        match int_of_string_opt (literal ()) with
+        | Some v -> push (NUMBER v) start
+        | None -> lex_error "decimal literal too large" start
     end
     else begin
       incr i;

@@ -87,8 +87,3 @@ let flush t =
     List.iter (fun id -> ignore (cell t id)) (Circuit.cell_ids t.circuit);
     Bits.Bit_tbl.reset t.subst
   end
-
-let replace_sig (c : Circuit.t) ~from_ ~to_ =
-  let t = create c in
-  record t ~from_ ~to_;
-  flush t

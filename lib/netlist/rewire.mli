@@ -9,7 +9,8 @@ val is_output_bit : Circuit.t -> Bits.bit -> bool
     replacement here instead of rewriting every reader at once, reads each
     cell it visits through {!cell}, and calls {!flush} at the end.  As long
     as the sweep reads other cells only through the substitution, the
-    circuit it leaves is the one a per-removal {!replace_sig} would leave. *)
+    circuit it leaves is the one rewiring every reader at each removal
+    would leave. *)
 
 type t
 
@@ -32,8 +33,3 @@ val cell : t -> int -> Cell.t option
 
 val flush : t -> unit
 (** Rewrite every cell's inputs through the substitution and empty it. *)
-
-val replace_sig : Circuit.t -> from_:Bits.sigspec -> to_:Bits.sigspec -> unit
-(** [record] and [flush] in one step: rewrite every reader of [from_] to
-    read [to_] instead.
-    @raise Invalid_argument on width mismatch. *)

@@ -303,7 +303,7 @@ module Json = struct
   let mem_list key j = Option.bind (member key j) to_list
 
   (* JSONL recovery parser.  A killed process leaves the last line torn
-     mid-record; every reader of a flight-recorder ledger wants "all the
+     mid-record; every reader of a run ledger wants "all the
      complete leading records, plus where the damage starts" instead of a
      hard error.  A malformed line in the *middle* of the file also stops
      the scan — resyncing past corruption would silently reorder the
@@ -332,10 +332,9 @@ end
 (* The unified event bus.  One ordered, monotonically-timestamped stream
    of everything a run does — span boundaries, pass boundaries, SAT
    queries, provenance mutations, budget verdicts — fanned out to
-   pluggable subscriber sinks (a JSONL file, the flight-recorder ring, a
-   TTY progress line, an in-memory recording, the [Trace] fold).  With no
-   subscriber, [emit] is one list check (plus constant-time pass-stack
-   upkeep so [current_pass] stays truthful for flight dumps). *)
+   pluggable subscriber sinks (a JSONL file, a TTY progress line, an
+   in-memory recording, the [Trace] fold).  With no subscriber, [emit] is
+   one list check. *)
 module Event = struct
   type kind =
     | Run_start
@@ -391,8 +390,6 @@ module Event = struct
   let next_sid = ref 0
   let next_seq = ref 0
   let last_ns = ref 0L
-  let pass_stack : string list ref = ref []
-  let emitted_total = ref 0
 
   let enabled () = !subscribers <> []
 
@@ -423,8 +420,7 @@ module Event = struct
 
   (* A sink that raises is marked dead and skipped from then on; the
      other subscribers keep receiving every event.  One bad consumer
-     (full disk, closed pipe) must never cost the flight recorder its
-     tail. *)
+     (full disk, closed pipe) must never cost the others their events. *)
   let deliver e =
     List.iter
       (fun s ->
@@ -434,11 +430,6 @@ module Event = struct
       !subscribers
 
   let emit ?(name = "") ?(data = Json.Null) kind =
-    (match kind with
-    | Pass_start -> pass_stack := name :: !pass_stack
-    | Pass_end -> (
-      match !pass_stack with [] -> () | _ :: r -> pass_stack := r)
-    | _ -> ());
     if !subscribers <> [] then begin
       (* Clamp to the last stamp: the clock is monotonic already, but the
          stream's non-decreasing invariant must hold by construction, not
@@ -448,14 +439,8 @@ module Event = struct
       last_ns := t;
       let e = { seq = !next_seq; t_ns = t; kind; name; data } in
       incr next_seq;
-      incr emitted_total;
       deliver e
     end
-
-  let current_pass () =
-    match !pass_stack with [] -> None | p :: _ -> Some p
-
-  let emitted () = !emitted_total
 
   let reset () =
     List.iter
@@ -466,9 +451,7 @@ module Event = struct
       !subscribers;
     subscribers := [];
     next_seq := 0;
-    last_ns := 0L;
-    pass_stack := [];
-    emitted_total := 0
+    last_ns := 0L
 
   let to_json e : Json.t =
     Json.Obj
@@ -1082,10 +1065,10 @@ end
 (* The run report, rendered from the event stream alone: the live
    recording of [opt --json] and the [events.jsonl] of a ledger give the
    same document, so the two views of a run can never disagree.  Every
-   section reads events; the ledger context (manifest, flight dump) is
-   the only input from outside the stream. *)
+   section reads events; the manifest is the only input from outside the
+   stream. *)
 module Run_report = struct
-  let of_events ?manifest ?flight ?torn_at (evs : Event.t list) : Json.t =
+  let of_events ?manifest ?torn_at (evs : Event.t list) : Json.t =
     let first kind = List.find_opt (fun (e : Event.t) -> e.kind = kind) evs in
     let of_kind kind = List.filter (fun (e : Event.t) -> e.kind = kind) evs in
     let field ev key =
@@ -1134,6 +1117,17 @@ module Run_report = struct
         (totals Event.Span_close)
       |> List.map (fun (_, row, _) -> Json.Obj row)
     in
+    (* the innermost pass still open where the stream ends: where a run
+       that died, by any means, stopped *)
+    let open_passes =
+      List.fold_left
+        (fun stack (e : Event.t) ->
+          match e.kind, stack with
+          | Event.Pass_start, _ -> e.name :: stack
+          | Event.Pass_end, _ :: rest -> rest
+          | _ -> stack)
+        [] evs
+    in
     let provenance = Provenance.summary_json (Provenance.of_events evs) in
     let rec ordered = function
       | (a : Event.t) :: ((b : Event.t) :: _ as rest) ->
@@ -1142,7 +1136,7 @@ module Run_report = struct
     in
     Json.Obj
       [
-        "schema", Json.Str "smartly-report-v2";
+        "schema", Json.Str "smartly-report-v3";
         "source", field run_start "source";
         "flow", field run_start "flow";
         ( "area",
@@ -1161,6 +1155,8 @@ module Run_report = struct
         "sat_log", field run_end "sat_log";
         "metrics", field run_end "metrics";
         "passes", Json.List passes;
+        ( "in_flight_pass",
+          match open_passes with p :: _ -> Json.Str p | [] -> Json.Null );
         "spans", Json.List spans;
         "sat_queries", Json.num_of_int (List.length (of_kind Event.Sat_query));
         ( "budget",
@@ -1183,73 +1179,14 @@ module Run_report = struct
           Option.value ~default:Json.Null
             (Option.bind manifest (Json.member "status")) );
         "manifest", Option.value manifest ~default:Json.Null;
-        "flight", Option.value flight ~default:Json.Null;
       ]
 end
 
-(* Flight recorder: a fixed-capacity wrap buffer subscribed to the event
-   bus.  Always on for ledgered runs — its cost is one array store per
-   event — so when a run dies the last N events are dumpable without
-   having planned for the failure. *)
-module Ring = struct
-  type t = {
-    capacity : int;
-    buf : Event.t option array;
-    mutable seen : int;
-    mutable sub : Event.subscription option;
-  }
-
-  let create ?(capacity = 256) () =
-    let capacity = max 1 capacity in
-    { capacity; buf = Array.make capacity None; seen = 0; sub = None }
-
-  let push t e =
-    t.buf.(t.seen mod t.capacity) <- Some e;
-    t.seen <- t.seen + 1
-
-  let attach t =
-    let s = Event.subscribe ~name:"flight-ring" (fun e -> push t e) in
-    t.sub <- Some s;
-    s
-
-  let detach t =
-    match t.sub with
-    | Some s ->
-      t.sub <- None;
-      Event.unsubscribe s
-    | None -> ()
-
-  let capacity t = t.capacity
-  let seen t = t.seen
-
-  let events t =
-    let k = min t.seen t.capacity in
-    List.init k (fun i ->
-        match t.buf.((t.seen - k + i) mod t.capacity) with
-        | Some e -> e
-        | None -> assert false)
-
-  let to_json ?(reason = "") ?(extra = []) t : Json.t =
-    Json.Obj
-      ([
-         "schema", Json.Str "smartly-flightrec-v1";
-         "reason", Json.Str reason;
-         ( "current_pass",
-           match Event.current_pass () with
-           | Some p -> Json.Str p
-           | None -> Json.Null );
-         "seen", Json.num_of_int t.seen;
-         "retained", Json.num_of_int (min t.seen t.capacity);
-         "events", Json.List (List.map Event.to_json (events t));
-       ]
-      @ extra)
-end
-
 (* Run ledger: one directory per CLI run holding everything the run
-   produced — manifest, ordered event stream, traces, provenance, SAT
-   dumps, reports, and the flight-recorder dump if it died.  [smartly
-   report] renders a run from these files alone, without the process that
-   wrote them. *)
+   produced — manifest, ordered event stream (provenance included),
+   trace, SAT dumps, reports.  [events.jsonl] is flushed per event, so a
+   run that died leaves every event it emitted; [smartly report] renders
+   a run from these files alone, without the process that wrote them. *)
 module Ledger = struct
   type t = {
     dir : string;
@@ -1257,7 +1194,6 @@ module Ledger = struct
     started : float;  (* Unix epoch seconds, for humans; not monotonic *)
     argv : string list;
     env : Json.t;
-    ring : Ring.t;
     mutable events_sub : Event.subscription option;
     mutable finished : bool;
   }
@@ -1302,8 +1238,8 @@ module Ledger = struct
     write_file (path t "manifest.json")
       (Json.to_string ~pretty:true (manifest_json ?status ?extra t))
 
-  let create ?(root = default_root) ?run_id ?(attach_events = true)
-      ?(ring_capacity = 256) ~argv ~env () =
+  let create ?(root = default_root) ?run_id ?(attach_events = true) ~argv
+      ~env () =
     let base = match run_id with Some id -> id | None -> fresh_run_id () in
     mkdir_p root;
     (* Two runs in the same second from the same shell script are routine
@@ -1324,38 +1260,44 @@ module Ledger = struct
         started = Unix.gettimeofday ();
         argv;
         env;
-        ring = Ring.create ~capacity:ring_capacity ();
         events_sub = None;
         finished = false;
       }
     in
     write_manifest t;
-    ignore (Ring.attach t.ring);
     if attach_events then
       t.events_sub <- Some (Event.attach_jsonl ~path:(path t "events.jsonl"));
     t
 
   let dir t = t.dir
   let run_id t = t.run_id
-  let ring t = t.ring
-
-  let dump_flight ?(extra = []) ~reason t =
-    let p = path t "flightrec.json" in
-    write_file p
-      (Json.to_string ~pretty:true (Ring.to_json ~reason ~extra t.ring));
-    p
 
   let finish ?(extra = []) ~status t =
     if not t.finished then begin
       t.finished <- true;
+      (* a sink that raised stopped receiving events there (a full disk
+         stops events.jsonl early); the manifest says which one and why *)
+      let errors =
+        match Event.failed_sinks () with
+        | [] -> []
+        | failed ->
+          [
+            ( "sink_errors",
+              Json.List
+                (List.map
+                   (fun (sink, error) ->
+                     Json.Obj [ "sink", Json.Str sink; "error", Json.Str error ])
+                   failed) );
+          ]
+      in
       (match t.events_sub with
       | Some s ->
         t.events_sub <- None;
         Event.unsubscribe s
       | None -> ());
-      Ring.detach t.ring;
       write_manifest ~status
-        ~extra:(("ended_unix", Json.Num (Unix.gettimeofday ())) :: extra)
+        ~extra:
+          ((("ended_unix", Json.Num (Unix.gettimeofday ())) :: extra) @ errors)
         t
     end
 end

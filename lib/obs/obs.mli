@@ -90,8 +90,8 @@ module Event : sig
   type kind =
     | Run_start
     | Run_end
-    | Pass_start  (** [name] = pass; pushes the current-pass stack *)
-    | Pass_end  (** pops the current-pass stack *)
+    | Pass_start  (** [name] = pass *)
+    | Pass_end  (** closes the innermost open pass *)
     | Span_open  (** [name] = span, from {!Trace.with_span} *)
     | Span_close  (** [data] = [{"seconds"}] *)
     | Provenance  (** [data] = {!Provenance.event_to_json} *)
@@ -130,20 +130,12 @@ module Event : sig
       construction on hot paths. *)
 
   val emit : ?name:string -> ?data:Json.t -> kind -> unit
-  (** Stamp and deliver one event to every live subscriber.  Pass-stack
-      upkeep ({!current_pass}) happens even with no subscribers. *)
-
-  val current_pass : unit -> string option
-  (** The innermost pass with a [Pass_start] not yet closed — what a
-      flight-recorder dump names as in-flight. *)
-
-  val emitted : unit -> int
-  (** Events delivered (to at least one subscriber) since {!reset}. *)
+  (** Stamp and deliver one event to every live subscriber; nothing
+      without one. *)
 
   val reset : unit -> unit
-  (** Drop all subscribers (running their close hooks), restart [seq],
-      clear the pass stack.  Scopes the bus to one run, like
-      {!Metrics.reset}. *)
+  (** Drop all subscribers (running their close hooks) and restart [seq].
+      Scopes the bus to one run, like {!Metrics.reset}. *)
 
   val to_json : t -> Json.t
   val of_json : Json.t -> (t, string) result
@@ -364,12 +356,11 @@ module Provenance : sig
       the [provenance_summary] section of the run report. *)
 end
 
-(** The run report ([smartly-report-v2]): the one document [opt --json]
+(** The run report ([smartly-report-v3]): the one document [opt --json]
     prints over the live stream and [smartly report] prints over a
     ledger's [events.jsonl]. *)
 module Run_report : sig
-  val of_events :
-    ?manifest:Json.t -> ?flight:Json.t -> ?torn_at:int -> Event.t list -> Json.t
+  val of_events : ?manifest:Json.t -> ?torn_at:int -> Event.t list -> Json.t
   (** Sections, each read from the stream:
       - [source], [flow]: from [Run_start];
       - [area {before, after}] ([Run_start]/[Run_end] areas) and
@@ -378,6 +369,8 @@ module Run_report : sig
         from [Run_end] (the metrics registry's counters and histograms);
       - [passes]: [Pass_end] totals (name, calls, seconds, last cells),
         in first-seen order;
+      - [in_flight_pass]: the innermost [Pass_start] the stream never
+        closed — where a run that died stopped — or [null];
       - [spans]: [Span_close] totals (name, calls, seconds), by name;
       - [sat_queries]: the number of [Sat_query] events;
       - [budget]: the [Budget_exceeded] payloads;
@@ -385,55 +378,20 @@ module Run_report : sig
       - [provenance_summary]: {!Provenance.summary_json};
       - [events {count, ordered, torn_at}]: [ordered] checks the stream
         invariants ([seq] increasing, [t_ns] non-decreasing).
-      The ledger context — [status] (the manifest's), [manifest],
-      [flight] — is [null] when not given, as over a live stream.  A
+      The ledger context — [status] (the manifest's) and [manifest] — is
+      [null] when not given, as over a live stream.  A
       section whose event is missing (an interrupted run has no
       [Run_end]) is [null]. *)
-end
-
-(** Flight recorder: a fixed-capacity ring of the most recent bus events.
-
-    Subscribed for every ledgered run (one array store per event), so
-    when a run dies — uncaught exception, SIGINT, budget kill — the last
-    N events plus the in-flight pass name are dumpable after the fact. *)
-module Ring : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] defaults to 256 and is clamped to at least 1. *)
-
-  val attach : t -> Event.subscription
-  (** Subscribe the ring to the event bus. *)
-
-  val detach : t -> unit
-  (** Unsubscribe; retained events stay readable. *)
-
-  val push : t -> Event.t -> unit
-  (** Record one event directly (what {!attach} wires up). *)
-
-  val capacity : t -> int
-
-  val seen : t -> int
-  (** Total events pushed, including those the ring has since dropped. *)
-
-  val events : t -> Event.t list
-  (** The retained window, oldest first. *)
-
-  val to_json : ?reason:string -> ?extra:(string * Json.t) list -> t -> Json.t
-  (** The [smartly-flightrec-v1] document: reason, current pass (from
-      {!Event.current_pass}), seen/retained counts, the retained events,
-      and any [extra] top-level fields (e.g. hardest-query DIMACS
-      refs). *)
 end
 
 (** Per-run ledger directory: [.smartly/runs/<run-id>/] with a manifest,
     the ordered event stream, and every artifact the run produces.
 
     The manifest is written at creation with status ["running"] and
-    rewritten by {!finish}; a run that died leaves the ["running"]
-    status, its flushed [events.jsonl] prefix, and (when the death was
-    observed) a flight-recorder dump — enough for [smartly report] to
-    reconstruct what happened without the writing process. *)
+    rewritten by {!finish}; a run that died unobserved leaves the
+    ["running"] status and its [events.jsonl], flushed per event — enough
+    for [smartly report] to name the pass it died in without the writing
+    process. *)
 module Ledger : sig
   type t
 
@@ -447,16 +405,14 @@ module Ledger : sig
     ?root:string ->
     ?run_id:string ->
     ?attach_events:bool ->
-    ?ring_capacity:int ->
     argv:string list ->
     env:Json.t ->
     unit ->
     t
   (** Make the run directory (suffixing the id on collision), write the
-      initial manifest, attach the flight ring and — unless
-      [attach_events:false] (bench measurement runs, where per-event
-      file I/O would perturb timings) — an [events.jsonl] sink to the
-      bus.  [env] is the caller's environment fingerprint (the CLI
+      initial manifest and — unless [attach_events:false] (bench
+      measurement runs, where per-event file I/O would perturb timings) —
+      attach an [events.jsonl] sink to the bus.  [env] is the caller's environment fingerprint (the CLI
       passes [Perf.Schema]'s). *)
 
   val dir : t -> string
@@ -466,15 +422,11 @@ module Ledger : sig
   (** [path t name] is [dir t ^ "/" ^ name] — where runs place their
       trace, provenance, SAT-dump and report artifacts. *)
 
-  val ring : t -> Ring.t
-
-  val dump_flight :
-    ?extra:(string * Json.t) list -> reason:string -> t -> string
-  (** Write [flightrec.json] from the ring and return its path.  Safe to
-      call from a signal handler (OCaml runs handlers at safe points). *)
-
   val finish : ?extra:(string * Json.t) list -> status:string -> t -> unit
-  (** Detach the sinks (closing [events.jsonl]) and rewrite the manifest
-      with [status], an end timestamp, and any [extra] summary fields.
-      Idempotent: only the first call acts. *)
+  (** Detach the [events.jsonl] sink (closing it) and rewrite the
+      manifest with [status], an end timestamp, any [extra] summary
+      fields and, when a bus sink raised, [sink_errors] ({!Event.failed_sinks}
+      as [{sink, error}] objects).  Idempotent: only the first call acts.
+      Safe to call from a signal handler (OCaml runs handlers at safe
+      points). *)
 end

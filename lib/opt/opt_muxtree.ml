@@ -227,20 +227,14 @@ let identical_signal (c : Circuit.t) : resolver =
     stop = (fun () -> false);
   }
 
-(* Iterate to fixpoint (with expression folding in between, the caller's
-   flow takes care of interleaving opt_expr / opt_clean). *)
+(* One walk, as Yosys's opt_muxtree is one pass inside opt's loop: the
+   driver repeats it, between opt_expr, opt_merge and opt_clean, until no
+   pass makes progress. *)
 let m_changes = Obs.Metrics.counter "opt_muxtree.changes"
 
 let run (c : Circuit.t) : int =
   Obs.Trace.with_span "opt_muxtree.run" @@ fun () ->
-  let r = identical_signal c in
-  let rec fix iter total =
-    if iter >= 16 then total
-    else
-      let n = walk r c (Index.build c) in
-      let changes = n.bypassed + n.folded + n.dead in
-      if changes > 0 then fix (iter + 1) (total + changes) else total
-  in
-  let total = fix 0 0 in
-  Obs.Metrics.add m_changes total;
-  total
+  let n = walk (identical_signal c) c (Index.build c) in
+  let changes = n.bypassed + n.folded + n.dead in
+  Obs.Metrics.add m_changes changes;
+  changes

@@ -60,5 +60,7 @@ val identical_signal : Circuit.t -> resolver
     Pass ["opt_muxtree"]. *)
 
 val run : Circuit.t -> int
-(** The Yosys pass: walk with {!identical_signal} until nothing changes
-    (at most 16 walks); returns the total number of changes. *)
+(** The Yosys pass: one walk with {!identical_signal}, on a fresh index;
+    returns that walk's number of changes.  Like Yosys's [opt_muxtree],
+    it does not loop itself: the driver's loop repeats it until no pass
+    makes progress. *)

@@ -2,10 +2,12 @@
 
 type cnf = { num_vars : int; clauses : int list list }
 
-val parse_string : string -> cnf
-(** @raise Invalid_argument on malformed input. *)
+val parse_string : string -> (cnf, string) result
+(** [Error] names the first malformed line, e.g. ["line 2: bad literal
+    \"two\""] or ["line 1: bad problem line"]; a literal whose variable
+    the problem line does not declare is one too. *)
 
-val parse_string_ext : string -> cnf * string list
+val parse_string_ext : string -> (cnf * string list, string) result
 (** Like {!parse_string}, also returning comment lines (leading ["c "]
     stripped) in file order — recorded query metadata lives there. *)
 

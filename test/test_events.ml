@@ -1,7 +1,7 @@
-(* Tests for the unified event bus, the flight-recorder ring, the run
-   ledger, and the resource-budget watchdog: the observability path a
-   dead process leaves behind must be ordered, parseable, and truthful
-   about what was in flight. *)
+(* Tests for the unified event bus, the run ledger, and the
+   resource-budget watchdog: the observability path a dead process leaves
+   behind must be ordered, parseable, and truthful about what was in
+   flight. *)
 
 open Netlist
 
@@ -109,21 +109,34 @@ let test_sinks_fold_the_bus () =
     (shape (Obs.Trace.of_events evs) = shape (Obs.Trace.events trace));
   check_bool "provenance on the bus" true (Obs.Provenance.of_events evs <> [])
 
-(* --- current-pass stack --- *)
+(* --- the pass in flight, from the stream --- *)
 
-let test_current_pass_stack () =
+let in_flight evs =
+  Obs.Json.member "in_flight_pass" (Obs.Run_report.of_events evs)
+
+let test_in_flight_pass () =
   with_bus @@ fun () ->
-  (* truthful even with zero subscribers *)
-  check_bool "idle" true (Obs.Event.current_pass () = None);
-  Obs.Event.emit ~name:"sat_elim" Obs.Event.Pass_start;
-  check_bool "in pass" true (Obs.Event.current_pass () = Some "sat_elim");
-  Obs.Event.emit ~name:"nested" Obs.Event.Pass_start;
-  check_bool "innermost wins" true
-    (Obs.Event.current_pass () = Some "nested");
-  Obs.Event.emit ~name:"nested" Obs.Event.Pass_end;
-  check_bool "popped" true (Obs.Event.current_pass () = Some "sat_elim");
-  Obs.Event.emit ~name:"sat_elim" Obs.Event.Pass_end;
-  check_bool "idle again" true (Obs.Event.current_pass () = None)
+  let _, events = Obs.Event.record () in
+  let after f =
+    f ();
+    in_flight (events ())
+  in
+  let start name () = Obs.Event.emit ~name Obs.Event.Pass_start in
+  let stop name () = Obs.Event.emit ~name Obs.Event.Pass_end in
+  check_bool "empty stream" true (after ignore = Some Obs.Json.Null);
+  check_bool "unclosed pass" true
+    (after (start "sat_elim") = Some (Obs.Json.Str "sat_elim"));
+  check_bool "innermost of nested" true
+    (after (start "nested") = Some (Obs.Json.Str "nested"));
+  check_bool "inner closed" true
+    (after (stop "nested") = Some (Obs.Json.Str "sat_elim"));
+  check_bool "all closed" true (after (stop "sat_elim") = Some Obs.Json.Null);
+  check_bool "a later unclosed pass" true
+    (after (fun () ->
+         start "opt_expr" ();
+         stop "opt_expr" ();
+         start "restructure" ())
+    = Some (Obs.Json.Str "restructure"))
 
 (* --- sink failure isolation --- *)
 
@@ -148,33 +161,6 @@ let test_sink_failure_isolation () =
   | other ->
     Alcotest.failf "expected exactly one failed sink, got %d"
       (List.length other)
-
-(* --- flight-recorder ring --- *)
-
-let test_ring_wraparound () =
-  with_bus @@ fun () ->
-  let r = Obs.Ring.create ~capacity:8 () in
-  ignore (Obs.Ring.attach r);
-  for i = 1 to 20 do
-    Obs.Event.emit ~name:(Printf.sprintf "e%d" i) Obs.Event.Sat_query
-  done;
-  Obs.Ring.detach r;
-  Obs.Event.emit ~name:"after-detach" Obs.Event.Sat_query;
-  check_int "capacity" 8 (Obs.Ring.capacity r);
-  check_int "seen counts drops" 20 (Obs.Ring.seen r);
-  let names =
-    List.map (fun (e : Obs.Event.t) -> e.Obs.Event.name) (Obs.Ring.events r)
-  in
-  check_bool "retains the last 8, oldest first" true
-    (names = [ "e13"; "e14"; "e15"; "e16"; "e17"; "e18"; "e19"; "e20" ]);
-  (* the dump document *)
-  Obs.Event.emit ~name:"p" Obs.Event.Pass_start;
-  let j = Obs.Ring.to_json ~reason:"test" r in
-  check_bool "reason" true (Obs.Json.mem_str "reason" j = Some "test");
-  check_bool "current pass" true
-    (Obs.Json.mem_str "current_pass" j = Some "p");
-  check_bool "seen" true (Obs.Json.mem_int "seen" j = Some 20);
-  check_bool "retained" true (Obs.Json.mem_int "retained" j = Some 8)
 
 (* --- torn-tail JSONL recovery --- *)
 
@@ -372,7 +358,7 @@ let test_budget_unarmed_is_free () =
   check_bool "still not armed" true (not (Smartly.Budget.armed ()));
   check_bool "disarm yields nothing" true (Smartly.Budget.disarm () = None)
 
-(* --- sabotaged run: the flight recorder names the in-flight pass --- *)
+(* --- runs that died: the ledger's stream names the pass in flight --- *)
 
 let rec rm_rf p =
   if Sys.is_directory p then begin
@@ -387,81 +373,119 @@ let read_file p =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let test_sabotaged_run_flight_dump () =
-  with_bus @@ fun () ->
+(* A fresh ledger under a per-test root, removed afterwards. *)
+let with_ledger tag f =
   let root =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "smartly_test_ledger_%d" (Unix.getpid ()))
+      (Printf.sprintf "smartly_test_%s_%d" tag (Unix.getpid ()))
   in
   if Sys.file_exists root then rm_rf root;
-  Fun.protect ~finally:(fun () -> rm_rf root)
-  @@ fun () ->
-  let l =
-    Obs.Ledger.create ~root ~ring_capacity:32
-      ~argv:[ "smartly"; "opt"; "sabotaged" ]
-      ~env:(Obs.Json.Obj [ "hostname", Obs.Json.Str "test" ])
-      ()
+  Fun.protect ~finally:(fun () -> rm_rf root) @@ fun () ->
+  f
+    (Obs.Ledger.create ~root
+       ~argv:[ "smartly"; "opt"; tag ]
+       ~env:(Obs.Json.Obj [ "hostname", Obs.Json.Str "test" ])
+       ())
+
+(* What [smartly report] reads, cold, after the writing process is gone. *)
+let read_manifest l =
+  match
+    Obs.Json.parse (read_file (Filename.concat (Obs.Ledger.dir l) "manifest.json"))
+  with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "manifest does not parse: %s" e
+
+let cold_report l =
+  let evs, torn_at =
+    Obs.Event.parse_jsonl_partial
+      (read_file (Filename.concat (Obs.Ledger.dir l) "events.jsonl"))
   in
+  evs, Obs.Run_report.of_events ~manifest:(read_manifest l) ?torn_at evs
+
+let test_sabotaged_run_crash_record () =
+  with_bus @@ fun () ->
+  with_ledger "sabotaged" @@ fun l ->
   let c = Workloads.Profiles.circuit Workloads.Profiles.mux_chain in
-  let died_in = ref None in
   (* the invariant-checker seat: raise while sat_elim is still the open
      pass, as a failed invariant (or a crash in the pass body) would *)
   let after_pass name _ =
     if name = "sat_elim" then failwith "sabotage"
   in
+  (* what [opt] does when the flow raises *)
   (try ignore (Smartly.Driver.smartly ~after_pass c)
-   with Failure _ -> died_in := Obs.Event.current_pass ());
-  check_bool "bus names the in-flight pass" true
-    (!died_in = Some "sat_elim");
-  ignore (Obs.Ledger.dump_flight ~reason:"exception: sabotage" l);
-  Obs.Ledger.finish ~status:"crashed" l;
-  (* everything below reads the directory cold, as [smartly report]
-     would after the writing process is gone *)
-  let dir = Obs.Ledger.dir l in
-  let manifest =
-    match Obs.Json.parse (read_file (Filename.concat dir "manifest.json")) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "manifest does not parse: %s" e
-  in
+   with e ->
+     Obs.Ledger.finish ~status:"crashed"
+       ~extra:[ "reason", Obs.Json.Str (Printexc.to_string e) ]
+       l);
+  let manifest = read_manifest l in
   check_bool "status recorded" true
     (Obs.Json.mem_str "status" manifest = Some "crashed");
+  check_bool "reason recorded" true
+    (Obs.Json.mem_str "reason" manifest = Some "Failure(\"sabotage\")");
   check_bool "argv recorded" true
     (Obs.Json.mem_list "argv" manifest <> None);
-  let evs, torn =
-    Obs.Event.parse_jsonl_partial
-      (read_file (Filename.concat dir "events.jsonl"))
-  in
-  check_bool "event stream complete" true (torn = None);
+  let evs, report = cold_report l in
+  check_bool "event stream complete" true
+    (Option.bind (Obs.Json.member "events" report) (Obs.Json.member "torn_at")
+    = Some Obs.Json.Null);
   check_bool "events flushed" true (List.length evs > 0);
   assert_stream_ordered evs;
-  (* sat_elim opened but never closed *)
-  let count k name =
-    List.length
-      (List.filter
-         (fun (e : Obs.Event.t) ->
-           e.Obs.Event.kind = k && e.Obs.Event.name = name)
-         evs)
-  in
-  check_int "sat_elim opened" 1 (count Obs.Event.Pass_start "sat_elim");
-  check_int "sat_elim never closed" 0 (count Obs.Event.Pass_end "sat_elim");
+  check_bool "the stream names the pass in flight" true
+    (Obs.Json.mem_str "in_flight_pass" report = Some "sat_elim");
+  check_bool "the report carries the status" true
+    (Obs.Json.mem_str "status" report = Some "crashed");
   check_bool "provenance in the event stream" true
     (Obs.Provenance.of_events evs <> []);
-  let flight =
-    match
-      Obs.Json.parse (read_file (Filename.concat dir "flightrec.json"))
-    with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "flight dump does not parse: %s" e
-  in
-  check_bool "flight names the in-flight pass" true
-    (Obs.Json.mem_str "current_pass" flight = Some "sat_elim");
-  check_bool "flight says why" true
-    (Obs.Json.mem_str "reason" flight = Some "exception: sabotage");
-  check_bool "flight retained a window" true
-    (match Obs.Json.mem_int "retained" flight with
-    | Some n -> n > 0 && n <= 32
-    | None -> false)
+  (* the stream and the manifest are the whole record: no second copy *)
+  check_bool "ledger holds the manifest and the stream alone" true
+    (List.sort compare (Array.to_list (Sys.readdir (Obs.Ledger.dir l)))
+    = [ "events.jsonl"; "manifest.json" ])
+
+(* A SIGKILLed run never finishes its ledger: the manifest still says
+   "running" and the last line of events.jsonl is torn mid-record.  The
+   report still names the pass the stream ends in. *)
+let test_killed_run_in_flight () =
+  with_bus @@ fun () ->
+  with_ledger "killed" @@ fun l ->
+  Obs.Event.emit ~name:"k" ~data:(Obs.Json.Obj [ "area", Obs.Json.num_of_int 9 ])
+    Obs.Event.Run_start;
+  Obs.Event.emit ~name:"opt_expr" Obs.Event.Pass_start;
+  Obs.Event.emit ~name:"opt_expr" Obs.Event.Pass_end;
+  Obs.Event.emit ~name:"sat_elim" Obs.Event.Pass_start;
+  Obs.Event.emit ~name:"q0" Obs.Event.Sat_query;
+  (* the process dies: nothing finishes the ledger, and the write of the
+     next event stops part-way *)
+  Obs.Event.reset ();
+  let path = Filename.concat (Obs.Ledger.dir l) "events.jsonl" in
+  let whole = String.length (read_file path) in
+  Out_channel.with_open_gen [ Open_append ] 0o644 path (fun oc ->
+      output_string oc {|{"seq":5,"t_ns":12|});
+  let evs, report = cold_report l in
+  check_int "complete events recovered" 5 (List.length evs);
+  check_bool "torn tail located" true
+    (Option.bind (Obs.Json.member "events" report) (Obs.Json.mem_int "torn_at")
+    = Some whole);
+  check_bool "still running" true
+    (Obs.Json.mem_str "status" report = Some "running");
+  check_bool "the pass in flight" true
+    (Obs.Json.mem_str "in_flight_pass" report = Some "sat_elim");
+  check_bool "no Run_end" true (Obs.Json.member "wall_seconds" report = Some Obs.Json.Null)
+
+(* A sink that raised stopped receiving events; the finished manifest
+   says which one and why. *)
+let test_sink_errors_in_manifest () =
+  with_bus @@ fun () ->
+  with_ledger "sinkerr" @@ fun l ->
+  ignore (Obs.Event.subscribe ~name:"full-disk" (fun _ -> failwith "ENOSPC"));
+  Obs.Event.emit ~name:"q0" Obs.Event.Sat_query;
+  Obs.Ledger.finish ~status:"ok" l;
+  match Obs.Json.mem_list "sink_errors" (read_manifest l) with
+  | Some [ e ] ->
+    check_bool "sink named" true (Obs.Json.mem_str "sink" e = Some "full-disk");
+    check_bool "error kept" true
+      (Obs.Json.mem_str "error" e = Some "Failure(\"ENOSPC\")")
+  | _ -> Alcotest.fail "expected one sink error in the manifest"
 
 (* --- one run report --- *)
 
@@ -507,7 +531,9 @@ let test_report_from_ledger () =
     (Obs.Json.to_string ~pretty:true live)
     (Obs.Json.to_string ~pretty:true (Obs.Run_report.of_events ?torn_at evs));
   check_bool "schema" true
-    (Obs.Json.mem_str "schema" live = Some "smartly-report-v2");
+    (Obs.Json.mem_str "schema" live = Some "smartly-report-v3");
+  check_bool "a finished run has no pass in flight" true
+    (Obs.Json.member "in_flight_pass" live = Some Obs.Json.Null);
   check_bool "metrics carried" true
     (Option.bind (Obs.Json.member "metrics" live) (Obs.Json.member "counters")
      <> None);
@@ -563,15 +589,12 @@ let () =
           Alcotest.test_case "ordering under interleaved spans" `Quick
             test_bus_ordering_interleaved_spans;
           Alcotest.test_case "jsonl roundtrip" `Quick test_bus_jsonl_roundtrip;
-          Alcotest.test_case "current-pass stack" `Quick
-            test_current_pass_stack;
+          Alcotest.test_case "in-flight pass" `Quick test_in_flight_pass;
           Alcotest.test_case "sink failure isolation" `Quick
             test_sink_failure_isolation;
           Alcotest.test_case "sinks fold the bus" `Quick
             test_sinks_fold_the_bus;
         ] );
-      ( "ring",
-        [ Alcotest.test_case "wraparound" `Quick test_ring_wraparound ] );
       ( "torn tails",
         [
           Alcotest.test_case "json lines" `Quick test_jsonl_torn_tail;
@@ -592,8 +615,12 @@ let () =
         ] );
       ( "ledger",
         [
-          Alcotest.test_case "sabotaged run flight dump" `Quick
-            test_sabotaged_run_flight_dump;
+          Alcotest.test_case "sabotaged run crash record" `Quick
+            test_sabotaged_run_crash_record;
+          Alcotest.test_case "killed run in flight" `Quick
+            test_killed_run_in_flight;
+          Alcotest.test_case "sink errors in manifest" `Quick
+            test_sink_errors_in_manifest;
           Alcotest.test_case "collision and finish" `Quick
             test_ledger_collision_and_finish;
           Alcotest.test_case "report from ledger" `Quick

@@ -36,6 +36,80 @@ let test_lex_errors () =
     | _ -> false
     | exception Hdl.Lexer.Lex_error _ -> true)
 
+(* Numeric literals end in a value or a located error. *)
+let lex_error src =
+  match Hdl.Lexer.tokenize src with
+  | _ -> None
+  | exception Hdl.Lexer.Lex_error (msg, pos) -> Some (msg, pos.Hdl.Loc.col)
+
+let sized src =
+  match Hdl.Lexer.tokenize src with
+  | [ (Hdl.Lexer.SIZED c, _); (Hdl.Lexer.EOF, _) ] -> c
+  | _ -> Alcotest.failf "%s: not one sized literal" src
+
+(* the indices of the set bits, LSB first *)
+let ones (c : Hdl.Ast.constant) =
+  List.concat (List.mapi (fun i b -> if b = Hdl.Ast.B1 then [ i ] else []) c.Hdl.Ast.cbits)
+
+let test_lex_numeric_literals () =
+  check_bool "unsized decimal too large" true
+    (lex_error "a == 99999999999999999999"
+    = Some ("decimal literal too large", 6));
+  check_bool "literal width too large" true
+    (lex_error "99999999999999999999'b0"
+    = Some ("literal width above 65536 bits", 1));
+  check_bool "width 65537 rejected" true
+    (lex_error "65537'b0" = Some ("literal width above 65536 bits", 1));
+  check_int "width 65536 accepted" 65536 (sized "65536'h1").Hdl.Ast.cwidth;
+  check_bool "no OCaml prefix in a decimal" true
+    (lex_error "8'd0x10" = Some ("bad decimal digit 'x'", 1));
+  check_bool "nor an empty one" true (lex_error "8'd_" = Some ("bad decimal literal", 1));
+  check_bool "2^64 - 1" true
+    (ones (sized "64'd18446744073709551615") = List.init 64 Fun.id);
+  check_bool "no wrap past bit 62" true (ones (sized "70'd5") = [ 0; 2 ]);
+  check_bool "truncated to the width" true (ones (sized "4'd1_7") = [ 0 ]);
+  check_bool "digits past the width" true
+    (ones (sized "3'd123456789012345678901234567") = [ 0; 1; 2 ])
+
+(* A random value written in decimal, hex and binary is one constant. *)
+let prop_literal_bases_agree =
+  let decimal msb_first =
+    (* decimal digits, least significant first, doubled in per bit *)
+    let rec double carry = function
+      | [] -> if carry > 0 then [ carry ] else []
+      | d :: rest ->
+        let v = (2 * d) + carry in
+        (v mod 10) :: double (v / 10) rest
+    in
+    match List.fold_left (fun ds b -> double (Bool.to_int b) ds) [] msb_first with
+    | [] -> "0"
+    | ds -> String.concat "" (List.rev_map string_of_int ds)
+  in
+  let hex msb_first =
+    let pad = List.init ((4 - (List.length msb_first mod 4)) mod 4) (fun _ -> false) in
+    let rec go = function
+      | a :: b :: c :: d :: rest ->
+        let v = List.fold_left (fun v x -> (2 * v) + Bool.to_int x) 0 [ a; b; c; d ] in
+        Printf.sprintf "%x" v ^ go rest
+      | _ -> ""
+    in
+    go (pad @ msb_first)
+  in
+  let binary msb_first =
+    String.concat "" (List.map (fun b -> if b then "1" else "0") msb_first)
+  in
+  QCheck.Test.make ~count:300 ~name:"W'd, W'h and W'b lex to the same bits"
+    QCheck.(pair (int_range 1 200) (list_of_size (Gen.return 200) bool))
+    (fun (w, bits) ->
+      let lsb_first = List.filteri (fun i _ -> i < w) bits in
+      let expect = List.map (fun b -> if b then Hdl.Ast.B1 else Hdl.Ast.B0) lsb_first in
+      let msb_first = List.rev lsb_first in
+      List.for_all
+        (fun (base, digits) ->
+          (sized (Printf.sprintf "%d'%c%s" w base (digits msb_first))).Hdl.Ast.cbits
+          = expect)
+        [ 'd', decimal; 'h', hex; 'b', binary ])
+
 let test_lex_token_positions () =
   (* tokens carry 1-based line/column of their first character *)
   match Hdl.Lexer.tokenize "a\n  wire b" with
@@ -406,6 +480,8 @@ let () =
         [
           Alcotest.test_case "sized literals" `Quick test_lex_sized_literals;
           Alcotest.test_case "errors" `Quick test_lex_errors;
+          Alcotest.test_case "numeric literals" `Quick test_lex_numeric_literals;
+          QCheck_alcotest.to_alcotest prop_literal_bases_agree;
           Alcotest.test_case "token positions" `Quick test_lex_token_positions;
           Alcotest.test_case "error position" `Quick test_lex_error_position;
         ] );

@@ -441,9 +441,9 @@ let test_rewire () =
   let c = build_simple () in
   (* replace input c with constant zero in the or cell *)
   let cc = List.nth (Circuit.inputs c) 2 in
-  Rewire.replace_sig c
-    ~from_:(Circuit.sig_of_wire cc)
-    ~to_:(Bits.all_zero ~width:4);
+  let p = Rewire.create c in
+  Rewire.record p ~from_:(Circuit.sig_of_wire cc) ~to_:(Bits.all_zero ~width:4);
+  Rewire.flush p;
   let ok = ref true in
   Circuit.iter_cells
     (fun _ cell ->

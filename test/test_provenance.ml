@@ -256,7 +256,7 @@ let test_fold_rule_attribution () =
 (* --- hardest-query capture and replay --- *)
 
 let solve_dimacs (text : string) : Cdcl.Solver.result =
-  let cnf, _comments = Cdcl.Dimacs.parse_string_ext text in
+  let cnf, _comments = Result.get_ok (Cdcl.Dimacs.parse_string_ext text) in
   let s = Cdcl.Solver.create () in
   for _ = 1 to cnf.Cdcl.Dimacs.num_vars do
     ignore (Cdcl.Solver.new_var s)

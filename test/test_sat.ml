@@ -66,15 +66,30 @@ let test_pigeonhole_3_2 () =
 
 let test_dimacs_roundtrip () =
   let text = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n" in
-  let cnf = Cdcl.Dimacs.parse_string text in
+  let cnf = Result.get_ok (Cdcl.Dimacs.parse_string text) in
   Alcotest.(check int) "vars" 3 cnf.Cdcl.Dimacs.num_vars;
   Alcotest.(check int) "clauses" 2 (List.length cnf.Cdcl.Dimacs.clauses);
   let s = Cdcl.Dimacs.load cnf in
   Alcotest.(check bool) "sat" true (Cdcl.Solver.solve s = Cdcl.Solver.Sat);
   let text2 = Cdcl.Dimacs.to_string cnf in
-  let cnf2 = Cdcl.Dimacs.parse_string text2 in
+  let cnf2 = Result.get_ok (Cdcl.Dimacs.parse_string text2) in
   Alcotest.(check bool) "roundtrip" true
     (cnf.Cdcl.Dimacs.clauses = cnf2.Cdcl.Dimacs.clauses)
+
+(* A malformed file is a located error, not an exception. *)
+let test_dimacs_bad_input () =
+  let error text = Result.fold ~ok:(fun _ -> None) ~error:Option.some (Cdcl.Dimacs.parse_string text) in
+  Alcotest.(check (option string)) "problem line" (Some "line 1: bad problem line")
+    (error "p cnf x y\n1 0\n");
+  Alcotest.(check (option string)) "literal" (Some "line 2: bad literal \"two\"")
+    (error "p cnf 2 1\n1 two 0\n");
+  Alcotest.(check (option string)) "no OCaml prefix" (Some "line 2: bad literal \"0x1\"")
+    (error "p cnf 2 1\n0x1 0\n");
+  Alcotest.(check (option string)) "no negative count" (Some "line 1: bad problem line")
+    (error "p cnf -2 1\n1 0\n");
+  Alcotest.(check (option string)) "undeclared variable"
+    (Some "line 3: literal -3 out of range (2 variables)")
+    (error "c q\np cnf 2 1\n1 -3 0\n")
 
 (* --- incremental use: the Session access pattern --- *)
 
@@ -289,6 +304,7 @@ let () =
           Alcotest.test_case "assumptions" `Quick test_assumptions;
           Alcotest.test_case "pigeonhole 3/2" `Quick test_pigeonhole_3_2;
           Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_roundtrip;
+          Alcotest.test_case "dimacs bad input" `Quick test_dimacs_bad_input;
         ] );
       ( "incremental",
         [

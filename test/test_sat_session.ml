@@ -186,8 +186,8 @@ let test_session_dump_replays () =
     (fun (e : Smartly.Engine.Sat_log.entry) ->
       check_string "session mode recorded" "session" e.Smartly.Engine.Sat_log.mode;
       let cnf, comments =
-        Cdcl.Dimacs.parse_string_ext
-          (e.Smartly.Engine.Sat_log.dimacs ())
+        Result.get_ok
+          (Cdcl.Dimacs.parse_string_ext (e.Smartly.Engine.Sat_log.dimacs ()))
       in
       check_bool "metadata comment present" true
         (List.exists

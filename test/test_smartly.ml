@@ -535,6 +535,65 @@ endmodule
   let st = Stats.of_circuit c in
   check_bool "small tree" true (st.Stats.muxes <= 3)
 
+(* A hand-built case chain on a 2-bit select whose root mux drives y,
+   with one more reader of y; y is the output port Y itself when [port],
+   and an internal wire buffered onto Y otherwise.  [values] are the data
+   of the rows s = 0, 1, 2 and of the default. *)
+let case_chain ~port values =
+  let c = Circuit.create "port_root" in
+  let s = Circuit.sig_of_wire (Circuit.add_input c "s" ~width:2) in
+  let p =
+    Array.init 4 (fun i ->
+        Circuit.sig_of_wire (Circuit.add_input c (Printf.sprintf "p%d" i) ~width:4))
+  in
+  let y =
+    if port then Circuit.sig_of_wire (Circuit.add_output c "Y" ~width:4)
+    else Circuit.fresh_sig c ~width:4
+  in
+  let rows = List.map (fun v -> p.(v)) values in
+  let rec chain i = function
+    | [ default ] -> default
+    | v :: rest ->
+      let sel = Circuit.mk_eq_const c s i in
+      let rest = chain (i + 1) rest in
+      if i = 0 then begin
+        ignore (Circuit.add_cell c (Cell.Mux { a = rest; b = v; s = sel; y }));
+        y
+      end
+      else Circuit.mk_mux c ~a:rest ~b:v ~s:sel
+    | [] -> assert false
+  in
+  ignore (chain 0 rows);
+  if not port then expose c "Y" y;
+  expose c "Z" (Circuit.mk_unary c Cell.Not y);
+  c
+
+(* Rebuilding a root, on an output port or not: the rebuilt top mux
+   drives the root's bits, and a tree that collapses to one leaf rewires
+   the port (through a buffer) and the root's readers to the leaf. *)
+let test_restructure_port_root () =
+  List.iter
+    (fun (what, port, values, muxes_after) ->
+      let c = case_chain ~port values in
+      let orig = Circuit.copy c in
+      let r = Smartly.Restructure.run_once c in
+      check_int (what ^ ": rebuilt") 1 r.Smartly.Restructure.rebuilt;
+      check_int (what ^ ": muxes after") muxes_after
+        r.Smartly.Restructure.muxes_after;
+      check_bool (what ^ ": well-formed") true (Validate.is_well_formed c);
+      check_bool (what ^ ": equiv") true (Equiv.is_equivalent orig c);
+      ignore (Rtl_opt.Opt_clean.run c);
+      check_bool (what ^ ": well-formed after clean") true
+        (Validate.is_well_formed c);
+      check_bool (what ^ ": equiv after clean") true
+        (Equiv.is_equivalent orig c))
+    [
+      "port tree", true, [ 0; 1; 2; 3 ], 3;
+      "port leaf", true, [ 1; 1; 1; 1 ], 0;
+      "inner tree", false, [ 0; 1; 2; 3 ], 3;
+      "inner leaf", false, [ 1; 1; 1; 1 ], 0;
+    ]
+
 (* --- full driver on generated workloads: equivalence property --- *)
 
 let prop_smartly_preserves =
@@ -635,6 +694,8 @@ let () =
           Alcotest.test_case "unprofitable skipped" `Quick
             test_restructure_skips_when_unprofitable;
           Alcotest.test_case "pmux tree" `Quick test_restructure_pmux_tree;
+          Alcotest.test_case "root drives an output port" `Quick
+            test_restructure_port_root;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
