@@ -61,10 +61,14 @@ bench-baselines: build
 # a Chrome trace, the JSON run report, and a provenance log; aggregate
 # the log with `explain`; and fail unless every artifact parses
 # (validate-json is the CLI's own strict parser, so no external tooling
-# is needed) and the report is the v3 run report with a metrics object.  A second run on riscv — the smallest profile whose
-# ladder reaches SAT — dumps its hardest queries and replays each one,
-# failing on any verdict mismatch.  The replay loop is guarded because
-# a profile resolved entirely by simulation dumps zero queries.
+# is needed) and the report is the v4 run report with a metrics object
+# and a counters object in its passes.  `opt -v` must print each pass
+# call's counters from the run's stream: a sat_elim line naming
+# sat_elim.muxes_bypassed.  A second run on riscv — the smallest
+# profile whose ladder reaches SAT — dumps its hardest queries and
+# replays each one, failing on any verdict mismatch.  The replay loop
+# is guarded because a profile resolved entirely by simulation dumps
+# zero queries.
 # The lint step covers every checked-in example plus the two smoke
 # profiles; `lint` exits nonzero on error-severity findings, so a
 # regression that makes an example ill-formed fails the build, and the
@@ -89,7 +93,7 @@ bench-baselines: build
 # provenance line must count a non-zero number of events, read from the
 # ledger's events.jsonl, and the run directory must hold no separate
 # provenance.jsonl or stats.json: provenance and the report live in the
-# event stream.  `report --json` must be the same v3 run report, with a
+# event stream.  `report --json` must be the same v4 run report, with a
 # metrics object, and `explain` must attribute the run from its ledger
 # down to a total row.  The
 # bench harness must refuse an unknown section name with exit 2 before
@@ -101,11 +105,16 @@ bench-baselines: build
 # name must exit 2 as well, and so must `generate` of an unknown
 # profile and `opt` on a latch-inferring source (a case with no default
 # in always @*), naming its combinational cycle; `analyze` on that
-# source must name the cycle the same way and exit 2.  A directory where
-# a file is expected must be a located error too, naming the path:
-# exit 1 from `explain` (a run directory without events.jsonl),
-# `report` (a run directory without manifest.json), `replay` and
-# `validate-json`, exit 2 from `lint` and `bench-diff`.  `cec` must exit
+# source must name the cycle the same way and exit 2.  A zero-width
+# literal (0'b1) must be a located lex error with exit 2.  `replay` of a
+# DIMACS file whose problem line declares 10^12 variables over the
+# clause "1 0" must load the one variable the clause names and print
+# SAT; it runs under a 4 GB address-space limit, so a reader that
+# trusted the header fails fast instead of exhausting memory.  A
+# directory where a file is expected must be a located error too,
+# naming the path: exit 1 from `explain` (a run directory without
+# events.jsonl), `report` (a run directory without manifest.json),
+# `replay` and `validate-json`, exit 2 from `lint` and `bench-diff`.  `cec` must exit
 # 1 on two different designs and 0 on a design against itself: a verdict other than `equivalent`
 # fails the command, and with it the budget-starved `--check` run.
 ci: build
@@ -121,6 +130,21 @@ ci: build
 	  && grep -q '^/tmp/smartly_bad.v:2:16: parse error: ' /tmp/smartly_bad.err \
 	  || { echo "ci: bad Verilog gave exit $$status:"; \
 	  cat /tmp/smartly_bad.err; exit 1; }
+	printf 'module z(input a, output y);\nassign y = a | 0\047b1;\nendmodule\n' \
+	  > /tmp/smartly_zero.v
+	dune exec bin/smartly_cli.exe -- opt /tmp/smartly_zero.v --no-ledger \
+	  2> /tmp/smartly_zero.err; \
+	  status=$$?; [ "$$status" -eq 2 ] \
+	  && grep -q '^/tmp/smartly_zero.v:2:[0-9]*: lex error: ' /tmp/smartly_zero.err \
+	  || { echo "ci: a zero-width literal gave exit $$status:"; \
+	  cat /tmp/smartly_zero.err; exit 1; }
+	printf 'p cnf 1000000000000 1\n1 0\n' > /tmp/smartly_big_header.cnf
+	( ulimit -v 4000000; dune exec bin/smartly_cli.exe -- replay \
+	  /tmp/smartly_big_header.cnf ) > /tmp/smartly_big_header.out; \
+	  status=$$?; [ "$$status" -eq 0 ] \
+	  && grep -q ': SAT ' /tmp/smartly_big_header.out \
+	  || { echo "ci: replay of a 10^12-variable header gave exit $$status:"; \
+	  cat /tmp/smartly_big_header.out; exit 1; }
 	dune exec bin/smartly_cli.exe -- opt nosuch_profile --no-ledger \
 	  2>/dev/null; \
 	  status=$$?; [ "$$status" -eq 2 ] || { \
@@ -199,10 +223,17 @@ ci: build
 	dune exec bin/smartly_cli.exe -- explain /tmp/smartly_prov.jsonl
 	dune exec bin/smartly_cli.exe -- validate-json \
 	  /tmp/smartly_stats.json /tmp/smartly_trace.json /tmp/smartly_prov.jsonl
-	grep -q '"schema": "smartly-report-v3"' /tmp/smartly_stats.json \
+	grep -q '"schema": "smartly-report-v4"' /tmp/smartly_stats.json \
 	  && grep -q '"metrics": {' /tmp/smartly_stats.json \
-	  || { echo "ci: opt --json is not the v3 run report with metrics"; \
-	  exit 1; }
+	  && sed -n '/^  "passes": \[/,/^  \]/p' /tmp/smartly_stats.json \
+	    | grep -q '"counters": {' \
+	  || { echo "ci: opt --json is not the v4 run report with metrics" \
+	  "and per-pass counters"; exit 1; }
+	dune exec bin/smartly_cli.exe -- opt mux_chain --flow smartly -v \
+	  --no-ledger > /tmp/smartly_verbose.txt
+	grep -q '^sat_elim:.* sat_elim.muxes_bypassed=' /tmp/smartly_verbose.txt \
+	  || { echo "ci: opt -v printed no sat_elim counters:"; \
+	  cat /tmp/smartly_verbose.txt; exit 1; }
 	rm -rf /tmp/smartly_satq
 	dune exec bin/smartly_cli.exe -- opt riscv --flow smartly \
 	  --sat-dump /tmp/smartly_satq
@@ -226,9 +257,9 @@ ci: build
 	dune exec bin/smartly_cli.exe -- report "$$run" --json \
 	  > /tmp/smartly_report.json && \
 	dune exec bin/smartly_cli.exe -- validate-json /tmp/smartly_report.json && \
-	{ grep -q '"schema": "smartly-report-v3"' /tmp/smartly_report.json \
+	{ grep -q '"schema": "smartly-report-v4"' /tmp/smartly_report.json \
 	  && grep -q '"metrics": {' /tmp/smartly_report.json \
-	  || { echo "ci: report --json is not the v3 run report with metrics"; \
+	  || { echo "ci: report --json is not the v4 run report with metrics"; \
 	  exit 1; }; } && \
 	dune exec bin/smartly_cli.exe -- explain "$$run" \
 	  > /tmp/smartly_explain_run.txt && cat /tmp/smartly_explain_run.txt && \

@@ -23,14 +23,15 @@
    Observability: [opt] records the run's event stream once and renders
    everything from it.  [opt --trace FILE] writes a Chrome trace_event
    JSON of the run (open in chrome://tracing or Perfetto); [opt --json]
-   prints the run report (smartly-report-v3: area, per-pass and per-span
-   wall time, SAT log, metrics, provenance summary) to stdout, moving the
-   human summary to stderr, and [smartly report] prints the same document
-   from a run's ledger; [opt --provenance FILE] writes one JSONL event
-   per netlist mutation, which [smartly explain] aggregates into a
-   per-mechanism area-attribution table, as it does a ledger's event
-   stream; [opt --sat-dump DIR] writes the hardest SAT queries as
-   self-contained DIMACS files for [smartly replay]. *)
+   prints the run report (smartly-report-v4: area, per-pass wall time and
+   counters, per-span wall time, SAT log, metrics, provenance summary) to
+   stdout, moving the human summary to stderr, and [smartly report]
+   prints the same document from a run's ledger; [opt -v] prints each
+   pass call's counters from the same stream; [opt --provenance FILE]
+   writes one JSONL event per netlist mutation, which [smartly explain]
+   aggregates into a per-mechanism area-attribution table, as it does a
+   ledger's event stream; [opt --sat-dump DIR] writes the hardest SAT
+   queries as self-contained DIMACS files for [smartly replay]. *)
 
 open Cmdliner
 
@@ -144,7 +145,10 @@ let check_arg =
            it is proven equivalent.")
 
 let verbose_arg =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print pass reports.")
+  Arg.(
+    value & flag
+    & info [ "v"; "verbose" ]
+        ~doc:"Print one line per pass call with the counters it moved.")
 
 let trace_arg =
   Arg.(
@@ -444,11 +448,6 @@ let analyze_cmd =
 
 (* --- the optimization flows, one code path for every variant --- *)
 
-type outcome =
-  | O_none
-  | O_yosys of Smartly.Driver.yosys_report
-  | O_smartly of Smartly.Driver.result
-
 let flow_name = function
   | `None -> "none"
   | `Yosys -> "yosys"
@@ -457,10 +456,11 @@ let flow_name = function
   | `Rebuild -> "rebuild"
 
 let run_flow ?after_pass ?(pass_budget_ms = None)
-    ?(pass_alloc_budget_mw = None) flow (c : Netlist.Circuit.t) : outcome =
+    ?(pass_alloc_budget_mw = None) flow (c : Netlist.Circuit.t) :
+    Smartly.Driver.result =
   match flow with
-  | `None -> O_none
-  | `Yosys -> O_yosys (Smartly.Driver.yosys ?after_pass c)
+  | `None -> { Smartly.Driver.iterations = 0; overruns = [] }
+  | `Yosys -> Smartly.Driver.yosys ?after_pass c
   | (`Smartly | `Sat | `Rebuild) as f ->
     let cfg =
       match f with
@@ -471,42 +471,19 @@ let run_flow ?after_pass ?(pass_budget_ms = None)
     let cfg =
       { cfg with Smartly.Config.pass_budget_ms; pass_alloc_budget_mw }
     in
-    O_smartly (Smartly.Driver.smartly ~cfg ?after_pass c)
+    Smartly.Driver.smartly ~cfg ?after_pass c
 
-(* Every flow variant prints its pass reports here — `--verbose` behaves
-   the same whether the flow is none/yosys/sat/rebuild/smartly. *)
-let print_pass_reports ppf = function
-  | O_none -> ()
-  | O_yosys r -> Fmt.pf ppf "baseline: %a@." Smartly.Driver.pp_yosys_report r
-  | O_smartly r ->
-    List.iter
-      (fun rr -> Fmt.pf ppf "sat_elim: %a@." Smartly.Sat_elim.pp_report rr)
-      r.Smartly.Driver.sat_reports;
-    List.iter
-      (fun rr -> Fmt.pf ppf "rebuild:  %a@." Smartly.Restructure.pp_report rr)
-      r.Smartly.Driver.rebuild_reports
-
-let iterations_of = function
-  | O_none -> 0
-  | O_yosys r -> r.Smartly.Driver.iterations
-  | O_smartly r -> r.Smartly.Driver.iterations
-
-let counter_value name = Obs.Metrics.value (Obs.Metrics.counter name)
-
-(* The sat-session counters as one JSON object — the [session] section of
-   the run report. *)
-let session_json () : Obs.Json.t =
-  let open Obs.Json in
-  Obj
-    [
-      "flushes", num_of_int (counter_value "sat_session.flushes");
-      "cell_encodes", num_of_int (counter_value "sat_session.cell_encodes");
-      "cell_reuses", num_of_int (counter_value "sat_session.cell_reuses");
-    ]
-
-let overruns_of = function
-  | O_none | O_yosys _ -> []
-  | O_smartly r -> r.Smartly.Driver.overruns
+(* A [counters] object of a [Pass_end] event or a run report's pass as
+   " name=value" pairs. *)
+let counters_text = function
+  | Some (Obs.Json.Obj kvs) ->
+    String.concat ""
+      (List.map
+         (fun (k, v) ->
+           Printf.sprintf " %s=%d" k
+             (Option.value (Obs.Json.to_int v) ~default:0))
+         kvs)
+  | _ -> ""
 
 let check_invariants_arg =
   Arg.(
@@ -569,7 +546,9 @@ let opt_cmd =
        --provenance log, the --json report and the ledger's trace.json;
        with none of those nothing is recorded and tracing costs nothing *)
     let recording =
-      if trace <> None || provenance <> None || json || ledger <> None then
+      if verbose || trace <> None || provenance <> None || json
+         || ledger <> None
+      then
         Some (Obs.Event.record ~name:"opt" ())
       else None
     in
@@ -585,7 +564,7 @@ let opt_cmd =
            ])
       Obs.Event.Run_start;
     let t0 = Obs.Clock.now () in
-    let outcome =
+    let result =
       try
         run_flow ?after_pass ~pass_budget_ms ~pass_alloc_budget_mw flow c
       with e ->
@@ -600,16 +579,15 @@ let opt_cmd =
     (* inside the run, so the live report and the ledger's both hold the
        check's spans *)
     let verdict = if check then Some (Equiv.check orig c) else None in
-    let overruns = overruns_of outcome in
+    let overruns = result.Smartly.Driver.overruns in
     Obs.Event.emit ~name:src
       ~data:
         (Obs.Json.Obj
            [
              "area", Obs.Json.num_of_int area1;
-             "iterations", Obs.Json.num_of_int (iterations_of outcome);
+             ( "iterations",
+               Obs.Json.num_of_int result.Smartly.Driver.iterations );
              "wall_seconds", Obs.Json.Num dt;
-             "session", session_json ();
-             "overruns", Obs.Json.num_of_int (List.length overruns);
              "sat_log", Smartly.Engine.Sat_log.to_json ();
              "metrics", Obs.Metrics.to_json ();
            ])
@@ -654,7 +632,14 @@ let opt_cmd =
     | None -> ());
     (* the summary goes to stderr under --json so stdout stays parseable *)
     let human = if json then Format.err_formatter else Format.std_formatter in
-    if verbose then print_pass_reports human outcome;
+    (* one line per pass call: the counters it moved *)
+    if verbose then
+      List.iter
+        (fun (e : Obs.Event.t) ->
+          if e.Obs.Event.kind = Obs.Event.Pass_end then
+            Fmt.pf human "%s:%s@." e.Obs.Event.name
+              (counters_text (Obs.Json.member "counters" e.Obs.Event.data)))
+        events;
     let red =
       if area0 = 0 then 0.0
       else 100.0 *. (1.0 -. (float_of_int area1 /. float_of_int area0))
@@ -932,14 +917,7 @@ let replay_cmd =
           prerr_endline msg;
           ok := false
         | Ok (cnf, comments) ->
-          let s = Cdcl.Solver.create () in
-          for _ = 1 to cnf.Cdcl.Dimacs.num_vars do
-            ignore (Cdcl.Solver.new_var s)
-          done;
-          List.iter
-            (fun cl ->
-              Cdcl.Solver.add_clause s (List.map Cdcl.Lit.of_dimacs cl))
-            cnf.Cdcl.Dimacs.clauses;
+          let s = Cdcl.Dimacs.load cnf in
           let t0 = Obs.Clock.now () in
           let r = Cdcl.Solver.solve s in
           let dt = Obs.Clock.now () -. t0 in
@@ -1345,14 +1323,22 @@ let report_cmd =
               ])
             passes
         in
-        Report.Table.print ~columns ~rows);
+        Report.Table.print ~columns ~rows;
+        List.iter
+          (fun p ->
+            match counters_text (member "counters" p) with
+            | "" -> ()
+            | text -> Printf.printf "  %s:%s\n" (str "name" p ~default:"?") text)
+          passes);
       (match int_ "sat_queries" doc with
       | 0 -> ()
       | n -> Printf.printf "  sat queries: %d\n" n);
-      (match section "session" with
+      (match Option.bind (section "metrics") (member "counters") with
       | Some s ->
         Printf.printf "  session: flushes=%d encodes=%d reuses=%d\n"
-          (int_ "flushes" s) (int_ "cell_encodes" s) (int_ "cell_reuses" s)
+          (int_ "sat_session.flushes" s)
+          (int_ "sat_session.cell_encodes" s)
+          (int_ "sat_session.cell_reuses" s)
       | None -> ());
       (match Option.value (mem_list "budget" doc) ~default:[] with
       | [] -> Printf.printf "  budget: no overruns\n"
@@ -1380,12 +1366,13 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Render a run ledger as the run report $(b,opt --json) printed for \
-          the run (with --json, the same smartly-report-v3 document plus \
+          the run (with --json, the same smartly-report-v4 document plus \
           the ledger's status and manifest), or as a human summary: \
-          passes, timings, area trajectory, session counters, budget \
-          verdicts, and the pass in flight if the run died.  Works from the \
-          ledger files alone — including ledgers of runs that died \
-          mid-pass, whose torn event stream is recovered and reported.")
+          passes, timings, each pass's counters, area trajectory, session \
+          counters, budget verdicts, and the pass in flight if the run \
+          died.  Works from the ledger files alone — including ledgers \
+          of runs that died mid-pass, whose torn event stream is \
+          recovered and reported.")
     Term.(const run $ target_arg $ ledger_root_arg $ json_arg)
 
 (* --- serve: batch optimization daemon --- *)

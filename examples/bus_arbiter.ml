@@ -50,15 +50,17 @@ let () =
   Printf.printf "Yosys baseline:     AIG area %d\n"
     (Aiger.Aigmap.aig_area yosys_version);
 
-  let result = Smartly.Driver.smartly circuit in
+  Obs.Metrics.reset ();
+  ignore (Smartly.Driver.smartly circuit);
   Printf.printf "smaRTLy:            AIG area %d\n"
     (Aiger.Aigmap.aig_area circuit);
 
-  (* how were the redundancies found? *)
-  List.iter
-    (fun r ->
-      if Smartly.Sat_elim.changed r then
-        Fmt.pr "  sat_elim: %a@." Smartly.Sat_elim.pp_report r)
-    result.Smartly.Driver.sat_reports;
+  (* how were the redundancies found?  The passes count it in the
+     metrics registry *)
+  let counter name = Obs.Metrics.value (Obs.Metrics.counter name) in
+  Printf.printf "  sat_elim: bypassed=%d data_folded=%d dead=%d\n"
+    (counter "sat_elim.muxes_bypassed")
+    (counter "sat_elim.data_bits_folded")
+    (counter "sat_elim.dead_branches");
   Fmt.pr "equivalence check: %a@." Equiv.pp_verdict
     (Equiv.check original circuit)

@@ -11,27 +11,19 @@
 
 open Netlist
 
-type yosys_report = {
-  iterations : int;
-  expr_folded : int;  (** opt_expr and opt_merge changes *)
-  muxtree_changes : int;  (** {!Rtl_opt.Opt_muxtree.run}'s total *)
-  cells_removed : int;  (** by opt_clean *)
-}
-
-val pp_yosys_report : Format.formatter -> yosys_report -> unit
-
 type result = {
   iterations : int;
-  sat_reports : Sat_elim.report list;
-  rebuild_reports : Restructure.report list;
   overruns : Budget.overrun list;
       (** passes that exceeded a {!Config} budget (each is also a
           [Budget_exceeded] event on the bus); the flow still completed,
           with those passes truncated and skipped thereafter *)
 }
+(** What each pass did is in {!Obs.Metrics}; with a bus subscriber,
+    each [Pass_end] event also carries a [counters] object, the nonzero
+    changes of the registry's counters over the pass body. *)
 
 val yosys :
-  ?after_pass:(string -> Circuit.t -> unit) -> Circuit.t -> yosys_report
+  ?after_pass:(string -> Circuit.t -> unit) -> Circuit.t -> result
 (** opt_expr, opt_merge, opt_muxtree and opt_clean to fixpoint (capped at
     16 iterations).  [after_pass] runs after each sub-pass with its name
     and the circuit as that pass left it; the invariant checker hooks in

@@ -23,9 +23,7 @@ open Netlist
 
 type entry = {
   e_edits : (int * Cell.t) list;  (* application order, cells owned *)
-  e_bypassed : int;
-  e_folded : int;
-  e_dead : int;
+  e_counts : Rtl_opt.Opt_muxtree.counts;
 }
 
 type t = {

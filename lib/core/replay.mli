@@ -9,7 +9,7 @@
     individual queries are always answered afresh by the ladder.
 
     Opt-in: nothing is consulted until {!install} puts a store in place.
-    Replayed passes restore their report counters but do not re-emit
+    Replayed passes restore their [sat_elim.*] counters but do not re-emit
     provenance events or engine metrics for the skipped work. *)
 
 open Netlist
@@ -18,9 +18,7 @@ type entry = {
   e_edits : (int * Cell.t) list;
       (** (cell id, replacement) in application order; cells owned by
           the cache (deep-copied on store and on {!find} application) *)
-  e_bypassed : int;
-  e_folded : int;
-  e_dead : int;
+  e_counts : Rtl_opt.Opt_muxtree.counts;  (** the walk's counts *)
 }
 
 type t

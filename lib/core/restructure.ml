@@ -165,26 +165,15 @@ let rebuild (c : Circuit.t) (index : Index.t) (d : decision) =
 
 (* --- the pass --- *)
 
-type report = {
-  candidates : int;
-  rebuilt : int;
-  muxes_before : int;
-  muxes_after : int;
-  eq_removed : int;
-}
-
-let pp_report ppf r =
-  Fmt.pf ppf "candidates=%d rebuilt=%d muxes %d->%d eq_removed=%d"
-    r.candidates r.rebuilt r.muxes_before r.muxes_after r.eq_removed
-
 let m_candidates = Obs.Metrics.counter "restructure.candidates"
 let m_rebuilt = Obs.Metrics.counter "restructure.rebuilt"
+let m_muxes_after = Obs.Metrics.counter "restructure.muxes_after"
 let m_eq_removed = Obs.Metrics.counter "restructure.eq_removed"
 let h_rows = Obs.Metrics.histogram "restructure.rows_per_tree"
 let h_chain_len = Obs.Metrics.histogram "restructure.old_muxes_per_tree"
 let h_height = Obs.Metrics.histogram "restructure.tree_height"
 
-let run_once (c : Circuit.t) : report =
+let run_once (c : Circuit.t) : int =
   Obs.Trace.with_span "restructure.run_once" @@ fun () ->
   (* candidates are discovered once; each is re-flattened against the
      current circuit just before rebuilding, since rebuilding one tree can
@@ -193,10 +182,8 @@ let run_once (c : Circuit.t) : report =
   let roots =
     List.map (fun f -> f.Muxtree.root) (Muxtree.find_all c first)
   in
+  Obs.Metrics.add m_candidates (List.length roots);
   let rebuilt = ref 0 in
-  let muxes_before = ref 0 in
-  let muxes_after = ref 0 in
-  let eq_removed = ref 0 in
   (* built when missing, dropped after each rebuilt tree: a rebuilt root
      may have been the other reader of a shared select *)
   let index = ref (Some first) in
@@ -221,25 +208,14 @@ let run_once (c : Circuit.t) : report =
         Obs.Metrics.observe_int h_rows (List.length flat.Muxtree.rows);
         Obs.Metrics.observe_int h_chain_len d.old_muxes;
         Obs.Metrics.observe_int h_height d.height;
-        muxes_before := !muxes_before + d.old_muxes;
         if d.saved_cost > 0 then begin
           rebuild c idx d;
           index := None;
           incr rebuilt;
-          muxes_after := !muxes_after + d.new_muxes;
-          eq_removed := !eq_removed + List.length d.removable
+          Obs.Metrics.add m_muxes_after d.new_muxes;
+          Obs.Metrics.add m_eq_removed (List.length d.removable)
         end
-        else muxes_after := !muxes_after + d.old_muxes)
+        else Obs.Metrics.add m_muxes_after d.old_muxes)
     roots;
-  Obs.Metrics.add m_candidates (List.length roots);
   Obs.Metrics.add m_rebuilt !rebuilt;
-  Obs.Metrics.add m_eq_removed !eq_removed;
-  {
-    candidates = List.length roots;
-    rebuilt = !rebuilt;
-    muxes_before = !muxes_before;
-    muxes_after = !muxes_after;
-    eq_removed = !eq_removed;
-  }
-
-let changed (r : report) = r.rebuilt > 0
+  !rebuilt

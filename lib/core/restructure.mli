@@ -32,16 +32,10 @@ val rebuild : Circuit.t -> Index.t -> decision -> unit
     (of the circuit the decision was made on) names them, to the leaf.
     The disconnected cells are left to opt_clean (Algorithm 1 line 9). *)
 
-type report = {
-  candidates : int;
-  rebuilt : int;
-  muxes_before : int;
-  muxes_after : int;
-  eq_removed : int;
-}
-
-val pp_report : Format.formatter -> report -> unit
-
-val run_once : Circuit.t -> report
-
-val changed : report -> bool
+val run_once : Circuit.t -> int
+(** Evaluate every candidate tree and rebuild those whose [Check] pays;
+    returns the number rebuilt.  Its numbers are counters:
+    [restructure.candidates], [restructure.rebuilt],
+    [restructure.eq_removed], and [restructure.muxes_after] (the rebuilt
+    trees' new muxes plus the kept trees' old ones; the muxes before are
+    the sum of the [restructure.old_muxes_per_tree] histogram). *)

@@ -14,16 +14,6 @@
 
 open Netlist
 
-type report = {
-  muxes_bypassed : int;
-  data_bits_folded : int;
-  dead_branches : int;
-}
-
-let pp_report ppf r =
-  Fmt.pf ppf "bypassed=%d data_folded=%d dead=%d" r.muxes_bypassed
-    r.data_bits_folded r.dead_branches
-
 (* Run the rules over the cones of the known bits and the port bits into
    the kernel's fact store; [false] when they were not run (no rules, no
    facts, cones over [max_subgraph_cells]) or contradicted, which leaves
@@ -175,7 +165,8 @@ let m_dead = Obs.Metrics.counter "sat_elim.dead_branches"
 
 (* The muxtree walk of {!Rtl_opt.Opt_muxtree} with the engine as its
    resolver, over one kernel and one SAT session for the pass. *)
-let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
+let walk (cfg : Config.t) (c : Circuit.t) ~edits : Rtl_opt.Opt_muxtree.counts
+    =
   let index = Index.build c in
   let ctx =
     {
@@ -185,30 +176,23 @@ let walk (cfg : Config.t) (c : Circuit.t) ~edits : report =
       edits;
     }
   in
-  let n =
-    Rtl_opt.Opt_muxtree.walk
-      {
-        Rtl_opt.Opt_muxtree.pass = "sat_elim";
-        fold = fold_data_bits ctx;
-        select = select ctx;
-        replace = replace ctx;
-        stop;
-      }
-      c index
-  in
-  {
-    muxes_bypassed = n.Rtl_opt.Opt_muxtree.bypassed;
-    data_bits_folded = n.Rtl_opt.Opt_muxtree.folded;
-    dead_branches = n.Rtl_opt.Opt_muxtree.dead;
-  }
+  Rtl_opt.Opt_muxtree.walk
+    {
+      Rtl_opt.Opt_muxtree.pass = "sat_elim";
+      fold = fold_data_bits ctx;
+      select = select ctx;
+      replace = replace ctx;
+      stop;
+    }
+    c index
 
 (* With a {!Replay} store installed, a pass whose start circuit recurs
    applies its recorded edits instead of walking.  Under an armed budget
    the walk's result depends on the clock, so it neither replays nor
    stores. *)
-let run (cfg : Config.t) (c : Circuit.t) : report =
+let run (cfg : Config.t) (c : Circuit.t) : int =
   Obs.Trace.with_span "sat_elim.run_once" @@ fun () ->
-  let r =
+  let { Rtl_opt.Opt_muxtree.bypassed; folded; dead } =
     match Replay.active () with
     | Some store when not (Budget.armed ()) -> (
       let key = Replay.key cfg c in
@@ -217,28 +201,16 @@ let run (cfg : Config.t) (c : Circuit.t) : report =
         List.iter
           (fun (id, cell) -> Circuit.replace_cell c id cell)
           (Replay.copy_edits e.Replay.e_edits);
-        {
-          muxes_bypassed = e.Replay.e_bypassed;
-          data_bits_folded = e.Replay.e_folded;
-          dead_branches = e.Replay.e_dead;
-        }
+        e.Replay.e_counts
       | None ->
         let edits = ref [] in
-        let r = walk cfg c ~edits:(Some edits) in
+        let n = walk cfg c ~edits:(Some edits) in
         Replay.store store key
-          {
-            Replay.e_edits = List.rev !edits;
-            e_bypassed = r.muxes_bypassed;
-            e_folded = r.data_bits_folded;
-            e_dead = r.dead_branches;
-          };
-        r)
+          { Replay.e_edits = List.rev !edits; e_counts = n };
+        n)
     | Some _ | None -> walk cfg c ~edits:None
   in
-  Obs.Metrics.add m_bypassed r.muxes_bypassed;
-  Obs.Metrics.add m_folded r.data_bits_folded;
-  Obs.Metrics.add m_dead r.dead_branches;
-  r
-
-let changed (r : report) =
-  r.muxes_bypassed + r.data_bits_folded + r.dead_branches > 0
+  Obs.Metrics.add m_bypassed bypassed;
+  Obs.Metrics.add m_folded folded;
+  Obs.Metrics.add m_dead dead;
+  bypassed + folded + dead

@@ -8,25 +8,17 @@
 
 open Netlist
 
-type report = {
-  muxes_bypassed : int;  (** per-bit bypasses of resolved descendants *)
-  data_bits_folded : int;
-  dead_branches : int;  (** contradictory path conditions found *)
-}
-
-val pp_report : Format.formatter -> report -> unit
-
-val run : Config.t -> Circuit.t -> report
+val run : Config.t -> Circuit.t -> int
 (** One full in-place traversal of every muxtree, with one persistent
-    SAT session for the pass.  Interleave with opt_expr / opt_clean and
+    SAT session for the pass; returns its change count (muxes bypassed,
+    data bits folded and dead branches), each also added to its
+    [sat_elim.*] counter.  Interleave with opt_expr / opt_clean and
     iterate (see {!Driver.smartly}).
 
     With a {!Replay} store installed and no budget armed, a pass whose
     start circuit and config recur replays the recorded edits and
-    report instead of walking; a first pass walks, records its edits
+    counts instead of walking; a first pass walks, records its edits
     and stores them. *)
-
-val changed : report -> bool
 
 val fold_port :
   Config.t ->

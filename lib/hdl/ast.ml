@@ -85,6 +85,12 @@ let const_of_int ~width v =
     cbits = List.init width (fun i -> if (v lsr i) land 1 = 1 then B1 else B0);
   }
 
+(* An unsized decimal is at least 32 bits wide (IEEE 1364), and wide
+   enough for every bit of its value. *)
+let const_of_unsized v =
+  let rec bits v = if v = 0 then 0 else 1 + bits (v lsr 1) in
+  const_of_int ~width:(max 32 (bits v)) v
+
 let const_has_wildcard c = List.exists (fun b -> b = Bz) c.cbits
 
 let pp_cbit ppf = function

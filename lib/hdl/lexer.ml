@@ -195,6 +195,7 @@ let tokenize (src : string) : (token * Loc.pos) list =
       if !i < n && src.[!i] = '\'' then begin
         let width =
           match int_of_string_opt (literal ()) with
+          | Some 0 -> lex_error "zero-width literal" start
           | Some w when w <= max_width -> w
           | Some _ | None ->
             lex_error

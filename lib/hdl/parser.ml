@@ -189,8 +189,7 @@ and parse_primary st =
     Ast.E_const c
   | Lexer.NUMBER v, _ ->
     advance st;
-    (* unsized decimal: give it a natural 32-bit width like Verilog *)
-    Ast.E_const (Ast.const_of_int ~width:32 v)
+    Ast.E_const (Ast.const_of_unsized v)
   | Lexer.IDENT name, _ -> (
     advance st;
     match peek st with
@@ -257,7 +256,7 @@ let rec parse_stmt st : Ast.stmt =
               c
             | Lexer.NUMBER v, _ ->
               advance st;
-              Ast.const_of_int ~width:32 v
+              Ast.const_of_unsized v
             | _ -> error st "expected case pattern"
           in
           match peek st with

@@ -1079,43 +1079,64 @@ module Run_report = struct
     let area_before = Json.to_int (field run_start "area") in
     let area_after = Json.to_int (field run_end "area") in
     let opt_int = function Some i -> Json.num_of_int i | None -> Json.Null in
-    (* per name, in first-seen order: calls, summed [seconds], last data *)
+    (* per name, in first-seen order: calls, summed [seconds], last data
+       and summed [counters] (a pass's counter deltas) *)
     let totals kind =
       let tbl = Hashtbl.create 16 and order = ref [] in
+      let add sums (k, v) =
+        let n = Option.value (Json.to_int v) ~default:0 in
+        (k, n + Option.value (List.assoc_opt k sums) ~default:0)
+        :: List.remove_assoc k sums
+      in
       List.iter
         (fun (e : Event.t) ->
-          let calls, secs, _ =
+          let calls, secs, _, sums =
             match Hashtbl.find_opt tbl e.name with
             | Some t -> t
             | None ->
               order := e.name :: !order;
-              0, 0.0, Json.Null
+              0, 0.0, Json.Null, []
           in
           let s = Option.value (Json.mem_num "seconds" e.data) ~default:0.0 in
-          Hashtbl.replace tbl e.name (calls + 1, secs +. s, e.data))
+          let sums =
+            match Json.member "counters" e.data with
+            | Some (Json.Obj kvs) -> List.fold_left add sums kvs
+            | _ -> sums
+          in
+          Hashtbl.replace tbl e.name (calls + 1, secs +. s, e.data, sums))
         (of_kind kind);
       List.rev_map
         (fun name ->
-          let calls, secs, data = Hashtbl.find tbl name in
+          let calls, secs, data, sums = Hashtbl.find tbl name in
           ( name,
             [
               "name", Json.Str name;
               "calls", Json.num_of_int calls;
               "seconds", Json.Num secs;
             ],
-            data ))
+            data,
+            sums ))
         !order
     in
     let passes =
       List.map
-        (fun (_, row, data) ->
-          Json.Obj (row @ [ "cells", opt_int (Json.mem_int "cells" data) ]))
+        (fun (_, row, data, sums) ->
+          Json.Obj
+            (row
+            @ [
+                "cells", opt_int (Json.mem_int "cells" data);
+                ( "counters",
+                  Json.Obj
+                    (List.map
+                       (fun (k, n) -> k, Json.num_of_int n)
+                       (List.sort compare sums)) );
+              ]))
         (totals Event.Pass_end)
     in
     let spans =
-      List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+      List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b)
         (totals Event.Span_close)
-      |> List.map (fun (_, row, _) -> Json.Obj row)
+      |> List.map (fun (_, row, _, _) -> Json.Obj row)
     in
     (* the innermost pass still open where the stream ends: where a run
        that died, by any means, stopped *)
@@ -1136,7 +1157,7 @@ module Run_report = struct
     in
     Json.Obj
       [
-        "schema", Json.Str "smartly-report-v3";
+        "schema", Json.Str "smartly-report-v4";
         "source", field run_start "source";
         "flow", field run_start "flow";
         ( "area",
@@ -1151,7 +1172,6 @@ module Run_report = struct
           | _ -> Json.Null );
         "wall_seconds", field run_end "wall_seconds";
         "iterations", field run_end "iterations";
-        "session", field run_end "session";
         "sat_log", field run_end "sat_log";
         "metrics", field run_end "metrics";
         "passes", Json.List passes;

@@ -356,7 +356,7 @@ module Provenance : sig
       the [provenance_summary] section of the run report. *)
 end
 
-(** The run report ([smartly-report-v3]): the one document [opt --json]
+(** The run report ([smartly-report-v4]): the one document [opt --json]
     prints over the live stream and [smartly report] prints over a
     ledger's [events.jsonl]. *)
 module Run_report : sig
@@ -365,10 +365,11 @@ module Run_report : sig
       - [source], [flow]: from [Run_start];
       - [area {before, after}] ([Run_start]/[Run_end] areas) and
         [reduction_pct];
-      - [wall_seconds], [iterations], [session], [sat_log], [metrics]:
-        from [Run_end] (the metrics registry's counters and histograms);
-      - [passes]: [Pass_end] totals (name, calls, seconds, last cells),
-        in first-seen order;
+      - [wall_seconds], [iterations], [sat_log], [metrics]: from
+        [Run_end] (the metrics registry's counters and histograms);
+      - [passes]: [Pass_end] totals (name, calls, seconds, last cells,
+        and [counters], the sum of its [Pass_end] counter deltas), in
+        first-seen order;
       - [in_flight_pass]: the innermost [Pass_start] the stream never
         closed — where a run that died stopped — or [null];
       - [spans]: [Span_close] totals (name, calls, seconds), by name;

@@ -296,7 +296,10 @@ module Compare = struct
     | Missing_metric -> "missing"
 
   (* The noise model, per metric kind.  Exact kinds have a zero band, so
-     [scale] (which multiplies both numbers) can never loosen them. *)
+     [scale] (which multiplies both numbers) can never loosen them.  A
+     noisy kind's band is relative to the smaller of the two values, so
+     it is as wide for a fall as for a rise: at scale 4 (+-100%) a time
+     that halves leaves it, as one that doubles does. *)
   let rel_band = function
     | Schema.Area | Schema.Count -> 0.0
     | Schema.Time -> 0.25
@@ -316,8 +319,9 @@ module Compare = struct
   let classify ?(scale = 1.0) ~kind ~direction base cur : status =
     let delta = cur -. base in
     let within_floor = Float.abs delta <= abs_floor kind *. scale in
+    let smaller = Float.min (Float.abs base) (Float.abs cur) in
     let within_band =
-      base <> 0.0 && Float.abs (delta /. Float.abs base) <= rel_band kind *. scale
+      smaller > 0.0 && Float.abs delta /. smaller <= rel_band kind *. scale
     in
     if delta = 0.0 || within_floor || within_band then Unchanged
     else
@@ -433,13 +437,15 @@ module Compare = struct
       new_cases;
     }
 
-  let regressions (t : t) : (string * metric_diff) list =
+  let with_status status (t : t) : (string * metric_diff) list =
     List.concat_map
       (fun cd ->
         List.filter_map
-          (fun r -> if r.status = Regressed then Some (cd.case, r) else None)
+          (fun r -> if r.status = status then Some (cd.case, r) else None)
           cd.rows)
       t.cases
+
+  let regressions = with_status Regressed
 
   (* --- rendering --- *)
 
@@ -632,10 +638,16 @@ module Gate = struct
       load_errors = List.rev errors;
     }
 
+  (* A row outside its band fails the gate whichever way it moved: a
+     better one means the committed baseline is stale, and a later
+     slowdown would hide in the gap until it is re-blessed. *)
   let ok (o : outcome) =
     o.missing_baselines = [] && o.load_errors = []
     && List.for_all
-         (fun d -> Compare.regressions d = [] && d.Compare.missing_cases = [])
+         (fun d ->
+           Compare.regressions d = []
+           && Compare.with_status Compare.Improved d = []
+           && d.Compare.missing_cases = [])
          o.diffs
 
   let render ?all (o : outcome) : string =
@@ -662,13 +674,17 @@ module Gate = struct
     let offenders =
       List.concat_map
         (fun d ->
-          List.map
-            (fun (case, (r : Compare.metric_diff)) ->
-              Printf.sprintf "%s/%s/%s (%s -> %s)" d.Compare.section case
-                r.Compare.name
-                (Compare.fmt_opt r.Compare.kind r.Compare.base)
-                (Compare.fmt_opt r.Compare.kind r.Compare.cur))
-            (Compare.regressions d)
+          let row why (case, (r : Compare.metric_diff)) =
+            Printf.sprintf "%s/%s/%s (%s -> %s%s)" d.Compare.section case
+              r.Compare.name
+              (Compare.fmt_opt r.Compare.kind r.Compare.base)
+              (Compare.fmt_opt r.Compare.kind r.Compare.cur)
+              why
+          in
+          List.map (row "") (Compare.regressions d)
+          @ List.map
+              (row ", improved: stale baseline, re-bless it")
+              (Compare.with_status Compare.Improved d)
           @ List.map
               (fun c ->
                 Printf.sprintf "%s/%s (case disappeared)" d.Compare.section c)
@@ -678,7 +694,7 @@ module Gate = struct
     if ok o then
       Buffer.add_string buf
         (Report.Table.colorize Report.Table.Green
-           "bench-check: OK — no regressions beyond thresholds\n")
+           "bench-check: OK — every metric within its band\n")
     else begin
       Buffer.add_string buf
         (Report.Table.colorize Report.Table.Red "bench-check: FAIL");

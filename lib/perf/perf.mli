@@ -129,11 +129,12 @@ module Compare : sig
     float ->
     status
   (** [classify ~kind ~direction base cur].
-      [Area]/[Count] compare exactly; [Time] within a 25% relative band,
-      [Gc] within 30%, both with a small absolute floor so near-zero
-      baselines don't amplify jitter.  [scale] multiplies the noisy-kind
-      bands (CI passes a loose scale to absorb cross-machine variance);
-      it never loosens the exact kinds. *)
+      [Area]/[Count] compare exactly; [Time] within a 25% band, [Gc]
+      within 30%, both relative to the smaller of [base] and [cur] (so a
+      fall leaves the band as readily as a rise) and with a small
+      absolute floor so near-zero values don't amplify jitter.  [scale]
+      multiplies the noisy-kind bands (CI passes a loose scale to absorb
+      cross-machine variance); it never loosens the exact kinds. *)
 
   type metric_diff = {
     name : string;
@@ -158,8 +159,11 @@ module Compare : sig
   val diff : ?scale:float -> baseline:Schema.doc -> Schema.doc -> t
   (** [diff ~baseline current]. *)
 
+  val with_status : status -> t -> (string * metric_diff) list
+  (** [(case, metric)] rows with the status. *)
+
   val regressions : t -> (string * metric_diff) list
-  (** [(case, metric)] rows with status [Regressed]. *)
+  (** [with_status Regressed]. *)
 
   val render : ?all:bool -> t -> string
   (** The per-case/per-metric table via {!Report.Table} (colored when
@@ -199,10 +203,11 @@ module Gate : sig
   (** Diff every fresh document against its committed baseline. *)
 
   val ok : outcome -> bool
-  (** No regressions, no dropped cases, every baseline present and
-      well-formed. *)
+  (** Every metric within its band, better or worse (an improved one
+      means a stale baseline to re-bless), no dropped cases, every
+      baseline present and well-formed. *)
 
   val render : ?all:bool -> outcome -> string
   (** Diff tables for every section plus the verdict line naming each
-      offending metric. *)
+      offending metric, an improved one as a stale baseline. *)
 end

@@ -81,19 +81,18 @@ let to_string ?(comments = []) (c : cnf) =
     c.clauses;
   Buffer.contents buf
 
-(* Load a parsed CNF into a fresh solver. *)
+(* Load a parsed CNF into a fresh solver, with as many variables as the
+   clauses name: the problem line only bounds the literals, so a header
+   that declares 10^12 variables allocates none of them. *)
 let load (c : cnf) : Solver.t =
   let s = Solver.create () in
-  let vars = Array.init c.num_vars (fun _ -> Solver.new_var s) in
+  let used =
+    List.fold_left (List.fold_left (fun m d -> max m (abs d))) 0 c.clauses
+  in
+  for _ = 1 to used do
+    ignore (Solver.new_var s)
+  done;
   List.iter
-    (fun clause ->
-      let lits =
-        List.map
-          (fun d ->
-            let v = vars.(abs d - 1) in
-            Lit.of_var ~negated:(d < 0) v)
-          clause
-      in
-      Solver.add_clause s lits)
+    (fun clause -> Solver.add_clause s (List.map Lit.of_dimacs clause))
     c.clauses;
   s

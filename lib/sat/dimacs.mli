@@ -15,3 +15,6 @@ val to_string : ?comments:string list -> cnf -> string
 (** [comments] are emitted first, one ["c "]-prefixed line each. *)
 
 val load : cnf -> Solver.t
+(** A fresh solver holding the clauses, DIMACS variable [v] as solver
+    variable [v - 1], with variables up to the largest one a clause
+    names: [num_vars] bounds the literals, it allocates nothing. *)

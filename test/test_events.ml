@@ -8,6 +8,7 @@ open Netlist
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
+let counter name = Obs.Metrics.value (Obs.Metrics.counter name)
 
 (* every test owns the process-global bus *)
 let with_bus f =
@@ -281,14 +282,10 @@ let test_budget_stops_folding () =
     | None -> Alcotest.fail "no ind_00 profile"
   in
   let c0 = Workloads.Profiles.circuit p in
-  let folded (r : Smartly.Driver.result) =
-    List.fold_left
-      (fun acc (s : Smartly.Sat_elim.report) ->
-        acc + s.Smartly.Sat_elim.data_bits_folded)
-      0 r.Smartly.Driver.sat_reports
-  in
-  let free = Smartly.Driver.smartly (Circuit.copy c0) in
-  check_bool "the unbudgeted walk folds data bits" true (folded free > 0);
+  Obs.Metrics.reset ();
+  ignore (Smartly.Driver.smartly (Circuit.copy c0));
+  check_bool "the unbudgeted walk folds data bits" true
+    (counter "sat_elim.data_bits_folded" > 0);
   let c = Circuit.copy c0 in
   let cfg =
     {
@@ -296,13 +293,16 @@ let test_budget_stops_folding () =
       Smartly.Config.pass_alloc_budget_mw = Some 0.0;
     }
   in
+  Obs.Metrics.reset ();
+  let _, events = Obs.Event.record () in
   let r = Smartly.Driver.smartly ~cfg c in
-  check_bool "sat_elim ran" true (r.Smartly.Driver.sat_reports <> []);
-  List.iter
-    (fun (s : Smartly.Sat_elim.report) ->
-      check_int "no data bit folded" 0 s.Smartly.Sat_elim.data_bits_folded;
-      check_int "no mux bypassed" 0 s.Smartly.Sat_elim.muxes_bypassed)
-    r.Smartly.Driver.sat_reports;
+  check_bool "sat_elim ran" true
+    (List.exists
+       (fun (e : Obs.Event.t) ->
+         e.Obs.Event.kind = Obs.Event.Pass_end && e.Obs.Event.name = "sat_elim")
+       (events ()));
+  check_int "no data bit folded" 0 (counter "sat_elim.data_bits_folded");
+  check_int "no mux bypassed" 0 (counter "sat_elim.muxes_bypassed");
   (match
      List.find_opt
        (fun (o : Smartly.Budget.overrun) -> o.Smartly.Budget.pass = "sat_elim")
@@ -531,7 +531,7 @@ let test_report_from_ledger () =
     (Obs.Json.to_string ~pretty:true live)
     (Obs.Json.to_string ~pretty:true (Obs.Run_report.of_events ?torn_at evs));
   check_bool "schema" true
-    (Obs.Json.mem_str "schema" live = Some "smartly-report-v3");
+    (Obs.Json.mem_str "schema" live = Some "smartly-report-v4");
   check_bool "a finished run has no pass in flight" true
     (Obs.Json.member "in_flight_pass" live = Some Obs.Json.Null);
   check_bool "metrics carried" true
@@ -547,6 +547,74 @@ let test_report_from_ledger () =
   in
   check_int "cells_removed_per_iter sums to flow.cells_removed" removed
     (int_of_float per_iter.Obs.Metrics.sum)
+
+(* --- one pass record --- *)
+
+(* Each pass's numbers live only in the metrics registry, and each
+   Pass_end carries the counters its pass body moved, so over a recorded
+   flow every counter the passes move is the sum of its Pass_end deltas,
+   and so are the run report's per-pass sums.  Only driver.iterations is
+   counted outside a pass. *)
+let test_pass_end_counters () =
+  List.iter
+    (fun (profile, flow, run) ->
+      with_bus @@ fun () ->
+      let p =
+        match Workloads.Profiles.by_name profile with
+        | Some p -> p
+        | None -> Alcotest.failf "no %s profile" profile
+      in
+      let c = Workloads.Profiles.circuit p in
+      Obs.Metrics.reset ();
+      let _, events = Obs.Event.record () in
+      run c;
+      let evs = events () in
+      let what name = Printf.sprintf "%s %s: %s" profile flow name in
+      let sum_of objects =
+        let sums = Hashtbl.create 32 in
+        List.iter
+          (function
+            | Some (Obs.Json.Obj kvs) ->
+              List.iter
+                (fun (k, v) ->
+                  let n = Option.get (Obs.Json.to_int v) in
+                  Hashtbl.replace sums k
+                    (n + Option.value (Hashtbl.find_opt sums k) ~default:0))
+                kvs
+            | _ -> Alcotest.fail "a pass without a counters object")
+          objects;
+        fun name -> Option.value (Hashtbl.find_opt sums name) ~default:0
+      in
+      let pass_ends =
+        sum_of
+          (List.filter_map
+             (fun (e : Obs.Event.t) ->
+               if e.Obs.Event.kind = Obs.Event.Pass_end then
+                 Some (Obs.Json.member "counters" e.Obs.Event.data)
+               else None)
+             evs)
+      in
+      let rows =
+        sum_of
+          (List.map (Obs.Json.member "counters")
+             (Option.get
+                (Obs.Json.mem_list "passes" (Obs.Run_report.of_events evs))))
+      in
+      check_bool (what "cells removed") true
+        (counter "flow.cells_removed" > 0);
+      List.iter
+        (fun (name, v) ->
+          if name <> "driver.iterations" then begin
+            check_int (what name ^ " = its Pass_end sum") v (pass_ends name);
+            check_int (what name ^ " = its report rows' sum") v (rows name)
+          end)
+        (Obs.Metrics.counters ()))
+    [
+      ("mux_chain", "smartly", fun c -> ignore (Smartly.Driver.smartly c));
+      ("mux_chain", "yosys", fun c -> ignore (Smartly.Driver.yosys c));
+      ("wb_dma", "smartly", fun c -> ignore (Smartly.Driver.smartly c));
+      ("wb_dma", "yosys", fun c -> ignore (Smartly.Driver.yosys c));
+    ]
 
 (* --- ledger lifecycle --- *)
 
@@ -612,6 +680,11 @@ let () =
             test_budget_stops_folding;
           Alcotest.test_case "ind_03 overrun bounded" `Quick
             test_budget_bounds_overrun;
+        ] );
+      ( "pass record",
+        [
+          Alcotest.test_case "Pass_end counters sum to the registry" `Quick
+            test_pass_end_counters;
         ] );
       ( "ledger",
         [

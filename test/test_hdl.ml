@@ -61,6 +61,10 @@ let test_lex_numeric_literals () =
   check_bool "width 65537 rejected" true
     (lex_error "65537'b0" = Some ("literal width above 65536 bits", 1));
   check_int "width 65536 accepted" 65536 (sized "65536'h1").Hdl.Ast.cwidth;
+  check_bool "width 0 rejected" true
+    (lex_error "a | 0'b1" = Some ("zero-width literal", 5));
+  check_bool "width 0 rejected in decimal" true
+    (lex_error "0'd0" = Some ("zero-width literal", 1));
   check_bool "no OCaml prefix in a decimal" true
     (lex_error "8'd0x10" = Some ("bad decimal digit 'x'", 1));
   check_bool "nor an empty one" true (lex_error "8'd_" = Some ("bad decimal literal", 1));
@@ -334,6 +338,36 @@ let test_elab_case_semantics () =
         [ 10; 20; 30; 40 ])
     [ `Chain; `Balanced; `Pmux ]
 
+(* An unsized decimal keeps every bit of its value, in an expression and
+   as a case pattern. *)
+let test_elab_unsized_decimal () =
+  let expr =
+    {|
+module m(input [39:0] a, output y);
+  assign y = a == 4294967296;
+endmodule
+|}
+  in
+  let pattern =
+    {|
+module m(input [39:0] a, output reg y);
+  always @* begin
+    case (a)
+      4294967296: y = 1'b1;
+      default: y = 1'b0;
+    endcase
+  end
+endmodule
+|}
+  in
+  List.iter
+    (fun (what, src) ->
+      check_int (what ^ ": a = 2^32") 1
+        (Option.get (eval_output src ~inputs:[ "a", 1 lsl 32 ]));
+      check_int (what ^ ": a = 0") 0
+        (Option.get (eval_output src ~inputs:[ "a", 0 ])))
+    [ "expression", expr; "case pattern", pattern ]
+
 let test_elab_casez_priority () =
   let src =
     {|
@@ -503,6 +537,8 @@ let () =
           Alcotest.test_case "if priority" `Quick test_elab_if_priority;
           Alcotest.test_case "case semantics" `Quick test_elab_case_semantics;
           Alcotest.test_case "casez priority" `Quick test_elab_casez_priority;
+          Alcotest.test_case "unsized decimal keeps its bits" `Quick
+            test_elab_unsized_decimal;
           Alcotest.test_case "styles equivalent" `Quick test_elab_styles_equivalent;
           Alcotest.test_case "blocking read-after-write" `Quick test_elab_blocking_raw;
           Alcotest.test_case "sequential always" `Quick test_elab_sequential;

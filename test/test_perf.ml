@@ -181,7 +181,18 @@ let test_classify_noisy_kinds () =
   check_bool "2x slower, scale 10" true
     (Perf.Compare.classify ~scale:10.0 ~kind:Time ~direction:Lower_better 1.0
        2.0
-    = Perf.Compare.Unchanged)
+    = Perf.Compare.Unchanged);
+  (* the band is relative to the smaller value, so at bench-check's scale
+     4 (+-100%) a fall past half leaves it as a rise past double does:
+     a time that fell to a ninth, or a throughput that collapsed, is no
+     longer "unchanged" *)
+  let t4 = Perf.Compare.classify ~scale:4.0 ~kind:Time in
+  check_bool "table2 top_cache_axi t_smartly 42.98 -> 4.53 s" true
+    (t4 ~direction:Lower_better 42.98 4.53 = Perf.Compare.Improved);
+  check_bool "jobs_per_sec jps_warm 14.44 -> 0.10 jobs/s" true
+    (t4 ~direction:Higher_better 14.44 0.10 = Perf.Compare.Regressed);
+  check_bool "a fall to half stays inside, scale 4" true
+    (t4 ~direction:Lower_better 8.0 4.0 = Perf.Compare.Unchanged)
 
 (* --- Compare.diff --- *)
 
@@ -312,7 +323,16 @@ let test_gate_clean_and_sabotaged () =
       check_bool "verdict names smartly_area" true
         (contains "smartly_area" verdict);
       check_bool "verdict names cells_removed" true
-        (contains "cells_removed" verdict))
+        (contains "cells_removed" verdict);
+      (* a time far better than its baseline fails too, named as a stale
+         baseline to re-bless *)
+      ignore (Perf.Store.save ~dir (sample_doc ~t_median:5.0 ()));
+      let stale = Perf.Gate.check ~dir [ sample_doc ~t_median:1.0 () ] in
+      check_bool "stale baseline fails" true (not (Perf.Gate.ok stale));
+      let verdict = Perf.Gate.render stale in
+      check_bool "verdict names the stale row" true
+        (contains "unit/case_a/t_full" verdict
+        && contains "stale baseline" verdict))
 
 let test_gate_missing_baseline_fails () =
   with_temp_dir (fun dir ->

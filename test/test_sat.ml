@@ -74,7 +74,16 @@ let test_dimacs_roundtrip () =
   let text2 = Cdcl.Dimacs.to_string cnf in
   let cnf2 = Result.get_ok (Cdcl.Dimacs.parse_string text2) in
   Alcotest.(check bool) "roundtrip" true
-    (cnf.Cdcl.Dimacs.clauses = cnf2.Cdcl.Dimacs.clauses)
+    (cnf.Cdcl.Dimacs.clauses = cnf2.Cdcl.Dimacs.clauses);
+  (* the problem line bounds the literals but allocates nothing: a header
+     declaring 10^12 variables over the clause "1 0" loads one *)
+  let big =
+    Result.get_ok (Cdcl.Dimacs.parse_string "p cnf 1000000000000 1\n1 0\n")
+  in
+  let s = Cdcl.Dimacs.load big in
+  Alcotest.(check int) "one variable loaded" 1 (Cdcl.Solver.num_vars s);
+  Alcotest.(check bool) "big header sat" true
+    (Cdcl.Solver.solve s = Cdcl.Solver.Sat)
 
 (* A malformed file is a located error, not an exception. *)
 let test_dimacs_bad_input () =
@@ -282,6 +291,11 @@ let prop_assumptions_consistent =
     (fun (num_vars, clauses) ->
       let assum = [ 1; (if num_vars > 1 then -2 else 1) ] in
       let s1 = Cdcl.Dimacs.load { Cdcl.Dimacs.num_vars; clauses } in
+      (* [load] allocates only the variables the clauses name; the
+         assumptions name variables 1 and 2 *)
+      for _ = Cdcl.Solver.num_vars s1 + 1 to 2 do
+        ignore (Cdcl.Solver.new_var s1)
+      done;
       let lits =
         List.map (fun d -> Cdcl.Lit.of_var ~negated:(d < 0) (abs d - 1)) assum
       in
